@@ -18,6 +18,7 @@ import (
 	"ktau/internal/netsim"
 	"ktau/internal/perfmon"
 	"ktau/internal/procfs"
+	"ktau/internal/ship"
 	"ktau/internal/sim"
 	"ktau/internal/tau"
 	"ktau/internal/tcpsim"
@@ -573,9 +574,9 @@ const TimerTickEvent = perfmon.TimerTickEvent
 // with no live node to collect on.
 func DeployPerfMon(c *Cluster, cfg PerfMonConfig) (*PerfMon, error) { return perfmon.Deploy(c, cfg) }
 
-// ElectCollector returns the node index perfmon would elect as collector,
-// or -1 when no node is live.
-func ElectCollector(c *Cluster) int { return perfmon.Elect(c) }
+// ElectCollector returns the node index the collection pipelines (perfmon
+// and tracepipe) would elect as collector, or -1 when no node is live.
+func ElectCollector(c *Cluster) int { return ship.Elect(c) }
 
 // NewPerfMonStore creates an empty time-series store (for offline ingest).
 func NewPerfMonStore(cfg PerfMonStoreConfig) *PerfMonStore { return perfmon.NewStore(cfg) }

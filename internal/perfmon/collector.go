@@ -15,28 +15,28 @@
 // daemon interference as in Figs. 8-10, slow-node ranking), and exports
 // Prometheus text, JSON lines and a human ASCII cluster view.
 //
-// The pipeline is fault-tolerant: agents retry transient procfs errors with
-// bounded backoff and ship explicit gap frames when a round's data stays
-// unreadable; sinks receive with timeouts, count-and-drop damaged frames,
-// and mark a node down instead of blocking forever when it stops reporting;
-// and when the collector node itself dies, agents detect the broken link,
-// re-elect a live collector and reconnect — the store (held by the PerfMon,
-// not the dead node) keeps every pre-crash sample.
+// The pipeline is fault-tolerant, through the agent→collector transport it
+// shares with tracepipe (package ship): agents retry transient procfs
+// errors with bounded backoff and ship explicit gap frames when a round's
+// data stays unreadable; sinks receive with timeouts, count-and-drop damaged
+// frames, and mark a node down instead of blocking forever when it stops
+// reporting; and when the collector node itself dies, agents detect the
+// broken link, re-elect a live collector and reconnect — the store (held by
+// the PerfMon, not the dead node) keeps every pre-crash sample.
 package perfmon
 
 import (
-	"errors"
-	"sync"
 	"time"
 
 	"ktau/internal/cluster"
 	"ktau/internal/kernel"
 	"ktau/internal/ktau"
 	"ktau/internal/libktau"
-	"ktau/internal/tcpsim"
+	"ktau/internal/ship"
 )
 
-// Config parameterises a deployment.
+// Config parameterises a deployment. Retry, timeout and cost settings are
+// the shared transport's (package ship), scaled by Interval.
 type Config struct {
 	// Interval between collection rounds on every agent (default 100ms).
 	Interval time.Duration
@@ -51,277 +51,59 @@ type Config struct {
 	// "LU.rank"); everything else except idle tasks counts as system/daemon
 	// activity for the noise detector. Empty disables rank classification.
 	RankPrefix string
-	// ReadCostPerKB models agent-side processing cost per KiB of profile
-	// data each round (default 20us/KB, as KTAUD).
-	ReadCostPerKB time.Duration
-	// Collector overrides the election result when >= 0 (default -1).
-	Collector int
-	// ReadRetries bounds how many times an agent retries a failed procfs
-	// read within one round before shipping a gap frame (default 3).
-	ReadRetries int
-	// ReadBackoff is the sleep between procfs read retries (default
-	// Interval/10).
-	ReadBackoff time.Duration
-	// RecvTimeout bounds each sink receive; a sink that times out checks its
-	// peer's health instead of blocking forever (default 4×Interval).
-	RecvTimeout time.Duration
-	// SendTimeout bounds each agent's frame transmission; an expired send
-	// marks the collector link broken and triggers re-election (default
-	// 4×Interval).
-	SendTimeout time.Duration
-	// PeerDownAfter is how many consecutive receive timeouts a sink
-	// tolerates before marking its node down and exiting (default 3).
-	PeerDownAfter int
 }
 
 func (c *Config) defaults() {
 	if c.Interval <= 0 {
 		c.Interval = 100 * time.Millisecond
 	}
-	if c.ReadCostPerKB <= 0 {
-		c.ReadCostPerKB = 20 * time.Microsecond
-	}
-	if c.ReadRetries <= 0 {
-		c.ReadRetries = 3
-	}
-	if c.ReadBackoff <= 0 {
-		c.ReadBackoff = c.Interval / 10
-	}
-	if c.RecvTimeout <= 0 {
-		c.RecvTimeout = 4 * c.Interval
-	}
-	if c.SendTimeout <= 0 {
-		c.SendTimeout = 4 * c.Interval
-	}
-	if c.PeerDownAfter <= 0 {
-		c.PeerDownAfter = 3
-	}
 	c.Store.defaults()
 	c.Detect.defaults()
 }
 
-// Elect picks the collector node deterministically among live nodes: the
-// node with the most CPUs wins (it absorbs the aggregation load), ties
-// broken by lowest index — a stand-in for a leader election among identical
-// daemons. It returns -1 when no live node exists. Liveness is judged from
-// the barrier-published crash views (Kernel.CrashedSeen), so an election run
-// from inside any node's window is deterministic; after crashing a node by
-// hand while the cluster is quiescent, call Cluster.PublishViews before
-// electing.
-func Elect(c *cluster.Cluster) int {
-	best := -1
-	for i, n := range c.Nodes {
-		if n.K.CrashedSeen() {
-			continue
-		}
-		if best < 0 || n.K.NumCPUs() > c.Node(best).K.NumCPUs() {
-			best = i
-		}
-	}
-	return best
-}
-
-// link carries the Go-side payload queue of one agent→collector connection;
-// the simulated TCP stream carries matching byte counts (the same framing
-// convention mpisim uses), so the transfer is fully charged as kernel work
-// on both nodes while the decoded payload rides alongside deterministically.
-//
-// The pending queue is pushed from the agent's node window and popped from
-// the collector's, which can overlap under parallel execution — hence the
-// lock. The popped values are still deterministic: a payload is pushed at
-// send time, at least one wire latency (= one window barrier) before the
-// sink can have received the matching preamble bytes. replaced is set and
-// read only in the sink node's engine context (the agent retires a link by
-// posting the flip through the runner), so the sink's exit decision cannot
-// depend on worker interleaving.
-type link struct {
-	nodeIdx   int          // monitored node this link carries
-	sinkNode  int          // collector node the sink runs on
-	agentConn *tcpsim.Conn // agent-side endpoint
-	sinkConn  *tcpsim.Conn // collector-side endpoint
-
-	mu       sync.Mutex
-	pending  [][]byte // encoded frames in flight, FIFO
-	replaced bool     // the agent abandoned this link (failover/reconnect)
-}
-
-// push enqueues one encoded frame. The queue owns its payloads — p is copied
-// out, so callers may pass a scratch buffer they will overwrite next round.
-func (l *link) push(p []byte) {
-	cp := append(make([]byte, 0, len(p)), p...)
-	l.mu.Lock()
-	l.pending = append(l.pending, cp)
-	l.mu.Unlock()
-}
-
-func (l *link) peek() ([]byte, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.pending) == 0 {
-		return nil, false
-	}
-	return l.pending[0], true
-}
-
-func (l *link) popFront() {
-	l.mu.Lock()
-	if len(l.pending) > 0 {
-		l.pending = l.pending[1:]
-	}
-	l.mu.Unlock()
-}
-
-func (l *link) empty() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.pending) == 0
-}
-
-// clearPending discards queued payloads after a failed send; the stream
-// (and anything on it) is considered lost.
-func (l *link) clearPending() {
-	l.mu.Lock()
-	l.pending = nil
-	l.mu.Unlock()
-}
-
-// retire marks the link abandoned by its agent. Runs on the sink node's
-// engine.
-func (l *link) retire() {
-	l.mu.Lock()
-	l.pending = nil
-	l.replaced = true
-	l.mu.Unlock()
-}
-
-func (l *link) isReplaced() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.replaced
-}
-
-// PerfMon is a deployed monitoring pipeline.
+// PerfMon is a deployed monitoring pipeline. The embedded transport
+// provides Tasks, Collector, Failovers and Stop.
 type PerfMon struct {
+	*ship.Transport[Frame]
 	cfg   Config
-	c     *cluster.Cluster
 	store *Store
-	// agents is indexed by node. agentDone is its barrier-published exit
-	// view: sinks on the collector read it instead of the live task state.
-	agents    []*kernel.Task
-	agentDone []bool
-	stopped   bool
-
-	// mu guards the collector-side bookkeeping below. It is mutated only in
-	// collector-node engine contexts (directly, or via closures posted
-	// through the runner) and read back by user code once the cluster is
-	// quiescent; the lock is belt-and-braces for pathological multi-crash
-	// cascades.
-	mu         sync.Mutex
-	collector  int
-	sinks      []*kernel.Task
-	failovers  int
-	downMarked map[string]bool
 }
 
-// Deploy elects a collector, connects every other node to it over the
-// simulated network, and spawns the per-node agent daemons ("kmond") plus
-// one sink task per connection on the collector. Call before launching the
-// workload; drive the engine afterwards (e.g. cluster.RunUntilDone on
-// Tasks()). It fails when the cluster has no live node to collect on.
+// Deploy elects a collector (ship.Elect), connects every other node to it
+// over the simulated network, and spawns the per-node agent daemons
+// ("kmond") plus one sink task ("kmon-sink") per connection on the
+// collector. Call before launching the workload; drive the engine afterwards
+// (e.g. cluster.RunUntilDone on Tasks()). It fails when the cluster has no
+// live node to collect on.
 func Deploy(c *cluster.Cluster, cfg Config) (*PerfMon, error) {
 	cfg.defaults()
-	if len(c.Nodes) == 0 {
-		return nil, errors.New("perfmon: cannot deploy on an empty cluster")
+	pm := &PerfMon{cfg: cfg, store: NewStore(cfg.Store)}
+	name := func(i int) string { return c.Node(i).Name }
+	tr, err := ship.Deploy(c, ship.Config{
+		Name: "perfmon", Agent: "kmond", Sink: "kmon-sink",
+		Interval: cfg.Interval, Rounds: cfg.Rounds,
+	}, func() (ship.Hooks[Frame], error) {
+		return ship.Hooks[Frame]{
+			Decode:   DecodeFrame,
+			Last:     func(f Frame) bool { return f.Last },
+			Ingest:   pm.store.Ingest,
+			Drop:     func(i int) { pm.store.Drop(name(i)) },
+			MarkDown: func(i int) { pm.store.MarkDown(name(i)) },
+			NewAgent: pm.newAgent,
+		}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	// Deploy runs while the cluster is quiescent; refresh the published
-	// views so the election sees any crash injected since the last barrier.
-	c.PublishViews()
-	collector := cfg.Collector
-	if collector < 0 || collector >= len(c.Nodes) || c.Node(collector).K.CrashedSeen() {
-		collector = Elect(c)
-	}
-	if collector < 0 {
-		return nil, errors.New("perfmon: no live node to collect on")
-	}
-	pm := &PerfMon{
-		cfg:        cfg,
-		c:          c,
-		store:      NewStore(cfg.Store),
-		collector:  collector,
-		agentDone:  make([]bool, len(c.Nodes)),
-		downMarked: make(map[string]bool),
-	}
-	for i, n := range c.Nodes {
-		if i == collector {
-			// The collector monitors itself without a network hop.
-			pm.agents = append(pm.agents, pm.spawnAgent(i, n, collector, nil))
-			continue
-		}
-		agentConn, sinkConn := tcpsim.Connect(n.Stack, c.Node(collector).Stack)
-		l := &link{nodeIdx: i, sinkNode: collector, agentConn: agentConn, sinkConn: sinkConn}
-		pm.agents = append(pm.agents, pm.spawnAgent(i, n, collector, l))
-		pm.sinks = append(pm.sinks, pm.spawnSink(c.Node(collector), l))
-	}
-	c.Runner.OnBarrier(pm.publishViews)
+	pm.Transport = tr
 	return pm, nil
-}
-
-// publishViews refreshes the barrier-published agent-exit flags the sinks
-// read. Runs at every window barrier.
-func (pm *PerfMon) publishViews() {
-	for i, t := range pm.agents {
-		pm.agentDone[i] = t.Exited()
-	}
 }
 
 // Store returns the collector's time-series store.
 func (pm *PerfMon) Store() *Store { return pm.store }
 
-// Collector returns the current collector node index (it changes when the
-// elected node dies and the agents fail over).
-func (pm *PerfMon) Collector() int {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	return pm.collector
-}
-
-// Failovers returns how many collector re-elections have happened.
-func (pm *PerfMon) Failovers() int {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	return pm.failovers
-}
-
 // Config returns the deployment configuration (defaults applied).
 func (pm *PerfMon) Config() Config { return pm.cfg }
-
-// Tasks returns every task the deployment spawned (agents then sinks);
-// RunUntilDone over these drains the pipeline after Stop or bounded Rounds.
-// Failover spawns replacement sinks, so re-query after driving the engine.
-func (pm *PerfMon) Tasks() []*kernel.Task {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	out := make([]*kernel.Task, 0, len(pm.agents)+len(pm.sinks))
-	out = append(out, pm.agents...)
-	out = append(out, pm.sinks...)
-	return out
-}
-
-// Agents returns the per-node collection daemons (node order).
-func (pm *PerfMon) Agents() []*kernel.Task { return pm.agents }
-
-// Sinks returns the collector-side receiver tasks (including any
-// replacements spawned by failover).
-func (pm *PerfMon) Sinks() []*kernel.Task {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	return append([]*kernel.Task(nil), pm.sinks...)
-}
-
-// Stop asks every agent to perform one final collection round (flagged
-// Last) and exit; sinks exit after ingesting the final frame. Drive the
-// engine afterwards to drain the pipeline.
-func (pm *PerfMon) Stop() { pm.stopped = true }
 
 // groupExcl sums exclusive cycles of one group in a snapshot delta.
 func groupExcl(evs []ktau.EventDelta, g ktau.Group) int64 {
@@ -406,245 +188,51 @@ func (a *agentState) gapFrame(node string, idx, round, cpus int, last bool) Fram
 	}
 }
 
-// agentRoute is one agent's private view of where its frames go. Each agent
-// owns its own route — there is no shared routing table to race on — and
-// re-elects from the barrier-published crash views when its link breaks.
-type agentRoute struct {
-	collector int   // target node; -1 when no live collector exists
-	l         *link // nil when the agent ingests locally (it is the collector)
+// agent is one node's kmond round: read /proc/ktau through the node's
+// shared procfs instance (so injected procfs faults reach it), delta-encode
+// against the previous round — or emit a gap frame when the data stayed
+// unreadable — and encode the frame.
+type agent struct {
+	*agentState
+	h        libktau.Handle
+	n        *cluster.Node
+	idx      int
+	interval time.Duration
+	buf      []byte // frame-encode scratch, reused every round
 }
 
-// spawnAgent starts the per-node collection daemon. The agent reads through
-// the node's shared procfs instance (so injected procfs faults reach it),
-// retries transient errors with bounded backoff, and always emits a frame
-// per round — a gap frame when the data stayed unreadable — so the sink's
-// Last-frame handshake cannot be skipped.
-func (pm *PerfMon) spawnAgent(idx int, n *cluster.Node, collector int, l *link) *kernel.Task {
-	h := libktau.Open(n.FS)
-	cfg := pm.cfg
-	return n.K.Spawn("kmond", func(u *kernel.UCtx) {
-		st := newAgentState()
-		route := &agentRoute{collector: collector, l: l}
-		var encBuf []byte // frame-encode scratch, reused every round
-		for round := 0; ; round++ {
-			if cfg.Rounds > 0 && round >= cfg.Rounds {
-				return
-			}
-			final := pm.stopped
-			if !final {
-				u.Sleep(cfg.Interval)
-				final = pm.stopped // may have been stopped while sleeping
-			}
-			last := final || (cfg.Rounds > 0 && round == cfg.Rounds-1)
+func (pm *PerfMon) newAgent(idx int, n *cluster.Node) ship.Agent[Frame] {
+	return &agent{agentState: newAgentState(), h: libktau.Open(n.FS), n: n, idx: idx, interval: pm.cfg.Interval}
+}
 
-			// The session-less two-call protocol, charged to the agent
-			// exactly as KTAUD charges it; transient faults are retried
-			// with backoff inside the round.
-			var kw ktau.Snapshot
-			var procs []ktau.Snapshot
-			readOK := false
-			for attempt := 0; attempt < cfg.ReadRetries; attempt++ {
-				if attempt > 0 {
-					u.Sleep(cfg.ReadBackoff)
-				}
-				u.Syscall("sys_ioctl", func(kc *kernel.KCtx) { kc.Use(2 * time.Microsecond) })
-				var errKW, errAll error
-				kw, errKW = h.GetProfile(libktau.ScopeKernelWide, 0)
-				procs, errAll = h.GetProfiles(libktau.ScopeAll, 0)
-				u.Syscall("sys_read", func(kc *kernel.KCtx) { kc.Use(4 * time.Microsecond) })
-				if errKW == nil && errAll == nil {
-					readOK = true
-					break
-				}
-			}
-
-			var f Frame
-			if readOK {
-				f = st.buildFrame(n.Name, idx, round, u.Kernel().NumCPUs(), last, kw, procs)
-			} else {
-				f = st.gapFrame(n.Name, idx, round, u.Kernel().NumCPUs(), last)
-			}
-
-			encBuf = AppendFrame(encBuf[:0], f)
-			payload := encBuf // link.push copies; safe to reuse next round
-			if readOK {
-				// User-space processing: snapshot walk + delta encode.
-				readBytes := 0
-				for _, s := range procs {
-					readBytes += 64 + 48*len(s.Events) + 64*len(s.Atomics) + 64*len(s.Mapped)
-				}
-				u.Compute(time.Duration(readBytes/1024+1) * cfg.ReadCostPerKB)
-			}
-
-			pm.ship(route, idx, n, u, f, payload)
-			if f.Last {
-				return
-			}
+func (a *agent) Round(u *kernel.UCtx, round int, last bool) (Frame, []byte) {
+	var kw ktau.Snapshot
+	var procs []ktau.Snapshot
+	readOK := ship.Read(u, a.interval, func() error {
+		var errKW, errAll error
+		kw, errKW = a.h.GetProfile(libktau.ScopeKernelWide, 0)
+		procs, errAll = a.h.GetProfiles(libktau.ScopeAll, 0)
+		if errKW != nil {
+			return errKW
 		}
-	}, kernel.SpawnOpts{Kind: kernel.KindDaemon})
-}
-
-// retireLink tells the link's sink — in the sink's own engine context, so
-// the hand-off is deterministic — that the agent abandoned it.
-func (pm *PerfMon) retireLink(idx int, l *link) {
-	pm.c.CrossCall(idx, l.sinkNode, l.retire)
-}
-
-// noteFailover records one collector transition on the (new) collector's
-// side: first reporter marks the dead node down and bumps the count,
-// followers are deduplicated. Runs in the new collector's engine context.
-func (pm *PerfMon) noteFailover(dead string, newCollector int) {
-	pm.mu.Lock()
-	pm.collector = newCollector
-	first := dead != "" && !pm.downMarked[dead]
-	if first {
-		pm.downMarked[dead] = true
-		pm.failovers++
-	}
-	pm.mu.Unlock()
-	if first {
-		pm.store.MarkDown(dead)
-	}
-}
-
-// ship delivers one frame to the agent's current collector: locally when
-// this node is the collector, otherwise over the agent's link. A send that
-// times out means the collector is unreachable — the agent re-elects and
-// reconnects.
-func (pm *PerfMon) ship(route *agentRoute, idx int, n *cluster.Node, u *kernel.UCtx, f Frame, payload []byte) {
-	if route.collector == idx {
-		pm.store.Ingest(f, 0)
-		return
-	}
-	if route.l != nil {
-		route.l.push(payload)
-		if route.l.agentConn.SendTimeout(u, FrameHeaderBytes+len(payload), pm.cfg.SendTimeout) {
-			return
-		}
-		// The send stalled: the stream (and anything still queued on it) is
-		// considered lost. The store sees the hole as missed rounds.
-		pm.retireLink(idx, route.l)
-		route.l = nil
-	}
-	pm.reroute(route, idx, n, u, f, payload)
-}
-
-// reroute reconnects a node to a live collector after its link broke,
-// re-electing first when the collector node itself is dead (judged from the
-// barrier-published crash views). The frame that triggered the reroute is
-// re-shipped on the fresh link (or ingested locally when this node just
-// became the collector). Collector-side bookkeeping — sink spawn, failover
-// accounting, marking the dead node down — is posted to the new collector's
-// engine through the runner, keeping every store mutation in a collector
-// context.
-func (pm *PerfMon) reroute(route *agentRoute, idx int, n *cluster.Node, u *kernel.UCtx, f Frame, payload []byte) {
-	dead := ""
-	if route.collector < 0 || pm.c.Node(route.collector).K.CrashedSeen() {
-		if route.collector >= 0 {
-			dead = pm.c.Node(route.collector).Name
-		}
-		next := Elect(pm.c)
-		if next < 0 {
-			// Nobody left to collect on: degrade to silence. The agent keeps
-			// running so a later operator intervention could still reach it.
-			route.collector = -1
-			route.l = nil
-			return
-		}
-		route.collector = next
-	}
-	if route.collector == idx {
-		// This node just became the collector: account for the transition
-		// right here (this is the collector's engine context) and ingest
-		// locally from now on.
-		route.l = nil
-		pm.noteFailover(dead, idx)
-		pm.store.Ingest(f, 0)
-		return
-	}
-	cn := pm.c.Node(route.collector)
-	agentConn, sinkConn := tcpsim.Connect(n.Stack, cn.Stack)
-	l := &link{nodeIdx: idx, sinkNode: route.collector, agentConn: agentConn, sinkConn: sinkConn}
-	route.l = l
-	newCollector := route.collector
-	pm.c.CrossCall(idx, newCollector, func() {
-		pm.noteFailover(dead, newCollector)
-		sink := pm.spawnSink(cn, l)
-		pm.mu.Lock()
-		pm.sinks = append(pm.sinks, sink)
-		pm.mu.Unlock()
+		return errAll
 	})
-	l.push(payload)
-	if !l.agentConn.SendTimeout(u, FrameHeaderBytes+len(payload), pm.cfg.SendTimeout) {
-		// Still unreachable (e.g. the replacement died too, or a partition):
-		// give up on this round; the next round retries the whole path.
-		pm.c.CrossCall(idx, l.sinkNode, l.clearPending)
+	var f Frame
+	if readOK {
+		f = a.buildFrame(a.n.Name, a.idx, round, u.Kernel().NumCPUs(), last, kw, procs)
+	} else {
+		f = a.gapFrame(a.n.Name, a.idx, round, u.Kernel().NumCPUs(), last)
 	}
+	a.buf = AppendFrame(a.buf[:0], f)
+	if readOK {
+		// User-space processing: snapshot walk + delta encode.
+		readBytes := 0
+		for _, s := range procs {
+			readBytes += 64 + 48*len(s.Events) + 64*len(s.Atomics) + 64*len(s.Mapped)
+		}
+		ship.Charge(u, readBytes)
+	}
+	return f, a.buf
 }
 
-// spawnSink starts one collector-side receiver for a link: it waits (with a
-// timeout) for the fixed preamble, learns the payload length from the
-// framing queue, receives the payload, decodes and ingests it. Damaged or
-// desynced frames are counted and dropped, never fatal; a link that stays
-// silent is diagnosed — node crashed, link replaced by failover, agent
-// finished — and the sink always exits rather than blocking forever.
-func (pm *PerfMon) spawnSink(n *cluster.Node, l *link) *kernel.Task {
-	cfg := pm.cfg
-	return n.K.Spawn("kmon-sink", func(u *kernel.UCtx) {
-		node := pm.c.Node(l.nodeIdx)
-		timeouts := 0
-		for {
-			if !l.sinkConn.RecvTimeout(u, FrameHeaderBytes, cfg.RecvTimeout) {
-				timeouts++
-				if l.isReplaced() {
-					return // failover replaced this link; the new sink owns the stream
-				}
-				if node.K.CrashedSeen() {
-					pm.store.MarkDown(node.Name)
-					return
-				}
-				if pm.agentDone[l.nodeIdx] && l.empty() {
-					return // agent finished and the stream is drained
-				}
-				if timeouts >= cfg.PeerDownAfter {
-					pm.store.MarkDown(node.Name)
-					return
-				}
-				continue
-			}
-			timeouts = 0
-			payload, ok := l.peek()
-			if !ok {
-				// Framing desync: preamble bytes with no queued payload.
-				pm.store.Drop(node.Name)
-				continue
-			}
-			if !l.sinkConn.RecvTimeout(u, len(payload), cfg.RecvTimeout) {
-				timeouts++
-				if l.isReplaced() || node.K.CrashedSeen() || timeouts >= cfg.PeerDownAfter {
-					pm.store.Drop(node.Name)
-					if node.K.CrashedSeen() || timeouts >= cfg.PeerDownAfter {
-						pm.store.MarkDown(node.Name)
-					}
-					return
-				}
-				continue // body still in flight; wait again without consuming
-			}
-			l.popFront()
-			corrupt := l.sinkConn.TakeCorrupt()
-			f, err := DecodeFrame(payload)
-			if corrupt || err != nil {
-				// Damaged in flight or undecodable: count and drop. The hole
-				// shows up as a missed round on the node.
-				pm.store.Drop(node.Name)
-				continue
-			}
-			// User-space decode + store update cost.
-			u.Compute(time.Duration(len(payload)/1024+1) * cfg.ReadCostPerKB)
-			pm.store.Ingest(f, FrameHeaderBytes+len(payload))
-			if f.Last {
-				return
-			}
-		}
-	}, kernel.SpawnOpts{Kind: kernel.KindDaemon})
-}
+func (a *agent) Shipped(Frame, bool) {}

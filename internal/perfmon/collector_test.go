@@ -5,6 +5,7 @@ import (
 
 	"ktau/internal/cluster"
 	"ktau/internal/ktau"
+	"ktau/internal/ship"
 )
 
 // procSnap builds a one-event process snapshot for agent-state tests.
@@ -86,18 +87,18 @@ func TestDeployRejectsEmptyCluster(t *testing.T) {
 func TestElectSkipsCrashedNodes(t *testing.T) {
 	c := cluster.New(cluster.Config{Nodes: cluster.UniformNodes("n", 3), Seed: 1})
 	defer c.Shutdown()
-	if got := Elect(c); got != 0 {
+	if got := ship.Elect(c); got != 0 {
 		t.Fatalf("Elect = %d, want 0", got)
 	}
 	c.Node(0).K.Crash()
 	c.PublishViews()
-	if got := Elect(c); got != 1 {
+	if got := ship.Elect(c); got != 1 {
 		t.Fatalf("Elect with node 0 crashed = %d, want 1", got)
 	}
 	c.Node(1).K.Crash()
 	c.Node(2).K.Crash()
 	c.PublishViews()
-	if got := Elect(c); got != -1 {
+	if got := ship.Elect(c); got != -1 {
 		t.Fatalf("Elect with all nodes crashed = %d, want -1", got)
 	}
 	if _, err := Deploy(c, Config{}); err == nil {

@@ -1,6 +1,7 @@
 package perfmon
 
 import (
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -59,4 +60,59 @@ func TestFrameDecodeRejectsGarbage(t *testing.T) {
 			t.Fatalf("truncated frame (%d of %d bytes) accepted", cut, len(blob))
 		}
 	}
+	oldVer := append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint32(oldVer[4:], 1)
+	if _, err := DecodeFrame(oldVer); err == nil {
+		t.Fatal("version-1 frame accepted")
+	}
+	if _, err := DecodeFrame(hugeCount()); err == nil {
+		t.Fatal("event count larger than the frame accepted")
+	}
+	if _, err := DecodeFrame(traceHugeNameCount); err == nil {
+		t.Fatal("28-byte trace payload accepted")
+	}
+}
+
+// traceHugeNameCount is the 28-byte trace-frame payload (magic "KTRC",
+// version 2, empty node name, eight zero header fields, name count uvarint
+// 1<<63) that once panicked the trace decoder; perfmon must reject it too.
+var traceHugeNameCount = []byte{
+	0x43, 0x52, 0x54, 0x4b, 2, 0, 0, 0, 0, 0,
+	0, 0, 0, 0, 0, 0, 0, 0,
+	0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01,
+}
+
+// hugeCount is a well-formed header followed by an event count far larger
+// than the bytes left — perfmon's twin of the tracepipe input that once
+// panicked its decoder.
+func hugeCount() []byte {
+	b := EncodeFrame(Frame{})
+	binary.LittleEndian.PutUint32(b[len(b)-8:], 1<<31)
+	return b
+}
+
+// FuzzDecodeFrame: decoding never panics, and any input that decodes
+// survives an encode/decode round trip unchanged.
+func FuzzDecodeFrame(f *testing.F) {
+	for _, fr := range []Frame{sampleFrame(), {Node: "n"}} {
+		blob := EncodeFrame(fr)
+		for n := 0; n <= len(blob); n++ {
+			f.Add(blob[:n])
+		}
+	}
+	f.Add(hugeCount())
+	f.Add(traceHugeNameCount)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		fr, err := DecodeFrame(b)
+		if err != nil {
+			return
+		}
+		again, err := DecodeFrame(EncodeFrame(fr))
+		if err != nil {
+			t.Fatalf("re-encoded frame does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(fr, again) {
+			t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", fr, again)
+		}
+	})
 }

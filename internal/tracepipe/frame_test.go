@@ -1,6 +1,7 @@
 package tracepipe
 
 import (
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -77,6 +78,54 @@ func TestFrameDecodeRejectsGarbage(t *testing.T) {
 	if _, err := DecodeFrame(bad); err == nil {
 		t.Error("bad magic must fail")
 	}
+	// Only the current version decodes; the old fixed-width v1 is gone.
+	oldVer := append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint32(oldVer[4:], 1)
+	if _, err := DecodeFrame(oldVer); err == nil {
+		t.Error("version-1 frame must fail")
+	}
+	if huge := hugeNameCount(); len(huge) != 28 {
+		t.Errorf("regression input is %d bytes, want 28", len(huge))
+	} else if _, err := DecodeFrame(huge); err == nil {
+		t.Error("name count of 1<<63 must fail")
+	}
+}
+
+// hugeNameCount is a 28-byte payload that once panicked DecodeFrame with
+// "makeslice: cap out of range": magic, version 2, an empty node name, eight
+// zero header fields, then a name count of uvarint 1<<63, which converted to
+// a negative int before the length guard saw it.
+func hugeNameCount() []byte {
+	b := binary.LittleEndian.AppendUint32(nil, TraceMagic)
+	b = binary.LittleEndian.AppendUint32(b, TraceVersion)
+	b = append(b, 0, 0)               // empty node name
+	b = append(b, make([]byte, 8)...) // NodeIdx, Round, Last, Throttle, Backlog, ReadErrs, Dropped, DroppedRecs
+	return binary.AppendUvarint(b, 1<<63)
+}
+
+// FuzzDecodeFrame: decoding never panics, and any input that decodes
+// survives an encode/decode round trip unchanged.
+func FuzzDecodeFrame(f *testing.F) {
+	for _, fr := range []Frame{sampleFrame(), {Node: "n0"}} {
+		blob := EncodeFrame(fr)
+		for n := 0; n <= len(blob); n++ {
+			f.Add(blob[:n])
+		}
+	}
+	f.Add(hugeNameCount())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		fr, err := DecodeFrame(b)
+		if err != nil {
+			return
+		}
+		again, err := DecodeFrame(EncodeFrame(fr))
+		if err != nil {
+			t.Fatalf("re-encoded frame does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(fr, again) {
+			t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", fr, again)
+		}
+	})
 }
 
 func TestFrameDictionarySharesNames(t *testing.T) {
@@ -92,44 +141,8 @@ func TestFrameDictionarySharesNames(t *testing.T) {
 	perRec := float64(hundred-one) / 99
 	// Dictionary + varint delta encoding: a repeated-name record is a small
 	// TSC delta, a dictionary index, a kind byte and a zero value — a handful
-	// of bytes, not the 21 the fixed-width v1 layout spent.
+	// of bytes, not the 21 a fixed-width layout spends.
 	if perRec > 8 {
 		t.Fatalf("per-record cost %.1f bytes suggests varint delta encoding regressed", perRec)
-	}
-}
-
-// TestFrameV1Decode pins backward compatibility: a frame encoded with the
-// legacy fixed-width v1 layout must still decode, minus the fields v1 has no
-// room for (Throttle, Sampled).
-func TestFrameV1Decode(t *testing.T) {
-	f := sampleFrame()
-	got, err := DecodeFrame(EncodeFrameV1(f))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := f
-	want.Throttle = 0
-	for i := range want.Streams {
-		want.Streams[i].Sampled = 0
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("v1 round trip mismatch:\n in: %+v\nout: %+v", want, got)
-	}
-	// v1 truncations must also error, never panic.
-	blob := EncodeFrameV1(f)
-	for n := 0; n < len(blob); n++ {
-		if _, err := DecodeFrame(blob[:n]); err == nil {
-			t.Fatalf("v1 truncation at %d decoded without error", n)
-		}
-	}
-}
-
-// TestFrameV2Smaller pins the point of the varint layout: the same frame
-// must encode strictly smaller than the v1 fixed-width layout.
-func TestFrameV2Smaller(t *testing.T) {
-	f := sampleFrame()
-	v2, v1 := len(EncodeFrame(f)), len(EncodeFrameV1(f))
-	if v2 >= v1 {
-		t.Fatalf("v2 frame is %d bytes, v1 is %d — varint layout must be smaller", v2, v1)
 	}
 }
