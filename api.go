@@ -710,9 +710,6 @@ type TraceNodeStats = tracepipe.NodeStats
 // TraceFlow is one correlated MPI send→recv pair in the merged trace.
 type TraceFlow = tracepipe.Flow
 
-// ClusterTraceEvent is one record of the merged whole-cluster timeline.
-type ClusterTraceEvent = tracepipe.ClusterEvent
-
 // DeployTracePipe elects a collector and starts the per-node trace agents;
 // call before driving the workload, Stop and drain afterwards.
 func DeployTracePipe(c *Cluster, cfg TracePipeConfig) (*TracePipe, error) {

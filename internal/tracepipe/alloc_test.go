@@ -1,6 +1,7 @@
 package tracepipe
 
 import (
+	"io"
 	"testing"
 
 	"ktau/internal/ktau"
@@ -26,5 +27,47 @@ func TestAppendFrameAllocsAmortized(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Fatalf("AppendFrame allocated %.2f allocs/frame, want <= 1 amortized", allocs)
+	}
+}
+
+// TestWriteChromeTraceAllocsIndependentOfRecords pins the Chrome export's
+// allocations to the collector's shape (streams, distinct names, flows),
+// not to its record count: references are sorted in one slice and events
+// stream through one reused buffer, so 100 and 10 000 records cost the
+// same allocations.
+func TestWriteChromeTraceAllocsIndependentOfRecords(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under -race")
+	}
+	names := []string{"sys_read", "sys_writev", "tcp_sendmsg", "schedule", "MPI_Send()"}
+	kinds := []ktau.RecordKind{ktau.KindEntry, ktau.KindAtomic, ktau.KindExit}
+	collector := func(records int) *Collector {
+		c := NewCollector(2, 450_000_000)
+		for node := 0; node < 2; node++ {
+			f := Frame{NodeIdx: node}
+			for _, kernel := range []bool{false, true} {
+				s := Stream{PID: 1, Task: "lu.A", Kernel: kernel}
+				for i := 0; i < records/4; i++ {
+					s.Recs = append(s.Recs, Rec{TSC: int64(3*i + node), Name: names[i%len(names)], Kind: kinds[i%len(kinds)], Val: int64(i)})
+				}
+				f.Streams = append(f.Streams, s)
+			}
+			for seq := uint64(0); seq < 3; seq++ {
+				f.Msgs = append(f.Msgs, Msg{Src: 0, Dst: 1, Seq: seq, Send: node == 0, PID: 1, EndTSC: int64(seq)})
+			}
+			c.Ingest(f, 0)
+		}
+		return c
+	}
+	allocs := func(c *Collector) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if err := c.WriteChromeTrace(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(collector(100)), allocs(collector(10_000))
+	if large > small+2 {
+		t.Fatalf("export allocated %.0f times for 10 000 records but %.0f for 100; want at most 2 more", large, small)
 	}
 }

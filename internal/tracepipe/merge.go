@@ -1,25 +1,16 @@
 package tracepipe
 
 import (
-	"encoding/json"
+	"cmp"
+	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 
 	"ktau/internal/ktau"
+	"ktau/internal/ktrace"
 )
-
-// ClusterEvent is one record of the merged whole-cluster timeline.
-type ClusterEvent struct {
-	NodeIdx int
-	Node    string
-	PID     int
-	Task    string
-	Kernel  bool
-	Name    string
-	Kind    ktau.RecordKind
-	Val     int64
-	TSC     int64
-}
 
 // Flow is one correlated MPI message: the sender-side and receiver-side
 // endpoint events of the same (Src,Dst,Tag,Seq) tuple.
@@ -35,50 +26,25 @@ type Flow struct {
 	SendTSC, RecvTSC int64
 }
 
-// Merged returns the whole-cluster timeline in deterministic order. The
-// merge reuses the runner's (time, source, seq) ordering discipline: records
-// are ordered by TSC; ties break by node index, then pid, user records
-// before kernel records, then by the record's position in its own stream.
-// The result is therefore byte-identical however many workers drove the
-// simulation and in whatever order frames arrived.
-func (c *Collector) Merged() []ClusterEvent {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]ClusterEvent, 0, 1024)
-	for _, key := range c.sortedStreamKeys() {
-		st := c.streams[key]
-		name := ""
-		if key.NodeIdx < len(c.nodes) {
-			name = c.nodes[key.NodeIdx].name
-		}
-		for _, r := range st.recs {
-			out = append(out, ClusterEvent{
-				NodeIdx: key.NodeIdx, Node: name,
-				PID: key.PID, Task: st.task, Kernel: key.Kernel,
-				Name: r.Name, Kind: r.Kind, Val: r.Val, TSC: r.TSC,
-			})
-		}
-	}
-	// Records are pre-ordered by (node, pid, stream, position); the stable
-	// sort by TSC preserves that order among equal timestamps.
-	sort.SliceStable(out, func(i, j int) bool { return out[i].TSC < out[j].TSC })
-	return out
-}
-
 // Flows correlates the ingested MPI endpoint events into completed
 // send→recv pairs, ordered by (Src, Dst, Tag, Seq). Messages whose sender
 // or receiver endpoint was lost (dropped frame, ring overflow) stay
 // uncorrelated and are omitted.
 func (c *Collector) Flows() []Flow {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	msgs := c.msgs[:len(c.msgs):len(c.msgs)]
+	c.mu.Unlock()
+	return correlate(msgs)
+}
+
+func correlate(msgs []nodeMsg) []Flow {
 	type key struct {
 		src, dst, tag int
 		seq           uint64
 	}
-	sends := make(map[key]nodeMsg, len(c.msgs)/2)
-	recvs := make(map[key]nodeMsg, len(c.msgs)/2)
-	for _, nm := range c.msgs {
+	sends := make(map[key]nodeMsg, len(msgs)/2)
+	recvs := make(map[key]nodeMsg, len(msgs)/2)
+	for _, nm := range msgs {
 		k := key{src: nm.m.Src, dst: nm.m.Dst, tag: nm.m.Tag, seq: nm.m.Seq}
 		if nm.m.Send {
 			sends[k] = nm
@@ -115,18 +81,70 @@ func (c *Collector) Flows() []Flow {
 	return out
 }
 
-// chromeEvent is one entry of the Chrome trace-event JSON array format.
-// Marshalling through encoding/json keeps every name correctly escaped.
-type chromeEvent struct {
-	Name   string         `json:"name"`
-	Cat    string         `json:"cat,omitempty"`
-	Phase  string         `json:"ph"`
-	TS     float64        `json:"ts"` // microseconds
-	PID    int            `json:"pid"`
-	TID    int            `json:"tid"`
-	ID     int            `json:"id,omitempty"`
-	BindPt string         `json:"bp,omitempty"`
-	Args   map[string]any `json:"args,omitempty"`
+// exportStream is one stream as an export sees it.
+type exportStream struct {
+	key  streamKey
+	node string
+	task string
+	recs []Rec
+}
+
+// snapshot copies what an export reads, holding mu only for the copy: every
+// stream in sortedStreamKeys order and the message log, each slice capped
+// at its current length. Ingest only appends past those lengths, so after
+// mu is released the copies stay valid and nothing writes what they cover.
+func (c *Collector) snapshot() ([]exportStream, []nodeMsg) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	keys := c.sortedStreamKeys()
+	streams := make([]exportStream, len(keys))
+	for i, k := range keys {
+		st := c.streams[k]
+		streams[i] = exportStream{
+			key: k, node: c.nodes[k.NodeIdx].name, task: st.task,
+			recs: st.recs[:len(st.recs):len(st.recs)],
+		}
+	}
+	return streams, c.msgs[:len(c.msgs):len(c.msgs)]
+}
+
+// recRef places one record of an export snapshot: streams[stream].recs[pos].
+type recRef struct {
+	tsc         int64
+	stream, pos int32
+}
+
+// mergeOrder returns a reference to every record of the snapshot in merged
+// timeline order: by TSC, ties broken by stream (node index, then pid, user
+// before kernel) and then by position in the stream. That is a total order,
+// so the result is the stable sort by TSC of the streams concatenated in
+// order, whatever the sort algorithm and whether or not each stream is
+// TSC-ordered; it is byte-identical however many workers drove the
+// simulation and in whatever order frames arrived.
+func mergeOrder(streams []exportStream) ([]recRef, error) {
+	n := 0
+	for _, s := range streams {
+		n += len(s.recs)
+	}
+	if len(streams) > math.MaxInt32 || n > math.MaxInt32 {
+		return nil, fmt.Errorf("tracepipe: %d records in %d streams exceed the export's int32 references", n, len(streams))
+	}
+	refs := make([]recRef, 0, n)
+	for si, s := range streams {
+		for pos := range s.recs {
+			refs = append(refs, recRef{tsc: s.recs[pos].TSC, stream: int32(si), pos: int32(pos)})
+		}
+	}
+	slices.SortFunc(refs, func(a, b recRef) int {
+		if c := cmp.Compare(a.tsc, b.tsc); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.stream, b.stream); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	return refs, nil
 }
 
 // trackID maps one ring's stream onto a Chrome thread track: each task gets
@@ -144,17 +162,21 @@ func trackID(pid int, kernel bool) int {
 // trace-event JSON array, loadable in Perfetto or chrome://tracing: one
 // process per node, one pair of tracks (user + kernel) per task, and flow
 // arrows for every correlated MPI message. Output is deterministic and
-// byte-identical across serial and parallel runs of the same seed.
+// byte-identical across serial and parallel runs of the same seed. The
+// collector's lock is held only to snapshot what has been ingested, never
+// while writing to w, so ingest carries on during an export.
 func (c *Collector) WriteChromeTrace(w io.Writer) error {
-	merged := c.Merged()
-	flows := c.Flows()
+	streams, msgs := c.snapshot()
+	flows := correlate(msgs)
+	refs, err := mergeOrder(streams)
+	if err != nil {
+		return err
+	}
 
 	var base int64
-	haveBase := false
-	for _, e := range merged {
-		if !haveBase || e.TSC < base {
-			base, haveBase = e.TSC, true
-		}
+	haveBase := len(refs) > 0
+	if haveBase {
+		base = refs[0].tsc
 	}
 	for _, f := range flows {
 		if !haveBase || f.SendTSC < base {
@@ -167,72 +189,67 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 	}
 	toUS := func(tsc int64) float64 { return float64(tsc-base) / float64(hz) * 1e6 }
 
-	events := make([]chromeEvent, 0, len(merged)+2*len(flows)+64)
+	cw := ktrace.NewChromeWriter(w)
+	var arg [1]ktrace.ChromeArg
 
 	// Metadata: name each node's process and each stream's track.
-	c.mu.Lock()
-	keys := c.sortedStreamKeys()
-	namedNode := make(map[int]bool)
-	for _, key := range keys {
-		if !namedNode[key.NodeIdx] {
-			namedNode[key.NodeIdx] = true
-			events = append(events, chromeEvent{
-				Name: "process_name", Phase: "M", PID: key.NodeIdx,
-				Args: map[string]any{"name": c.nodes[key.NodeIdx].name},
-			})
-			events = append(events, chromeEvent{
-				Name: "process_sort_index", Phase: "M", PID: key.NodeIdx,
-				Args: map[string]any{"sort_index": key.NodeIdx},
-			})
+	for i, s := range streams {
+		node := s.key.NodeIdx
+		if i == 0 || node != streams[i-1].key.NodeIdx {
+			arg[0] = ktrace.ChromeArg{Key: "name", Str: s.node, IsStr: true}
+			cw.Event(&ktrace.ChromeEvent{Name: "process_name", Phase: "M", PID: node, Args: arg[:]})
+			arg[0] = ktrace.ChromeArg{Key: "sort_index", Int: int64(node)}
+			cw.Event(&ktrace.ChromeEvent{Name: "process_sort_index", Phase: "M", PID: node, Args: arg[:]})
 		}
-		task := c.streams[key].task
-		label := task
-		if key.Kernel {
+		label := s.task
+		if s.key.Kernel {
 			label += " (kernel)"
 		}
-		events = append(events, chromeEvent{
-			Name: "thread_name", Phase: "M", PID: key.NodeIdx, TID: trackID(key.PID, key.Kernel),
-			Args: map[string]any{"name": label},
+		arg[0] = ktrace.ChromeArg{Key: "name", Str: label, IsStr: true}
+		cw.Event(&ktrace.ChromeEvent{
+			Name: "thread_name", Phase: "M", PID: node, TID: trackID(s.key.PID, s.key.Kernel), Args: arg[:],
 		})
 	}
-	c.mu.Unlock()
 
-	for _, e := range merged {
-		cat := "user"
-		if e.Kernel {
-			cat = "kernel"
+	for _, ref := range refs {
+		s := &streams[ref.stream]
+		r := &s.recs[ref.pos]
+		ev := ktrace.ChromeEvent{
+			Name: r.Name, Cat: "user", TS: toUS(r.TSC),
+			PID: s.key.NodeIdx, TID: trackID(s.key.PID, s.key.Kernel),
 		}
-		ev := chromeEvent{
-			Name: e.Name, Cat: cat, TS: toUS(e.TSC),
-			PID: e.NodeIdx, TID: trackID(e.PID, e.Kernel),
+		if s.key.Kernel {
+			ev.Cat = "kernel"
 		}
-		switch e.Kind {
+		switch r.Kind {
 		case ktau.KindEntry:
 			ev.Phase = "B"
 		case ktau.KindExit:
 			ev.Phase = "E"
 		case ktau.KindAtomic:
 			ev.Phase = "i"
-			ev.Args = map[string]any{"value": e.Val}
+			arg[0] = ktrace.ChromeArg{Key: "value", Int: r.Val}
+			ev.Args = arg[:]
 		default:
 			continue
 		}
-		events = append(events, ev)
+		cw.Event(&ev)
 	}
 
 	for i, f := range flows {
-		args := map[string]any{
-			"src": f.Src, "dst": f.Dst, "tag": f.Tag, "bytes": f.Bytes,
+		args := [...]ktrace.ChromeArg{
+			{Key: "src", Int: int64(f.Src)}, {Key: "dst", Int: int64(f.Dst)},
+			{Key: "tag", Int: int64(f.Tag)}, {Key: "bytes", Int: int64(f.Bytes)},
 		}
-		events = append(events, chromeEvent{
+		cw.Event(&ktrace.ChromeEvent{
 			Name: "MPI_msg", Cat: "mpi", Phase: "s", TS: toUS(f.SendTSC),
-			PID: f.SrcNode, TID: trackID(f.SrcPID, false), ID: i + 1, Args: args,
+			PID: f.SrcNode, TID: trackID(f.SrcPID, false), ID: i + 1, Args: args[:],
 		})
-		events = append(events, chromeEvent{
+		cw.Event(&ktrace.ChromeEvent{
 			Name: "MPI_msg", Cat: "mpi", Phase: "f", BindPt: "e", TS: toUS(f.RecvTSC),
 			PID: f.DstNode, TID: trackID(f.DstPID, false), ID: i + 1,
 		})
 	}
 
-	return json.NewEncoder(w).Encode(events)
+	return cw.Close()
 }

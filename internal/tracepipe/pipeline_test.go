@@ -119,28 +119,6 @@ func TestPipelineEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The merge must be globally time-ordered.
-	merged := tp.Store().Merged()
-	if len(merged) == 0 {
-		t.Fatal("merged timeline is empty")
-	}
-	for i := 1; i < len(merged); i++ {
-		if merged[i].TSC < merged[i-1].TSC {
-			t.Fatalf("merge out of order at %d: %d after %d", i, merged[i].TSC, merged[i-1].TSC)
-		}
-	}
-	kern, user := false, false
-	for _, e := range merged {
-		if e.Kernel {
-			kern = true
-		} else {
-			user = true
-		}
-	}
-	if !kern || !user {
-		t.Fatalf("merged timeline missing a layer: kernel=%v user=%v", kern, user)
-	}
-
 	// The synthetic message pair must correlate into exactly one flow.
 	flows := tp.Store().Flows()
 	if len(flows) != 1 {
@@ -164,6 +142,24 @@ func TestPipelineEndToEnd(t *testing.T) {
 	phases := map[string]int{}
 	for _, e := range events {
 		phases[e["ph"].(string)]++
+	}
+	// The merged records must be globally time-ordered and hold both layers.
+	layers := map[string]int{}
+	lastTS := -1.0
+	for i, e := range events {
+		cat, _ := e["cat"].(string)
+		if cat != "user" && cat != "kernel" {
+			continue
+		}
+		layers[cat]++
+		ts := e["ts"].(float64)
+		if ts < lastTS {
+			t.Fatalf("merge out of order at event %d: ts %v after %v", i, ts, lastTS)
+		}
+		lastTS = ts
+	}
+	if layers["kernel"] == 0 || layers["user"] == 0 {
+		t.Fatalf("merged timeline missing a layer: %v", layers)
 	}
 	if phases["B"] == 0 || phases["E"] == 0 {
 		t.Fatalf("no spans in trace: %v", phases)
