@@ -399,6 +399,48 @@ func TestOverheadModelSampling(t *testing.T) {
 	}
 }
 
+// TestOverheadModelFollowsFieldChanges pins the cached log-normal parameters
+// to the exported fields: after a caller changes StopMeanCycles and then
+// StopStdCycles mid-stream, every later draw must be the one a fresh
+// sim.RNG.LogNormal call with the new fields gives, and the start draws
+// sharing the stream must be unaffected.
+func TestOverheadModelFollowsFieldChanges(t *testing.T) {
+	om := DefaultOverheadModel(sim.NewStream(3, "overhead"))
+	twin := DefaultOverheadModel(sim.NewStream(3, "overhead"))
+	ref := sim.NewStream(3, "overhead")
+	want := func(mean, std, min float64) int64 {
+		return int64(max(ref.LogNormal(mean, std), min))
+	}
+	differs := 0
+	check := func(stopMean, stopStd float64) {
+		t.Helper()
+		for i := 0; i < 100; i++ {
+			if got, w := om.SampleStart(), want(244.4, 236.3, 160); got != w {
+				t.Fatalf("stop %v/%v: start draw %d = %d, want %d", stopMean, stopStd, i, got, w)
+			}
+			twin.SampleStart()
+			got := om.SampleStop()
+			if w := want(stopMean, stopStd, 214); got != w {
+				t.Fatalf("stop %v/%v: stop draw %d = %d, want %d", stopMean, stopStd, i, got, w)
+			}
+			if got != twin.SampleStop() {
+				differs++
+			}
+		}
+	}
+	check(295.3, 268.8)
+	if differs != 0 {
+		t.Fatalf("%d draws differ from an identical model", differs)
+	}
+	om.StopMeanCycles = 5000
+	check(5000, 268.8)
+	om.StopStdCycles = 10
+	check(5000, 10)
+	if differs != 200 {
+		t.Errorf("%d of 200 draws after the change equal the unchanged model's, want 0", 200-differs)
+	}
+}
+
 func TestTraceRecordsEmitted(t *testing.T) {
 	m, env := newTestM(Options{TraceCapacity: 16})
 	td := m.CreateTask(1, "p")

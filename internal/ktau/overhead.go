@@ -31,6 +31,26 @@ type OverheadModel struct {
 	AtomicCycles int64
 
 	rng *sim.RNG
+	// start and stop hold the log-normal parameters of the last start and
+	// stop distributions drawn from.
+	start, stop logNormal
+}
+
+// logNormal caches sim.LogNormalParams for one (mean, std) pair, so a draw
+// skips the two logs and the square root that derive them. The key is the
+// pair itself, so a caller that changes the exported fields gets fresh
+// parameters on its next draw.
+type logNormal struct {
+	mean, std float64
+	mu, sigma float64
+}
+
+func (p *logNormal) draw(rng *sim.RNG, mean, std float64) float64 {
+	if mean != p.mean || std != p.std {
+		p.mean, p.std = mean, std
+		p.mu, p.sigma = sim.LogNormalParams(mean, std)
+	}
+	return rng.LogNormalDraw(p.mu, p.sigma)
 }
 
 // DefaultOverheadModel returns the model calibrated to Table 4 of the paper.
@@ -57,22 +77,22 @@ func ZeroOverheadModel() *OverheadModel {
 
 // SampleStart draws the cost of one entry operation.
 func (m *OverheadModel) SampleStart() int64 {
-	return m.sample(m.StartMeanCycles, m.StartStdCycles, m.StartMinCycles)
+	return m.sample(&m.start, m.StartMeanCycles, m.StartStdCycles, m.StartMinCycles)
 }
 
 // SampleStop draws the cost of one exit operation.
 func (m *OverheadModel) SampleStop() int64 {
-	return m.sample(m.StopMeanCycles, m.StopStdCycles, m.StopMinCycles)
+	return m.sample(&m.stop, m.StopMeanCycles, m.StopStdCycles, m.StopMinCycles)
 }
 
-func (m *OverheadModel) sample(mean, std, min float64) int64 {
+func (m *OverheadModel) sample(p *logNormal, mean, std, min float64) int64 {
 	if mean <= 0 {
 		return 0
 	}
 	if m.rng == nil || std <= 0 {
 		return int64(mean)
 	}
-	v := m.rng.LogNormal(mean, std)
+	v := p.draw(m.rng, mean, std)
 	if v < min {
 		v = min
 	}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -12,8 +11,7 @@ import (
 // hold *Event directly — scheduling returns a generation-stamped Handle
 // whose operations are safe (no-ops) against a recycled slot.
 type Event struct {
-	at  Time
-	seq uint64 // tie-break so equal-time events fire in schedule order
+	at Time
 
 	// gen stamps the occupancy of this slot. Scheduling rounds it up to the
 	// next multiple of 4; firing adds 1 and cancelled-collection adds 2, so a
@@ -25,7 +23,6 @@ type Event struct {
 	afn func(any) // argument form (closure-free call sites)
 	arg any
 
-	index    int // heap index, -1 once popped
 	canceled bool
 	fired    bool
 }
@@ -84,33 +81,83 @@ func (h Handle) Pending() bool {
 	return h.ev != nil && h.ev.gen == h.gen && !h.ev.fired && !h.ev.canceled
 }
 
-type eventHeap []*Event
+// entry is one calendar slot. It holds the (at, seq) sort key inline next
+// to the event it orders, so sifting compares keys without dereferencing
+// events; seq is the tie-break that makes equal-time events fire in schedule
+// order.
+type entry struct {
+	at  Time
+	seq uint64
+	ev  *Event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a entry) less(b entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// calendar is a 4-ary min-heap of entries under (at, seq). The wider fan-out
+// halves the depth of a binary heap, and a node's four children are adjacent
+// in memory.
+type calendar []entry
+
+func (c *calendar) push(x entry) {
+	h := append(*c, x)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.less(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	h[i] = x
+	*c = h
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// pop removes and returns the minimum entry. The calendar must not be empty.
+func (c *calendar) pop() entry {
+	h := *c
+	top := h[0]
+	n := len(h) - 1
+	if n > 0 {
+		h[:n].siftDown(0, h[n])
+	}
+	*c = h[:n]
+	return top
 }
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
+
+// siftDown places x at index i or below, moving smaller children up.
+func (h calendar) siftDown(i int, x entry) {
+	n := len(h)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if h[j].less(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].less(x) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = x
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+
+// heapify restores the heap property over arbitrary contents.
+func (h calendar) heapify() {
+	if len(h) < 2 {
+		return
+	}
+	for i := (len(h) - 2) / 4; i >= 0; i-- {
+		h.siftDown(i, h[i])
+	}
 }
 
 // Engine is a deterministic discrete-event simulator. It is not safe for
@@ -118,7 +165,7 @@ func (h *eventHeap) Pop() any {
 // strict channel handoffs so that only one goroutine runs at a time.
 type Engine struct {
 	now     Time
-	pq      eventHeap
+	pq      calendar
 	seq     uint64
 	stopped bool
 
@@ -175,8 +222,7 @@ func (e *Engine) checkAt(t Time) {
 func (e *Engine) push(ev *Event, t Time) Handle {
 	e.seq++
 	ev.at = t
-	ev.seq = e.seq
-	heap.Push(&e.pq, ev)
+	e.pq.push(entry{at: t, seq: e.seq, ev: ev})
 	return Handle{ev: ev, gen: ev.gen}
 }
 
@@ -249,35 +295,31 @@ func (e *Engine) Cancel(h Handle) {
 // the same live set pops identically.
 func (e *Engine) compact() {
 	live := e.pq[:0]
-	for _, ev := range e.pq {
-		if ev.canceled {
-			e.release(ev, genCanceled)
+	for _, x := range e.pq {
+		if x.ev.canceled {
+			e.release(x.ev, genCanceled)
 			continue
 		}
-		live = append(live, ev)
-	}
-	for i := len(live); i < len(e.pq); i++ {
-		e.pq[i] = nil
+		live = append(live, x)
 	}
 	e.pq = live
 	e.dead = 0
-	heap.Init(&e.pq)
+	e.pq.heapify()
 }
 
 // skim collects cancelled events sitting at the top of the calendar so that
 // pq[0], when it exists, is always a live event.
 func (e *Engine) skim() {
-	for len(e.pq) > 0 && e.pq[0].canceled {
-		ev := heap.Pop(&e.pq).(*Event)
+	for len(e.pq) > 0 && e.pq[0].ev.canceled {
 		e.dead--
-		e.release(ev, genCanceled)
+		e.release(e.pq.pop().ev, genCanceled)
 	}
 }
 
 // Step executes the next pending event, if any, and reports whether one ran.
 func (e *Engine) Step() bool {
 	for len(e.pq) > 0 {
-		ev := heap.Pop(&e.pq).(*Event)
+		ev := e.pq.pop().ev
 		if ev.canceled {
 			e.dead--
 			e.release(ev, genCanceled)

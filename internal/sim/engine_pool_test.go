@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -96,118 +98,153 @@ func TestEngineHandleAfterRecycle(t *testing.T) {
 	}
 }
 
-// refSched is the reference scheduler for the property test: a plain sorted
-// list with eager deletion — the simplest correct implementation.
+// refSched is the reference scheduler for the property test: a list kept in
+// (at, seq) order with eager deletion — the simplest correct implementation.
 type refSched struct {
-	now   Time
-	seq   uint64
-	evs   []refEv
-	fired []int
+	now Time
+	seq uint64
+	evs []refEv
 }
 
 type refEv struct {
-	at   Time
-	seq  uint64
-	id   int
-	dead bool
+	at  Time
+	seq uint64
+	id  int
 }
 
+// post inserts after every event due at or before at: seq only grows, so
+// that is the event's (at, seq) position.
 func (r *refSched) post(at Time, id int) uint64 {
 	r.seq++
-	r.evs = append(r.evs, refEv{at: at, seq: r.seq, id: id})
+	i := sort.Search(len(r.evs), func(i int) bool { return r.evs[i].at > at })
+	r.evs = slices.Insert(r.evs, i, refEv{at: at, seq: r.seq, id: id})
 	return r.seq
 }
 
 func (r *refSched) cancel(seq uint64) {
-	for i := range r.evs {
-		if r.evs[i].seq == seq {
-			r.evs = append(r.evs[:i], r.evs[i+1:]...)
-			return
-		}
-	}
+	r.evs = slices.DeleteFunc(r.evs, func(ev refEv) bool { return ev.seq == seq })
 }
 
-func (r *refSched) step() bool {
+// step pops the earliest event and reports its id.
+func (r *refSched) step() (int, bool) {
 	if len(r.evs) == 0 {
-		return false
+		return 0, false
 	}
-	sort.Slice(r.evs, func(i, j int) bool {
-		if r.evs[i].at != r.evs[j].at {
-			return r.evs[i].at < r.evs[j].at
-		}
-		return r.evs[i].seq < r.evs[j].seq
-	})
 	ev := r.evs[0]
 	r.evs = r.evs[1:]
 	r.now = ev.at
-	r.fired = append(r.fired, ev.id)
-	return true
+	return ev.id, true
 }
 
 // TestEngineCancelLazyDeletionProperty drives random interleavings of
 // post/cancel/step through the pooled lazy-deletion engine and the reference
 // scheduler and requires identical fired sequences, timestamps, and pending
-// counts throughout. High cancel rates push the engine through its
-// compaction path.
+// counts throughout. Fired callbacks post and cancel too, some in bursts that
+// cross the compaction threshold in the middle of a Step. A growth phase
+// takes the calendar past 1000 pending events, so sifts run through every
+// level of the 4-ary heap; timestamps are drawn from a 50 µs range, so most
+// of them tie and the seq tie-break decides the order.
 func TestEngineCancelLazyDeletionProperty(t *testing.T) {
+	const growOps, ops = 3000, 6000
+	midStepCompactions := 0
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine()
 		ref := &refSched{}
-		var got []int
 		type live struct {
 			h   Handle
 			seq uint64
+			id  int
 		}
 		var pending []live
-		nextID := 0
-		for op := 0; op < 2000; op++ {
+		nextID, fired, peak, op := 0, -1, 0, 0
+		var fire func(any)
+		post := func() {
+			id := nextID
+			nextID++
+			at := e.Now().Add(time.Duration(rng.Intn(50)) * time.Microsecond)
+			pending = append(pending, live{e.AtCall(at, fire, id), ref.post(at, id), id})
+		}
+		remove := func(i int) {
+			pending[i] = pending[len(pending)-1]
+			pending = pending[:len(pending)-1]
+		}
+		cancel := func() {
+			if len(pending) == 0 {
+				return
+			}
+			i := rng.Intn(len(pending))
+			e.Cancel(pending[i].h)
+			ref.cancel(pending[i].seq)
+			remove(i)
+		}
+		fire = func(arg any) {
+			fired = arg.(int)
+			var self Handle
+			for i := range pending {
+				if pending[i].id == fired {
+					self = pending[i].h
+					remove(i)
+					break
+				}
+			}
 			switch r := rng.Intn(10); {
-			case r < 5: // post
-				id := nextID
-				nextID++
-				at := e.Now().Add(time.Duration(rng.Intn(50)) * time.Microsecond)
-				h := e.AtCall(at, func(arg any) { got = append(got, arg.(int)) }, id)
-				seq := ref.post(at, id)
-				pending = append(pending, live{h, seq})
-			case r < 8 && len(pending) > 0: // cancel a random pending event
-				i := rng.Intn(len(pending))
-				e.Cancel(pending[i].h)
-				ref.cancel(pending[i].seq)
-				pending = append(pending[:i], pending[i+1:]...)
-			default: // step
-				gs := e.Step()
-				rs := ref.step()
-				if gs != rs {
-					t.Fatalf("seed %d op %d: Step()=%v ref=%v", seed, op, gs, rs)
+			case r < 3:
+				post()
+			case r < 5:
+				post()
+				post()
+			case r < 7:
+				cancel()
+			case r < 8: // cancelling the running event is a no-op
+				e.Cancel(self)
+			case r < 9 && op >= growOps:
+				before := len(e.pq)
+				for n := rng.Intn(len(pending) + 1); n > 0; n-- {
+					cancel()
 				}
-				if gs && e.Now() != ref.now {
-					t.Fatalf("seed %d op %d: now=%v ref=%v", seed, op, e.Now(), ref.now)
+				if len(e.pq) < before {
+					midStepCompactions++
 				}
-				// Drop fired events from our pending book-keeping.
-				for i := 0; i < len(pending); {
-					if pending[i].h.Fired() {
-						pending = append(pending[:i], pending[i+1:]...)
-					} else {
-						i++
-					}
-				}
+			}
+		}
+		step := func() bool {
+			want, ok := ref.step()
+			fired = -1
+			if got := e.Step(); got != ok {
+				t.Fatalf("seed %d op %d: Step()=%v ref=%v", seed, op, got, ok)
+			}
+			if ok && (fired != want || e.Now() != ref.now) {
+				t.Fatalf("seed %d op %d: fired %d at %v, ref %d at %v", seed, op, fired, e.Now(), want, ref.now)
+			}
+			return ok
+		}
+		for ; op < ops; op++ {
+			posts := 5
+			if op < growOps {
+				posts = 7
+			}
+			switch r := rng.Intn(10); {
+			case r < posts:
+				post()
+			case r < 8:
+				cancel()
+			default:
+				step()
 			}
 			if e.Pending() != len(ref.evs) {
 				t.Fatalf("seed %d op %d: Pending()=%d ref=%d", seed, op, e.Pending(), len(ref.evs))
 			}
+			peak = max(peak, e.Pending())
 		}
-		for e.Step() {
-			ref.step()
+		for step() {
 		}
-		if len(got) != len(ref.fired) {
-			t.Fatalf("seed %d: fired %d events, ref fired %d", seed, len(got), len(ref.fired))
+		if peak <= 1000 {
+			t.Fatalf("seed %d: calendar peaked at %d pending events, want > 1000", seed, peak)
 		}
-		for i := range got {
-			if got[i] != ref.fired[i] {
-				t.Fatalf("seed %d: fired[%d]=%d, ref=%d", seed, i, got[i], ref.fired[i])
-			}
-		}
+	}
+	if midStepCompactions == 0 {
+		t.Fatal("no callback's cancels crossed the compaction threshold")
 	}
 }
 
@@ -236,5 +273,57 @@ func TestEngineCompactionKeepsOrder(t *testing.T) {
 		if got[j] >= got[j-1] {
 			t.Fatalf("out of order after compaction: %d then %d", got[j-1], got[j])
 		}
+	}
+}
+
+// TestEngineCompactionOfEveryEvent cancels every pending event for a range
+// of calendar sizes, so for some of them the cancel that triggers compaction
+// is the last one and leaves an empty calendar; the engine must stay usable.
+func TestEngineCompactionOfEveryEvent(t *testing.T) {
+	e := NewEngine()
+	for n := 1; n <= 200; n++ {
+		var hs []Handle
+		for i := 0; i < n; i++ {
+			hs = append(hs, e.At(e.Now()+Time(i), func() { t.Error("cancelled event fired") }))
+		}
+		for _, h := range hs {
+			e.Cancel(h)
+		}
+		if e.Pending() != 0 {
+			t.Fatalf("n=%d: Pending()=%d after cancelling all", n, e.Pending())
+		}
+		fired := false
+		at := e.Now() + Time(n)
+		e.At(at, func() { fired = true })
+		e.Run()
+		if !fired || e.Now() != at {
+			t.Fatalf("n=%d: event after compaction: fired=%v now=%v, want %v", n, fired, e.Now(), at)
+		}
+	}
+}
+
+// BenchmarkCalendarHold measures the calendar under the classic hold model:
+// each op pops the earliest event, whose callback posts one at a random
+// later time, so the calendar stays at a fixed depth. (The root package's
+// BenchmarkEngineThroughput keeps a single event pending and so never
+// sifts.) The steady state reuses pooled slots and must not allocate.
+func BenchmarkCalendarHold(b *testing.B) {
+	for _, depth := range []int{16, 256, 4096} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			e := NewEngine()
+			rng := NewRNG(1)
+			var hold func(any)
+			hold = func(any) {
+				e.AfterCall(time.Duration(1+rng.Intn(1000))*time.Microsecond, hold, nil)
+			}
+			for i := 0; i < depth; i++ {
+				hold(nil)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+		})
 	}
 }

@@ -140,8 +140,20 @@ func (r *RNG) LogNormal(mean, stddev float64) float64 {
 	if stddev <= 0 {
 		return mean
 	}
+	return r.LogNormalDraw(LogNormalParams(mean, stddev))
+}
+
+// LogNormalParams returns the location mu and scale sigma of the normal
+// underlying the log-normal moment-matched to mean and stddev (both > 0).
+// Callers drawing many deviates from one distribution compute them once and
+// pass them to LogNormalDraw.
+func LogNormalParams(mean, stddev float64) (mu, sigma float64) {
 	cv2 := (stddev / mean) * (stddev / mean)
 	sigma2 := math.Log(1 + cv2)
-	mu := math.Log(mean) - sigma2/2
-	return math.Exp(mu + math.Sqrt(sigma2)*r.NormFloat64())
+	return math.Log(mean) - sigma2/2, math.Sqrt(sigma2)
+}
+
+// LogNormalDraw returns exp(mu + sigma·N(0,1)).
+func (r *RNG) LogNormalDraw(mu, sigma float64) float64 {
+	return math.Exp(mu + sigma*r.NormFloat64())
 }

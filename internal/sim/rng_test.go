@@ -146,6 +146,44 @@ func TestRNGLogNormalMoments(t *testing.T) {
 	}
 }
 
+// logNormalRef is LogNormal's body from before it was split into
+// LogNormalParams and LogNormalDraw, kept as the reference the split must
+// reproduce bit for bit.
+func logNormalRef(r *RNG, mean, stddev float64) float64 {
+	cv2 := (stddev / mean) * (stddev / mean)
+	sigma2 := math.Log(1 + cv2)
+	mu := math.Log(mean) - sigma2/2
+	return math.Exp(mu + math.Sqrt(sigma2)*r.NormFloat64())
+}
+
+// TestRNGLogNormalSplitBitIdentical requires LogNormal, and LogNormalDraw with
+// parameters computed once, to return exactly the reference's bits over 10⁵
+// seeded draws: for the KTAU Table 4 start and stop costs (the pairs
+// ktau.DefaultOverheadModel draws from) and for std ≪ mean and std ≫ mean.
+func TestRNGLogNormalSplitBitIdentical(t *testing.T) {
+	for _, p := range []struct {
+		name      string
+		mean, std float64
+	}{
+		{"table4-start", 244.4, 236.3},
+		{"table4-stop", 295.3, 268.8},
+		{"std<<mean", 1e4, 1e-2},
+		{"std>>mean", 10, 1e4},
+	} {
+		ref, once, hoisted := NewStream(11, p.name), NewStream(11, p.name), NewStream(11, p.name)
+		mu, sigma := LogNormalParams(p.mean, p.std)
+		for i := 0; i < 100000; i++ {
+			want := logNormalRef(ref, p.mean, p.std)
+			if got := once.LogNormal(p.mean, p.std); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s draw %d: LogNormal = %v, want %v", p.name, i, got, want)
+			}
+			if got := hoisted.LogNormalDraw(mu, sigma); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s draw %d: LogNormalDraw = %v, want %v", p.name, i, got, want)
+			}
+		}
+	}
+}
+
 func TestRNGJitterBounds(t *testing.T) {
 	r := NewRNG(6)
 	f := func(base uint32) bool {

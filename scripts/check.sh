@@ -5,6 +5,9 @@
 #   go vet     -- static checks
 #   go build   -- whole module compiles
 #   go test    -- full test suite
+#   perfbench  -- go vet and go test in the nested benchmark module, which the
+#                 root ./... skips; an internal API change that breaks the
+#                 benchmark fails here instead of only in the benchmark run
 #   go test -race  -- data-race check on the non-simulation packages
 #                     (packages driven by the discrete-event engine serialise
 #                     their goroutines through it, so the full suite under
@@ -45,6 +48,9 @@ go build ./...
 
 echo "== go test =="
 go test ./...
+
+echo "== perfbench module (go vet + go test) =="
+(cd perfbench && export GOFLAGS= GOWORK=off GOPROXY=off && go vet ./... && go test ./...)
 
 echo "== go test -race (non-simulation packages) =="
 go test -race ./internal/analysis/ ./internal/ktau/ ./internal/ktrace/ ./internal/procfs/
