@@ -279,7 +279,7 @@ const (
 )
 
 // OpenKtau opens a libKtau handle over a node's proc filesystem.
-func OpenKtau(fs *ProcFS) Handle { return libktau.Open(fs) }
+func OpenKtau(fs *ProcFS) *Handle { return libktau.Open(fs) }
 
 // KTAUDConfig configures the KTAUD collection daemon.
 type KTAUDConfig = libktau.DaemonConfig

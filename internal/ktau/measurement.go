@@ -445,9 +445,7 @@ func (m *Measurement) Reset(td *TaskData) {
 		td.atomics[i] = AtomicData{}
 	}
 	td.mapped = nil
-	if td.trace != nil {
-		td.trace.Drain()
-	}
+	td.trace.Clear()
 }
 
 // sortedMappedKeys returns td's mapped keys in deterministic order.

@@ -106,27 +106,38 @@ func (r *Ring) Total() uint64 {
 	return r.seq
 }
 
-// Snapshot copies the buffered records in chronological order without
-// consuming them.
-func (r *Ring) Snapshot() []Record {
+// Parts returns the buffered records in chronological order as two views
+// of the ring's storage: first a, then b (b is empty unless the live region
+// wraps past the end of the buffer). Nothing is copied; the views alias the
+// ring and are valid until the next Put or Clear.
+func (r *Ring) Parts() (a, b []Record) {
 	if r == nil || r.size == 0 {
-		return nil
+		return nil, nil
 	}
-	out := make([]Record, r.size)
-	n := copy(out, r.buf[r.head:min(r.head+r.size, len(r.buf))])
-	if n < r.size {
-		copy(out[n:], r.buf[:r.size-n])
+	end := r.head + r.size
+	if end <= len(r.buf) {
+		return r.buf[r.head:end], nil
 	}
-	return out
+	return r.buf[r.head:], r.buf[:end-len(r.buf)]
 }
 
-// Drain returns the buffered records in chronological order and empties the
-// ring; this is what a read through /proc/ktau/trace performs.
-func (r *Ring) Drain() []Record {
-	out := r.Snapshot()
+// Clear empties the ring without copying its records; the lost and total
+// counters keep their values. Together with Parts this is what a read
+// through /proc/ktau/trace performs.
+func (r *Ring) Clear() {
 	if r != nil {
 		r.head = 0
 		r.size = 0
 	}
-	return out
+}
+
+// Snapshot copies the buffered records in chronological order without
+// consuming them.
+func (r *Ring) Snapshot() []Record {
+	a, b := r.Parts()
+	if len(a) == 0 {
+		return nil
+	}
+	out := make([]Record, 0, len(a)+len(b))
+	return append(append(out, a...), b...)
 }

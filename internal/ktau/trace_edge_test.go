@@ -14,7 +14,7 @@ func TestRingDrainPutInterleave(t *testing.T) {
 	for i := 1; i <= 5; i++ { // overwrites 1 and 2; head is mid-buffer
 		r.Put(Record{TSC: int64(i)})
 	}
-	got := r.Drain()
+	got := drain(r)
 	if len(got) != 3 || got[0].TSC != 3 || got[1].TSC != 4 || got[2].TSC != 5 {
 		t.Fatalf("first drain = %v, want TSCs 3,4,5", got)
 	}
@@ -24,14 +24,14 @@ func TestRingDrainPutInterleave(t *testing.T) {
 	// Interleave: write fewer than capacity, drain, write again.
 	r.Put(Record{TSC: 6})
 	r.Put(Record{TSC: 7})
-	if got := r.Drain(); len(got) != 2 || got[0].TSC != 6 || got[1].TSC != 7 {
+	if got := drain(r); len(got) != 2 || got[0].TSC != 6 || got[1].TSC != 7 {
 		t.Fatalf("interleaved drain = %v, want TSCs 6,7", got)
 	}
 	// Second overflow cycle: losses accumulate on top of the first cycle's.
 	for i := 8; i <= 12; i++ { // 5 records into capacity 3: 2 more lost
 		r.Put(Record{TSC: int64(i)})
 	}
-	if got := r.Drain(); len(got) != 3 || got[0].TSC != 10 || got[2].TSC != 12 {
+	if got := drain(r); len(got) != 3 || got[0].TSC != 10 || got[2].TSC != 12 {
 		t.Fatalf("second overflow drain = %v, want TSCs 10,11,12", got)
 	}
 	if r.Lost() != 4 {
@@ -55,7 +55,7 @@ func TestRingDrainAtExactCapacity(t *testing.T) {
 	if r.Lost() != 0 {
 		t.Fatalf("lost = %d at exact capacity, want 0", r.Lost())
 	}
-	got := r.Drain()
+	got := drain(r)
 	if len(got) != 4 || got[0].TSC != 1 || got[3].TSC != 4 {
 		t.Fatalf("drain = %v, want TSCs 1..4", got)
 	}
@@ -80,7 +80,7 @@ func TestRingInterleaveProperty(t *testing.T) {
 		lastSeen := int64(0)
 		for _, op := range ops {
 			if op%4 == 0 { // every 4th op drains
-				batch := r.Drain()
+				batch := drain(r)
 				for i, rec := range batch {
 					if rec.TSC <= lastSeen {
 						return false // out of order or double-delivered
@@ -96,7 +96,7 @@ func TestRingInterleaveProperty(t *testing.T) {
 			r.Put(Record{TSC: next})
 			next++
 		}
-		delivered += uint64(len(r.Drain()))
+		delivered += uint64(len(drain(r)))
 		return delivered+r.Lost() == r.Total() && r.Total() == uint64(next-1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -47,11 +47,21 @@ func TestRingOverwritesOldest(t *testing.T) {
 	}
 }
 
+// drain is what a /proc/ktau/trace read does to a ring: take the records
+// through the chronological two-part view, then empty the ring.
+func drain(r *Ring) []Record {
+	a, b := r.Parts()
+	var out []Record
+	out = append(append(out, a...), b...)
+	r.Clear()
+	return out
+}
+
 func TestRingDrain(t *testing.T) {
 	r := NewRing(4)
 	r.Put(Record{TSC: 1})
 	r.Put(Record{TSC: 2})
-	got := r.Drain()
+	got := drain(r)
 	if len(got) != 2 {
 		t.Fatalf("drain len = %d", len(got))
 	}
@@ -71,9 +81,10 @@ func TestNilRingSafe(t *testing.T) {
 	if r.Len() != 0 || r.Cap() != 0 || r.Lost() != 0 || r.Total() != 0 {
 		t.Error("nil ring accessors must be zero")
 	}
-	if r.Snapshot() != nil || r.Drain() != nil {
+	if a, b := r.Parts(); r.Snapshot() != nil || a != nil || b != nil {
 		t.Error("nil ring snapshot must be nil")
 	}
+	r.Clear() // must not panic
 	if NewRing(0) != nil {
 		t.Error("NewRing(0) must be nil (tracing disabled)")
 	}
@@ -111,6 +122,49 @@ func TestRingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRingPartsAliasStorage pins the two-part view a trace read packs from:
+// for every capacity, fill level and head position, a then b is the
+// chronological record sequence, b is empty unless the live region wraps,
+// both alias the ring's own storage, and Clear empties the ring while the
+// lost and total counters keep counting.
+func TestRingPartsAliasStorage(t *testing.T) {
+	for c := 1; c <= 6; c++ {
+		for n := 0; n <= 3*c; n++ {
+			r := NewRing(c)
+			for i := 1; i <= n; i++ {
+				r.Put(Record{TSC: int64(i)})
+			}
+			a, b := r.Parts()
+			want := r.Snapshot()
+			if len(a)+len(b) != len(want) {
+				t.Fatalf("cap %d, %d puts: parts hold %d+%d records, want %d", c, n, len(a), len(b), len(want))
+			}
+			for i, rec := range append(append([]Record(nil), a...), b...) {
+				if rec != want[i] {
+					t.Fatalf("cap %d, %d puts: record %d = %v, want %v", c, n, i, rec, want[i])
+				}
+			}
+			if len(b) > 0 && r.head+r.size <= len(r.buf) {
+				t.Fatalf("cap %d, %d puts: b is non-empty for an unwrapped ring", c, n)
+			}
+			if len(a) > 0 && &a[0] != &r.buf[r.head] {
+				t.Fatalf("cap %d, %d puts: a does not alias the ring", c, n)
+			}
+			if len(b) > 0 && &b[0] != &r.buf[0] {
+				t.Fatalf("cap %d, %d puts: b does not alias the ring", c, n)
+			}
+			lost, total := r.Lost(), r.Total()
+			r.Clear()
+			if a, b := r.Parts(); r.Len() != 0 || a != nil || b != nil {
+				t.Fatalf("cap %d, %d puts: Clear left %d records", c, n, r.Len())
+			}
+			if r.Lost() != lost || r.Total() != total {
+				t.Fatalf("cap %d, %d puts: Clear changed lost/total to %d/%d, want %d/%d", c, n, r.Lost(), r.Total(), lost, total)
+			}
+		}
 	}
 }
 

@@ -122,6 +122,9 @@ func groupExcl(evs []ktau.EventDelta, g ktau.Group) int64 {
 type agentState struct {
 	prevKW   ktau.Snapshot
 	prevProc map[int]ktau.Snapshot
+	// pd is scratch for the per-process deltas, which are reduced to a
+	// ProcDelta and dropped: one SnapshotDelta is refilled for each.
+	pd ktau.SnapshotDelta
 }
 
 func newAgentState() *agentState {
@@ -147,8 +150,9 @@ func (a *agentState) buildFrame(node string, idx, round, cpus int, last bool,
 	f.Kernel = ktau.DeltaSnapshot(a.prevKW, kw).Events
 	a.prevKW = kw
 	next := make(map[int]ktau.Snapshot, len(procs))
+	pd := &a.pd
 	for _, ps := range procs {
-		pd := ktau.DeltaSnapshot(a.prevProc[ps.PID], ps)
+		ktau.DeltaSnapshotInto(a.prevProc[ps.PID], ps, pd)
 		next[ps.PID] = ps
 		if pd.Empty() {
 			continue
@@ -194,7 +198,7 @@ func (a *agentState) gapFrame(node string, idx, round, cpus int, last bool) Fram
 // unreadable — and encode the frame.
 type agent struct {
 	*agentState
-	h        libktau.Handle
+	h        *libktau.Handle
 	n        *cluster.Node
 	idx      int
 	interval time.Duration

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"ktau/internal/ktau"
 )
@@ -59,12 +60,11 @@ type FS struct {
 	m     *ktau.Measurement
 	fault FaultHook
 
-	// snapBuf and packBuf are per-FS scratch reused across reads: snapshots
-	// are materialised transiently (packed, then discarded), so each read
-	// refills the same buffers instead of reallocating them. An FS is used
-	// from a single node's engine goroutine, like the kernel it fronts.
+	// snapBuf is per-FS scratch reused across reads: snapshots are
+	// materialised transiently (measured or packed, then discarded), so each
+	// read refills the same entries instead of reallocating them. An FS is
+	// used from a single node's engine goroutine, like the kernel it fronts.
 	snapBuf []ktau.Snapshot
-	packBuf []byte
 }
 
 // New exposes a measurement system through the proc interface.
@@ -128,7 +128,8 @@ func (fs *FS) growSnapBuf(n int) {
 }
 
 // ProfileSize returns the bytes needed to read the profile(s) of pid right
-// now (first half of the session-less two-call protocol).
+// now (first half of the session-less two-call protocol). It measures the
+// blob without building it.
 func (fs *FS) ProfileSize(pid int) (int, error) {
 	if err := fs.checkFault("profile.size"); err != nil {
 		return 0, err
@@ -137,8 +138,7 @@ func (fs *FS) ProfileSize(pid int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	fs.packBuf = packProfilesInto(fs.packBuf[:0], snaps)
-	return len(fs.packBuf), nil
+	return profilesSize(snaps), nil
 }
 
 // ProfileRead packs the profile(s) of pid into buf, returning the bytes
@@ -152,13 +152,12 @@ func (fs *FS) ProfileRead(pid int, buf []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	fs.packBuf = packProfilesInto(fs.packBuf[:0], snaps)
-	blob := fs.packBuf
-	if len(buf) < len(blob) {
-		return 0, ErrShortBuffer{Needed: len(blob)}
+	n := profilesSize(snaps)
+	if len(buf) < n {
+		return 0, ErrShortBuffer{Needed: n}
 	}
-	copy(buf, blob)
-	return len(blob), nil
+	packProfiles(&packer{b: buf[:n]}, snaps)
+	return n, nil
 }
 
 // TraceSize returns the bytes needed to read pid's trace buffer now.
@@ -170,11 +169,12 @@ func (fs *FS) TraceSize(pid int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return len(packTrace(td)), nil
+	return traceSize(td.Trace().Len()), nil
 }
 
 // TraceRead drains pid's circular trace buffer into buf (records are
-// consumed, as reading /proc/ktau/trace consumes them).
+// consumed, as reading /proc/ktau/trace consumes them). The records are
+// packed straight from the ring's storage, which is then emptied in place.
 func (fs *FS) TraceRead(pid int, buf []byte) (int, error) {
 	if err := fs.checkFault("trace.read"); err != nil {
 		return 0, err
@@ -183,14 +183,16 @@ func (fs *FS) TraceRead(pid int, buf []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	blob := packTrace(td)
-	if len(buf) < len(blob) {
-		return 0, ErrShortBuffer{Needed: len(blob)}
+	ring := td.Trace()
+	n := traceSize(ring.Len())
+	if len(buf) < n {
+		return 0, ErrShortBuffer{Needed: n}
 	}
 	// Only consume once the caller's buffer is known to fit.
-	td.Trace().Drain()
-	copy(buf, blob)
-	return len(blob), nil
+	a, b := ring.Parts()
+	packTrace(&packer{b: buf[:n]}, td.PID, ring.Lost(), a, b)
+	ring.Clear()
+	return n, nil
 }
 
 func (fs *FS) taskData(pid int) (*ktau.TaskData, error) {
@@ -247,12 +249,43 @@ func (fs *FS) Control(op CtlOp, arg int64) error {
 
 // ---- binary packing ----
 
-type packer struct{ b []byte }
+// packer writes the blob layout. The layout is defined once, by the pack
+// functions below: with b nil a packer only measures (n advances by each
+// field's width), so a size query and a read walk the same code and cannot
+// disagree. With b non-nil, b must be exactly as long as the measured size.
+type packer struct {
+	b []byte
+	n int
+}
 
-func (p *packer) u8(v uint8)    { p.b = append(p.b, v) }
-func (p *packer) u16(v uint16)  { p.b = binary.LittleEndian.AppendUint16(p.b, v) }
-func (p *packer) u32(v uint32)  { p.b = binary.LittleEndian.AppendUint32(p.b, v) }
-func (p *packer) u64(v uint64)  { p.b = binary.LittleEndian.AppendUint64(p.b, v) }
+func (p *packer) u8(v uint8) {
+	if p.b != nil {
+		p.b[p.n] = v
+	}
+	p.n++
+}
+
+func (p *packer) u16(v uint16) {
+	if p.b != nil {
+		binary.LittleEndian.PutUint16(p.b[p.n:], v)
+	}
+	p.n += 2
+}
+
+func (p *packer) u32(v uint32) {
+	if p.b != nil {
+		binary.LittleEndian.PutUint32(p.b[p.n:], v)
+	}
+	p.n += 4
+}
+
+func (p *packer) u64(v uint64) {
+	if p.b != nil {
+		binary.LittleEndian.PutUint64(p.b[p.n:], v)
+	}
+	p.n += 8
+}
+
 func (p *packer) i32(v int32)   { p.u32(uint32(v)) }
 func (p *packer) i64(v int64)   { p.u64(uint64(v)) }
 func (p *packer) f64(v float64) { p.u64(math.Float64bits(v)) }
@@ -261,22 +294,39 @@ func (p *packer) str(s string) { // length-prefixed
 		s = s[:0xffff]
 	}
 	p.u16(uint16(len(s)))
-	p.b = append(p.b, s...)
+	if p.b != nil {
+		copy(p.b[p.n:], s)
+	}
+	p.n += len(s)
 }
 
-// packProfilesInto serialises snapshots with a count header, appending to b.
-func packProfilesInto(b []byte, snaps []ktau.Snapshot) []byte {
-	p := packer{b: b}
+// AppendProfiles appends the profile blob of snaps to b: the bytes
+// ProfileRead writes for them.
+func AppendProfiles(b []byte, snaps []ktau.Snapshot) []byte {
+	n := profilesSize(snaps)
+	b = slices.Grow(b, n)
+	packProfiles(&packer{b: b[len(b) : len(b)+n]}, snaps)
+	return b[:len(b)+n]
+}
+
+// profilesSize measures the profile blob of snaps without building it.
+func profilesSize(snaps []ktau.Snapshot) int {
+	var p packer
+	packProfiles(&p, snaps)
+	return p.n
+}
+
+// packProfiles serialises snapshots with a count header.
+func packProfiles(p *packer, snaps []ktau.Snapshot) {
 	p.u32(Magic)
 	p.u32(Version)
 	p.u32(uint32(len(snaps)))
-	for _, s := range snaps {
-		packOne(&p, s)
+	for i := range snaps {
+		packOne(p, &snaps[i])
 	}
-	return p.b
 }
 
-func packOne(p *packer, s ktau.Snapshot) {
+func packOne(p *packer, s *ktau.Snapshot) {
 	p.i64(int64(s.PID))
 	p.str(s.Name)
 	p.i64(s.TSC)
@@ -295,7 +345,8 @@ func packOne(p *packer, s ktau.Snapshot) {
 	p.u32(uint32(len(s.Events)))
 	p.u32(uint32(len(s.Atomics)))
 	p.u32(uint32(len(s.Mapped)))
-	for _, e := range s.Events {
+	for i := range s.Events {
+		e := &s.Events[i]
 		p.i32(int32(e.ID))
 		p.u32(uint32(e.Group))
 		p.u64(e.Calls)
@@ -307,7 +358,8 @@ func packOne(p *packer, s ktau.Snapshot) {
 		}
 		p.str(e.Name)
 	}
-	for _, a := range s.Atomics {
+	for i := range s.Atomics {
+		a := &s.Atomics[i]
 		p.i32(int32(a.ID))
 		p.u32(uint32(a.Group))
 		p.u64(a.Count)
@@ -318,7 +370,8 @@ func packOne(p *packer, s ktau.Snapshot) {
 		p.f64(a.Std)
 		p.str(a.Name)
 	}
-	for _, m := range s.Mapped {
+	for i := range s.Mapped {
+		m := &s.Mapped[i]
 		p.i32(m.Ctx)
 		p.str(m.CtxName)
 		p.i32(int32(m.Ev))
@@ -330,20 +383,42 @@ func packOne(p *packer, s ktau.Snapshot) {
 	}
 }
 
-// packTrace serialises one task's trace ring without draining it.
-func packTrace(td *ktau.TaskData) []byte {
-	p := &packer{}
+// Trace blob layout: a fixed header (magic, version, pid, lost count,
+// record count) followed by fixed-width records.
+const (
+	traceHeaderBytes = 4 + 4 + 8 + 8 + 4
+	// TraceRecordBytes is the packed width of one trace record: TSC (8),
+	// event id (4), kind (1) and value (8).
+	TraceRecordBytes = 8 + 4 + 1 + 8
+)
+
+// traceSize is the blob size of a trace read carrying n records.
+func traceSize(n int) int { return traceHeaderBytes + n*TraceRecordBytes }
+
+// AppendTrace appends the trace blob of one ring's records to b: the bytes
+// TraceRead writes for a ring of task pid holding recs with lost overwrites.
+func AppendTrace(b []byte, pid int, lost uint64, recs []ktau.Record) []byte {
+	n := traceSize(len(recs))
+	b = slices.Grow(b, n)
+	packTrace(&packer{b: b[len(b) : len(b)+n]}, pid, lost, recs, nil)
+	return b[:len(b)+n]
+}
+
+// packTrace serialises one task's trace records, given as the ring's two
+// chronological parts a then b.
+func packTrace(p *packer, pid int, lost uint64, a, b []ktau.Record) {
 	p.u32(Magic)
 	p.u32(Version)
-	recs := td.Trace().Snapshot()
-	p.i64(int64(td.PID))
-	p.u64(td.Trace().Lost())
-	p.u32(uint32(len(recs)))
-	for _, r := range recs {
-		p.i64(r.TSC)
-		p.i32(int32(r.Ev))
-		p.u8(uint8(r.Kind))
-		p.i64(r.Val)
+	p.i64(int64(pid))
+	p.u64(lost)
+	p.u32(uint32(len(a) + len(b)))
+	for _, part := range [2][]ktau.Record{a, b} {
+		for i := range part {
+			r := &part[i]
+			p.i64(r.TSC)
+			p.i32(int32(r.Ev))
+			p.u8(uint8(r.Kind))
+			p.i64(r.Val)
+		}
 	}
-	return p.b
 }

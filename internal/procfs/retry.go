@@ -18,15 +18,20 @@ func (e ErrRetryExhausted) Error() string {
 }
 
 // ReadRetry performs the session-less read convention of /proc/ktau: query
-// the current size, allocate, read — and when the data grew between the two
-// calls (ErrShortBuffer), retry with the size the failed read reported, up
-// to attempts times (<= 0 selects DefaultReadAttempts). It returns the bytes
-// actually read.
+// the current size, read into a buffer of exactly that size — and when the
+// data grew between the two calls (ErrShortBuffer), retry with the size the
+// failed read reported, up to attempts times (<= 0 selects
+// DefaultReadAttempts). It returns the bytes actually read.
+//
+// Every attempt reads into scratch, grown when it is too small, so a caller
+// that passes the previous result back in reads without allocating once its
+// buffer has reached the working size. The result aliases that buffer and
+// is valid until the caller's next ReadRetry with it.
 //
 // The dance exists because the interface keeps no state between calls by
 // design (§4.3): a process can be created, or its profile grow, between Size
 // and Read, so every client must be prepared to loop.
-func ReadRetry(size func() (int, error), read func(buf []byte) (int, error), attempts int) ([]byte, error) {
+func ReadRetry(scratch []byte, size func() (int, error), read func(buf []byte) (int, error), attempts int) ([]byte, error) {
 	if attempts <= 0 {
 		attempts = DefaultReadAttempts
 	}
@@ -35,7 +40,10 @@ func ReadRetry(size func() (int, error), read func(buf []byte) (int, error), att
 		return nil, err
 	}
 	for i := 0; i < attempts; i++ {
-		buf := make([]byte, n)
+		if cap(scratch) < n {
+			scratch = make([]byte, n)
+		}
+		buf := scratch[:n]
 		got, err := read(buf)
 		if err == nil {
 			return buf[:got], nil

@@ -44,7 +44,7 @@ func TestReadRetryProfileGrowsBetweenCalls(t *testing.T) {
 	}
 
 	var sizes, reads int
-	blob, err := ReadRetry(
+	blob, err := ReadRetry(nil,
 		func() (int, error) {
 			sizes++
 			return fs.ProfileSize(PIDAll)
@@ -78,7 +78,7 @@ func TestReadRetryProfileGrowsBetweenCalls(t *testing.T) {
 // fail with ErrRetryExhausted rather than loop forever.
 func TestReadRetryExhausted(t *testing.T) {
 	n := 16
-	_, err := ReadRetry(
+	_, err := ReadRetry(nil,
 		func() (int, error) { return n, nil },
 		func(buf []byte) (int, error) {
 			n += 8 // always bigger than the caller's buffer
@@ -99,11 +99,54 @@ func TestReadRetryPropagatesHardErrors(t *testing.T) {
 	env := &retryEnv{}
 	m := ktau.NewMeasurement(env, ktau.Options{Compiled: ktau.GroupAll, Boot: ktau.GroupAll})
 	fs := New(m)
-	_, err := ReadRetry(
+	_, err := ReadRetry(nil,
 		func() (int, error) { return fs.ProfileSize(12345) },
 		func(buf []byte) (int, error) { return fs.ProfileRead(12345, buf) },
 		0)
 	if !errors.Is(err, ErrNoSuchPID) {
 		t.Fatalf("err = %v, want ErrNoSuchPID", err)
+	}
+}
+
+// TestReadRetryReadsIntoScratch: every attempt reads into a buffer exactly
+// as long as the size it was told — so the protocol's ErrShortBuffer
+// retries happen as before — backed by the caller's scratch while it is big
+// enough, and a read through a big-enough scratch allocates nothing.
+func TestReadRetryReadsIntoScratch(t *testing.T) {
+	scratch := make([]byte, 0, 64)
+	var lens []int
+	needed := []int{40, 100} // the first read finds the data grown to 40, the second to 100
+	blob, err := ReadRetry(scratch,
+		func() (int, error) { return 16, nil },
+		func(buf []byte) (int, error) {
+			lens = append(lens, len(buf))
+			if len(buf) <= cap(scratch) && &buf[0] != &scratch[:1][0] {
+				t.Errorf("a %d-byte read did not land in the %d-byte scratch", len(buf), cap(scratch))
+			}
+			if len(lens) <= len(needed) {
+				return 0, ErrShortBuffer{Needed: needed[len(lens)-1]}
+			}
+			return len(buf) - 1, nil
+		},
+		0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{16, 40, 100}; len(lens) != len(want) || lens[0] != 16 || lens[1] != 40 || lens[2] != 100 {
+		t.Fatalf("read buffer lengths = %v, want %v", lens, want)
+	}
+	if len(blob) != 99 || cap(blob) < 100 {
+		t.Fatalf("result is %d bytes (cap %d), want 99 of a grown buffer", len(blob), cap(blob))
+	}
+
+	size := func() (int, error) { return 48, nil }
+	read := func(buf []byte) (int, error) { return len(buf), nil }
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ReadRetry(scratch, size, read, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ReadRetry through a big-enough scratch allocated %.1f times, want 0", allocs)
 	}
 }

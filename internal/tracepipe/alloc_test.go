@@ -2,6 +2,7 @@ package tracepipe
 
 import (
 	"io"
+	"runtime"
 	"testing"
 
 	"ktau/internal/ktau"
@@ -69,5 +70,54 @@ func TestWriteChromeTraceAllocsIndependentOfRecords(t *testing.T) {
 	small, large := allocs(collector(100)), allocs(collector(10_000))
 	if large > small+2 {
 		t.Fatalf("export allocated %.0f times for 10 000 records but %.0f for 100; want at most 2 more", large, small)
+	}
+}
+
+// TestIngestDecodedFrameAllocsIndependentOfRecords pins the collector's
+// ingest of a shipped frame: the decoded streams' records are kept where
+// they are, as one segment each, not copied into a growing per-stream
+// slice, so a frame of 10 000 records costs the same allocations as one of
+// 100 — and, since an amortized copy shows as zero allocations per run,
+// the same bytes too.
+func TestIngestDecodedFrameAllocsIndependentOfRecords(t *testing.T) {
+	allocs := func(records int) (count, bytes float64) {
+		f := Frame{Node: "n1", NodeIdx: 1}
+		for _, kernel := range []bool{false, true} {
+			s := Stream{PID: 7, Task: "lu.A", Kernel: kernel}
+			for i := 0; i < records/2; i++ {
+				s.Recs = append(s.Recs, Rec{TSC: int64(i), Name: "sys_read", Kind: ktau.KindEntry})
+			}
+			f.Streams = append(f.Streams, s)
+		}
+		blob := EncodeFrame(f)
+		decoded, err := DecodeFrame(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewCollector(2, 450_000_000)
+		c.Ingest(decoded, TraceHeaderBytes+len(blob)) // create the stream states
+		for _, s := range decoded.Streams {
+			st := c.streams[streamKey{NodeIdx: 1, PID: s.PID, Kernel: s.Kernel}]
+			if len(st.segs) != 1 || &st.segs[0][0] != &s.Recs[0] {
+				t.Fatalf("kernel=%v: the decoded records were not kept as the stream's segment", s.Kernel)
+			}
+		}
+		ingest := func() { c.Ingest(decoded, TraceHeaderBytes+len(blob)) }
+		count = testing.AllocsPerRun(100, ingest)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 100; i++ {
+			ingest()
+		}
+		runtime.ReadMemStats(&after)
+		return count, float64(after.TotalAlloc-before.TotalAlloc) / 100
+	}
+	small, smallBytes := allocs(100)
+	large, largeBytes := allocs(10_000)
+	if large != small {
+		t.Fatalf("ingest allocated %.2f times for 10 000 records but %.2f for 100; want the same", large, small)
+	}
+	if !raceEnabled && largeBytes > smallBytes+64 {
+		t.Fatalf("ingest allocated %.0f bytes per frame of 10 000 records but %.0f for 100; want the same", largeBytes, smallBytes)
 	}
 }

@@ -238,6 +238,9 @@ func DecodeFrame(blob []byte) (Frame, error) {
 		return names[i]
 	}
 	ns := r.Count(r.UV())
+	if ns > 0 {
+		f.Streams = make([]Stream, 0, ns)
+	}
 	for i := 0; i < ns && r.Err() == nil; i++ {
 		var s Stream
 		s.PID = int(r.ZZ())
@@ -245,20 +248,24 @@ func DecodeFrame(blob []byte) (Frame, error) {
 		s.Kernel = r.U8() == 1
 		s.Lost = r.UV()
 		s.Sampled = r.UV()
-		nr := r.Count(r.UV())
+		if nr := r.Count(r.UV()); nr > 0 {
+			s.Recs = make([]Rec, nr)
+		}
 		prev := int64(0)
-		for j := 0; j < nr && r.Err() == nil; j++ {
-			var rec Rec
+		for j := 0; j < len(s.Recs) && r.Err() == nil; j++ {
+			rec := &s.Recs[j]
 			prev += r.ZZ()
 			rec.TSC = prev
 			rec.Name = nameAt(r.UV())
 			rec.Kind = ktau.RecordKind(r.U8())
 			rec.Val = r.ZZ()
-			s.Recs = append(s.Recs, rec)
 		}
 		f.Streams = append(f.Streams, s)
 	}
 	nm := r.Count(r.UV())
+	if nm > 0 {
+		f.Msgs = make([]Msg, 0, nm)
+	}
 	prevStart := int64(0)
 	for i := 0; i < nm && r.Err() == nil; i++ {
 		var m Msg

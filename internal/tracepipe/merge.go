@@ -86,60 +86,73 @@ type exportStream struct {
 	key  streamKey
 	node string
 	task string
-	recs []Rec
+}
+
+// exportSeg is one ingested segment of streams[stream]'s records.
+type exportSeg struct {
+	stream int
+	recs   []Rec
 }
 
 // snapshot copies what an export reads, holding mu only for the copy: every
-// stream in sortedStreamKeys order and the message log, each slice capped
-// at its current length. Ingest only appends past those lengths, so after
+// stream in sortedStreamKeys order, each stream's segments in arrival order,
+// and the message log capped at its current length. Segments are never
+// written once stored and Ingest only appends past those lengths, so after
 // mu is released the copies stay valid and nothing writes what they cover.
-func (c *Collector) snapshot() ([]exportStream, []nodeMsg) {
+func (c *Collector) snapshot() ([]exportStream, []exportSeg, []nodeMsg) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	keys := c.sortedStreamKeys()
 	streams := make([]exportStream, len(keys))
+	nsegs := 0
+	for _, k := range keys {
+		nsegs += len(c.streams[k].segs)
+	}
+	segs := make([]exportSeg, 0, nsegs)
 	for i, k := range keys {
 		st := c.streams[k]
-		streams[i] = exportStream{
-			key: k, node: c.nodes[k.NodeIdx].name, task: st.task,
-			recs: st.recs[:len(st.recs):len(st.recs)],
+		streams[i] = exportStream{key: k, node: c.nodes[k.NodeIdx].name, task: st.task}
+		for _, seg := range st.segs {
+			segs = append(segs, exportSeg{stream: i, recs: seg})
 		}
 	}
-	return streams, c.msgs[:len(c.msgs):len(c.msgs)]
+	return streams, segs, c.msgs[:len(c.msgs):len(c.msgs)]
 }
 
-// recRef places one record of an export snapshot: streams[stream].recs[pos].
+// recRef places one record of an export snapshot: segs[seg].recs[pos].
 type recRef struct {
-	tsc         int64
-	stream, pos int32
+	tsc      int64
+	seg, pos int32
 }
 
 // mergeOrder returns a reference to every record of the snapshot in merged
-// timeline order: by TSC, ties broken by stream (node index, then pid, user
-// before kernel) and then by position in the stream. That is a total order,
-// so the result is the stable sort by TSC of the streams concatenated in
-// order, whatever the sort algorithm and whether or not each stream is
-// TSC-ordered; it is byte-identical however many workers drove the
-// simulation and in whatever order frames arrived.
-func mergeOrder(streams []exportStream) ([]recRef, error) {
+// timeline order: by TSC, ties broken by segment and then by position in the
+// segment. Segments are numbered by stream (node index, then pid, user
+// before kernel) and then by arrival, so (segment, position) is each
+// record's place in its stream's records concatenated in stream order.
+// That is a total order, so the result is the stable sort by TSC of the
+// streams concatenated in order, whatever the sort algorithm and whether or
+// not each stream is TSC-ordered; it is byte-identical however many workers
+// drove the simulation and in whatever order frames arrived.
+func mergeOrder(segs []exportSeg) ([]recRef, error) {
 	n := 0
-	for _, s := range streams {
+	for _, s := range segs {
 		n += len(s.recs)
 	}
-	if len(streams) > math.MaxInt32 || n > math.MaxInt32 {
-		return nil, fmt.Errorf("tracepipe: %d records in %d streams exceed the export's int32 references", n, len(streams))
+	if len(segs) > math.MaxInt32 || n > math.MaxInt32 {
+		return nil, fmt.Errorf("tracepipe: %d records in %d segments exceed the export's int32 references", n, len(segs))
 	}
 	refs := make([]recRef, 0, n)
-	for si, s := range streams {
+	for si, s := range segs {
 		for pos := range s.recs {
-			refs = append(refs, recRef{tsc: s.recs[pos].TSC, stream: int32(si), pos: int32(pos)})
+			refs = append(refs, recRef{tsc: s.recs[pos].TSC, seg: int32(si), pos: int32(pos)})
 		}
 	}
 	slices.SortFunc(refs, func(a, b recRef) int {
 		if c := cmp.Compare(a.tsc, b.tsc); c != 0 {
 			return c
 		}
-		if c := cmp.Compare(a.stream, b.stream); c != 0 {
+		if c := cmp.Compare(a.seg, b.seg); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.pos, b.pos)
@@ -166,9 +179,9 @@ func trackID(pid int, kernel bool) int {
 // collector's lock is held only to snapshot what has been ingested, never
 // while writing to w, so ingest carries on during an export.
 func (c *Collector) WriteChromeTrace(w io.Writer) error {
-	streams, msgs := c.snapshot()
+	streams, segs, msgs := c.snapshot()
 	flows := correlate(msgs)
-	refs, err := mergeOrder(streams)
+	refs, err := mergeOrder(segs)
 	if err != nil {
 		return err
 	}
@@ -212,8 +225,9 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 	}
 
 	for _, ref := range refs {
-		s := &streams[ref.stream]
-		r := &s.recs[ref.pos]
+		sg := &segs[ref.seg]
+		s := &streams[sg.stream]
+		r := &sg.recs[ref.pos]
 		ev := ktrace.ChromeEvent{
 			Name: r.Name, Cat: "user", TS: toUS(r.TSC),
 			PID: s.key.NodeIdx, TID: trackID(s.key.PID, s.key.Kernel),

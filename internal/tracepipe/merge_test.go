@@ -39,8 +39,8 @@ func exportedRecords(t *testing.T, trace []byte) []chromeRecord {
 }
 
 // refMergedEvent and refMerged are the reference merge: the export used to
-// concatenate every stream's records in sortedStreamKeys order and
-// stable-sort the whole slice by TSC.
+// concatenate every stream's records (its segments in arrival order) in
+// sortedStreamKeys order and stable-sort the whole slice by TSC.
 type refMergedEvent struct {
 	key streamKey
 	rec Rec
@@ -49,8 +49,10 @@ type refMergedEvent struct {
 func refMerged(c *Collector) []refMergedEvent {
 	var out []refMergedEvent
 	for _, key := range c.sortedStreamKeys() {
-		for _, r := range c.streams[key].recs {
-			out = append(out, refMergedEvent{key: key, rec: r})
+		for _, seg := range c.streams[key].segs {
+			for _, r := range seg {
+				out = append(out, refMergedEvent{key: key, rec: r})
+			}
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].rec.TSC < out[j].rec.TSC })
@@ -201,5 +203,40 @@ func TestWriteChromeTraceWhileIngesting(t *testing.T) {
 	}
 	if n := len(exportedRecords(t, w.buf.Bytes())); n < before*300 {
 		t.Fatalf("exported %d records, want at least the %d ingested before the export", n, before*300)
+	}
+}
+
+// TestLoopbackIngestCopiesAgentBuffer: a loopback frame (wireBytes 0) is
+// built on the agent's round record buffer, which the agent overwrites the
+// next round. Ingest must copy those records out: overwriting the buffer
+// after the ingest leaves the Chrome export unchanged.
+func TestLoopbackIngestCopiesAgentBuffer(t *testing.T) {
+	c := NewCollector(1, 1_000_000)
+	recBuf := make([]Rec, 0, 8) // the agent's round buffer
+	for i := 0; i < 6; i++ {
+		recBuf = append(recBuf, Rec{TSC: int64(100 + i), Name: fmt.Sprintf("ev%d", i), Kind: ktau.KindAtomic, Val: int64(i)})
+	}
+	c.Ingest(Frame{NodeIdx: 0, Streams: []Stream{
+		{PID: 1, Task: "a", Kernel: true, Recs: recBuf[0:4:4]},
+		{PID: 2, Task: "b", Kernel: true, Recs: recBuf[4:6:6]},
+	}}, 0)
+	var before bytes.Buffer
+	if err := c.WriteChromeTrace(&before); err != nil {
+		t.Fatal(err)
+	}
+
+	recBuf = recBuf[:0] // the next round reuses the buffer
+	for i := 0; i < 8; i++ {
+		recBuf = append(recBuf, Rec{TSC: int64(900 - i), Name: "overwritten", Kind: ktau.KindEntry})
+	}
+	var after bytes.Buffer
+	if err := c.WriteChromeTrace(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatalf("overwriting the agent's buffer changed the export:\nbefore %s\nafter  %s", before.Bytes(), after.Bytes())
+	}
+	if n := len(exportedRecords(t, after.Bytes())); n != 6 {
+		t.Fatalf("export holds %d records, want 6", n)
 	}
 }

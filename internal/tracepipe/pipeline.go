@@ -209,13 +209,17 @@ func (st *agentStats) stream(key streamKey) *streamMeta {
 // reads), user rings and message logs through the configured sources.
 type agent struct {
 	tp  *Pipeline
-	h   libktau.Handle
+	h   *libktau.Handle
 	n   *cluster.Node
 	idx int
 	st  *agentStats
 	smp *sim.RNG
 	thr throttle
 	buf []byte // frame-encode scratch, reused every round
+	// recs backs every kernel stream's records in a round's frame, reused
+	// every round: by the next round the frame has been encoded for the wire
+	// or ingested locally, and local ingest copies the records out.
+	recs []Rec
 }
 
 func (tp *Pipeline) newAgent(idx int, n *cluster.Node) ship.Agent[Frame] {
@@ -274,11 +278,11 @@ func (a *agent) drainRound(u *kernel.UCtx, round int, last bool, pol Policy) Fra
 	f := Frame{Node: n.Name, NodeIdx: idx, Round: round, Last: last}
 	reg := n.K.Ktau().Reg
 
-	// One backing array holds every kernel stream's records this round: a
-	// single sized allocation instead of per-record append growth. The frame
-	// is retained by the collector, so the backing is owned by this round
-	// (not pooled); streams are capacity-capped subslices so a later append
-	// to recBuf can never alias an earlier stream.
+	// One backing array holds every kernel stream's records this round,
+	// sized up front instead of by per-record append growth and reused from
+	// round to round (see agent.recs). Streams are capacity-capped
+	// subslices, so a later append to recBuf can never alias an earlier
+	// stream.
 	tasks := n.K.AllTasks()
 	waitingRecs := 0
 	for _, t := range tasks {
@@ -286,7 +290,10 @@ func (a *agent) drainRound(u *kernel.UCtx, round int, last bool, pol Policy) Fra
 			waitingRecs += ring.Len()
 		}
 	}
-	recBuf := make([]Rec, 0, waitingRecs)
+	if cap(a.recs) < waitingRecs {
+		a.recs = make([]Rec, 0, waitingRecs)
+	}
+	recBuf := a.recs[:0]
 
 	for _, t := range tasks {
 		ring := t.KD().Trace()
@@ -344,6 +351,10 @@ func (a *agent) drainRound(u *kernel.UCtx, round int, last bool, pol Policy) Fra
 			m.shipped = m.sampled
 			f.Streams = append(f.Streams, s)
 		}
+	}
+
+	if cap(recBuf) > cap(a.recs) {
+		a.recs = recBuf[:0] // records outran the sizing while the agent read
 	}
 
 	if cfg.UserSources != nil {

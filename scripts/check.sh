@@ -14,7 +14,8 @@
 #                     -race is slow without adding coverage; the pure
 #                     data-structure packages are the ones with real
 #                     concurrency surface)
-#   go test -fuzz -- the perfmon and tracepipe frame decoders and the Chrome
+#   go test -fuzz -- the perfmon and tracepipe frame decoders, the libktau
+#                    /proc/ktau profile and trace decoders, and the Chrome
 #                    trace-event writer (byte-equal to encoding/json), 10s each
 #   ktau-sweep -- the smoke grid runs under a per-cell timeout and is diffed
 #                 against the committed baseline (testdata/sweeps/smoke.json),
@@ -73,14 +74,20 @@ echo "== go test -race (trace pipeline + cluster-trace determinism) =="
 go test -race ./internal/tracepipe/
 go test -race ./internal/experiments/ -run 'TestClusterTraceParallelMatchesSerial|TestAdaptiveTraceParallelMatchesSerial'
 
-echo "== fuzz frame decoders (never panic; anything that decodes round-trips) and the Chrome writer =="
+echo "== fuzz decoders (never panic; anything that decodes round-trips) and the Chrome writer =="
 # Both collection pipelines take frames off the simulated wire, where
 # faultsim corrupts and truncates them; the seed corpora are the sample
 # frames, every truncation of them and the huge-count regression inputs.
+# The libktau decoders read the blobs /proc/ktau hands out; their seeds are
+# blobs procfs packed from a real measurement, every truncation of them and
+# the two huge-count blobs that once exhausted memory, and anything that
+# decodes must re-pack through procfs to the same bytes.
 # Both Chrome exports stream through ktrace.ChromeWriter, whose every event
 # must encode byte for byte as the encoding/json reference in its test does.
 go test ./internal/perfmon/ -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 10s
 go test ./internal/tracepipe/ -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 10s
+go test ./internal/libktau/ -run '^$' -fuzz '^FuzzDecodeProfiles$' -fuzztime 10s
+go test ./internal/libktau/ -run '^$' -fuzz '^FuzzDecodeTrace$' -fuzztime 10s
 go test ./internal/ktrace/ -run '^$' -fuzz '^FuzzChromeEvent$' -fuzztime 10s
 
 echo "== go test -race (serving workload + serve serial/parallel cross-check) =="
