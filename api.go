@@ -46,8 +46,8 @@ func NewEngine() *Engine { return sim.NewEngine() }
 func NewRNG(seed uint64) *RNG { return sim.NewRNG(seed) }
 
 // Runner advances several engines together under conservative
-// lookahead-window synchronization, optionally partitioned into
-// independently advancing groups by a per-pair latency matrix.
+// lookahead-window synchronization, in synchronization groups derived from
+// a per-pair latency matrix that advance independently between epochs.
 type Runner = sim.Runner
 
 // LatencyMatrix holds the per-engine-pair minimum cross-engine latency used
@@ -59,8 +59,10 @@ func NewLatencyMatrix(n int, def time.Duration) *LatencyMatrix {
 	return sim.NewLatencyMatrix(n, def)
 }
 
-// NewRunner couples engines under one uniform lookahead window, executed
-// serially (workers <= 1) or on several goroutines.
+// NewRunner couples engines under a uniform lookahead: each engine is its
+// own synchronisation group, and all of them meet after every window of
+// that length. Windows run serially (workers <= 1) or on several
+// goroutines.
 func NewRunner(engines []*Engine, lookahead time.Duration, workers int) *Runner {
 	return sim.NewRunner(engines, lookahead, workers)
 }

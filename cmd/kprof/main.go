@@ -13,7 +13,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 
@@ -56,7 +55,7 @@ func main() {
 	}
 }
 
-// loadAll reads every concatenated ASCII profile in a file.
+// loadAll reads every ASCII profile in a file.
 func loadAll(path string) []iktauSnap {
 	f, err := os.Open(path)
 	if err != nil {
@@ -64,22 +63,12 @@ func loadAll(path string) []iktauSnap {
 		os.Exit(1)
 	}
 	defer f.Close()
-	var out []iktauSnap
-	for {
-		snap, err := libktau.ParseASCII(f)
-		if err == io.ErrUnexpectedEOF && len(out) > 0 {
-			break
-		}
-		if err != nil {
-			if len(out) == 0 {
-				fmt.Fprintf(os.Stderr, "kprof: %s: %v\n", path, err)
-				os.Exit(1)
-			}
-			break
-		}
-		out = append(out, snap)
+	snaps, err := libktau.ParseASCII(f)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "kprof: %s: %v\n", path, err)
+		os.Exit(1)
 	}
-	return out
+	return snaps
 }
 
 type iktauSnap = iktau.Snapshot

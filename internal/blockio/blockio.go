@@ -122,9 +122,6 @@ func NewDisk(k *kernel.Kernel, name string, spec DiskSpec) *Disk {
 // Kernel returns the owning kernel.
 func (d *Disk) Kernel() *kernel.Kernel { return d.k }
 
-// DirtyPages reports the current write-back backlog.
-func (d *Disk) DirtyPages() int { return d.dirtyPages }
-
 // submit enqueues a request and starts the device if idle. Engine context.
 func (d *Disk) submit(r request) {
 	d.queue = append(d.queue, r)
@@ -337,9 +334,6 @@ func (f *File) nextDirtyRun() (int64, int) {
 
 // DirtyCount reports the file's dirty pages (tests).
 func (f *File) DirtyCount() int { return len(f.dirty) }
-
-// Cached reports whether the page holding off is resident (tests).
-func (f *File) Cached(off int64) bool { return f.pages[f.pageOf(off)] }
 
 // StartPdflush spawns the background write-back daemon: every interval it
 // flushes all dirty pages of the given files.

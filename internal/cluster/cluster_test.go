@@ -170,9 +170,6 @@ func TestRackedTopologyPartitionsRunner(t *testing.T) {
 	cfg.Topology = Topology{RackSize: 4}
 	c := New(cfg)
 	defer c.Shutdown()
-	if !c.Runner.Partitioned() {
-		t.Fatal("racked cluster did not partition the runner")
-	}
 	groups := c.Runner.Groups()
 	if len(groups) != 2 || len(groups[0]) != 4 || len(groups[1]) != 4 {
 		t.Fatalf("groups = %v, want two racks of 4", groups)
@@ -200,8 +197,8 @@ func TestRackedClusterCrossRackTraffic(t *testing.T) {
 			cfg.Workers = workers
 		}
 		c := New(cfg)
-		if !c.Runner.Partitioned() {
-			t.Fatal("racked cluster did not partition the runner")
+		if got := len(c.Runner.Groups()); got != 2 {
+			t.Fatalf("racked cluster has %d runner groups, want 2 racks", got)
 		}
 		ab, ba := tcpsim.Connect(c.Node(0).Stack, c.Node(4).Stack)
 		snd := c.Node(0).K.Spawn("s", func(u *kernel.UCtx) { ab.Send(u, 4000) }, kernel.SpawnOpts{})
@@ -215,14 +212,24 @@ func TestRackedClusterCrossRackTraffic(t *testing.T) {
 }
 
 func TestRackedTopologyDegenerateIsUniform(t *testing.T) {
-	// RackSize >= node count (or 0) must leave the runner in classic
-	// single-group mode so uniform baselines stay valid.
+	// RackSize >= node count (or 0) must leave the runner flat: one
+	// single-node group per node, meeting at every link latency, so uniform
+	// baselines stay valid.
 	for _, rack := range []int{0, 8, 100} {
 		cfg := testConfig(8)
 		cfg.Topology = Topology{RackSize: rack}
 		c := New(cfg)
-		if c.Runner.Partitioned() {
-			t.Errorf("RackSize=%d should not partition an 8-node cluster", rack)
+		groups := c.Runner.Groups()
+		if len(groups) != 8 {
+			t.Errorf("RackSize=%d: groups = %v, want 8 single-node groups", rack, groups)
+		}
+		for i, g := range groups {
+			if len(g) != 1 || g[0] != i {
+				t.Errorf("RackSize=%d: group %d = %v, want [%d]", rack, i, g, i)
+			}
+		}
+		if got, link := c.Runner.EpochSpan(), c.Net.Spec().Latency; got != link {
+			t.Errorf("RackSize=%d: epoch span = %v, want link latency %v", rack, got, link)
 		}
 		c.Shutdown()
 	}

@@ -241,13 +241,6 @@ func Chiba(spec ChibaSpec) *ChibaResult {
 	return r
 }
 
-// ResetCache clears the memoised runs (tests use it to bound memory).
-func ResetCache() {
-	runCacheMu.Lock()
-	defer runCacheMu.Unlock()
-	runCache = map[string]*ChibaResult{}
-}
-
 // LUConfigs returns the five Table-2 configurations for a workload.
 func LUConfigs(work Workload, ranks int, iters int, seed uint64) []ChibaSpec {
 	mk := func(perNode int, mut func(*ChibaSpec)) ChibaSpec {

@@ -69,12 +69,6 @@ type CPU struct {
 	IRQTime time.Duration
 }
 
-// Curr returns the task currently on the CPU (nil when idle).
-func (c *CPU) Curr() *Task { return c.curr }
-
-// QueueLen reports the runqueue length.
-func (c *CPU) QueueLen() int { return len(c.rq) }
-
 // load is the scheduling load metric: runqueue length plus the running task.
 func (c *CPU) load() int {
 	n := len(c.rq)

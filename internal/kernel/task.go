@@ -178,9 +178,6 @@ func (t *Task) StallUntil(until sim.Time) {
 	}
 }
 
-// Stalled reports whether the task's wakeups are currently parked.
-func (t *Task) Stalled() bool { return t.stalledUntil > t.k.eng.Now() }
-
 // Name returns the process name.
 func (t *Task) Name() string { return t.name }
 
@@ -217,9 +214,6 @@ func (t *Task) allowedOn(cpu int) bool {
 
 // Pin restricts the task to a single CPU (sched_setaffinity with one bit).
 func (t *Task) Pin(cpu int) { t.affin = 1 << uint(cpu) }
-
-// SetAffinity sets the full affinity bitmask (0 = all CPUs allowed).
-func (t *Task) SetAffinity(mask uint64) { t.affin = mask }
 
 // OnSignal installs a handler invoked when sig is delivered.
 func (t *Task) OnSignal(sig int, h func(int)) {

@@ -113,14 +113,6 @@ func (kc *KCtx) Use(d time.Duration) {
 	kc.t.call(request{kind: reqKCompute, d: kc.k.jitter(d)})
 }
 
-// UseExact is Use without cost jitter, for calibrated micro-benchmarks.
-func (kc *KCtx) UseExact(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	kc.t.call(request{kind: reqKCompute, d: d})
-}
-
 // Entry fires the KTAU entry macro for ev in this process's kernel profile.
 func (kc *KCtx) Entry(ev ktau.EventID) { kc.k.m.Entry(kc.t.kd, ev) }
 

@@ -121,18 +121,6 @@ func (td *TaskData) Event(id EventID) *EventData {
 	return d
 }
 
-// AtomicEvent returns the atomic record for id, or nil if never touched.
-func (td *TaskData) AtomicEvent(id EventID) *AtomicData {
-	if int(id) >= len(td.atomics) || id <= 0 {
-		return nil
-	}
-	a := &td.atomics[id]
-	if a.Count == 0 {
-		return nil
-	}
-	return a
-}
-
 // Trace exposes the task's trace ring (nil when tracing is disabled).
 func (td *TaskData) Trace() *Ring { return td.trace }
 

@@ -2,6 +2,7 @@ package libktau
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -52,29 +53,63 @@ func boolInt(b bool) int {
 	return 0
 }
 
-// ParseASCII reads one snapshot in the text format produced by WriteASCII.
-func ParseASCII(r io.Reader) (ktau.Snapshot, error) {
-	var s ktau.Snapshot
+// ParseASCII reads every profile in a stream of the text format WriteASCII
+// produces, such as a ktaud dump or several concatenated WriteASCII
+// outputs. Each #KTAU-PROFILE … #END block becomes one snapshot, in stream
+// order; lines outside the blocks (a dump's round headers) are skipped. A
+// stream without a block is an error, as is a malformed or unterminated
+// block.
+func ParseASCII(r io.Reader) ([]ktau.Snapshot, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20)
+	var out []ktau.Snapshot
+	for {
+		l, err := nextLine(sc)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		if !strings.HasPrefix(l, "#KTAU-PROFILE") {
+			continue
+		}
+		s, err := parseProfile(sc)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, s)
+	}
+	if len(out) == 0 {
+		return nil, errors.New("libktau: no #KTAU-PROFILE block in ascii stream")
+	}
+	return out, nil
+}
+
+// nextLine returns the next non-blank line, trimmed, or io.EOF at the end
+// of the stream.
+func nextLine(sc *bufio.Scanner) (string, error) {
+	for sc.Scan() {
+		if l := strings.TrimSpace(sc.Text()); l != "" {
+			return l, nil
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return "", fmt.Errorf("libktau: reading ascii profiles: %w", err)
+	}
+	return "", io.EOF
+}
+
+// parseProfile reads the body of one block, after its #KTAU-PROFILE line,
+// up to and including #END.
+func parseProfile(sc *bufio.Scanner) (ktau.Snapshot, error) {
+	var s ktau.Snapshot
 	line := func() (string, error) {
-		for sc.Scan() {
-			l := strings.TrimSpace(sc.Text())
-			if l != "" {
-				return l, nil
-			}
+		l, err := nextLine(sc)
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
 		}
-		if err := sc.Err(); err != nil {
-			return "", err
-		}
-		return "", io.ErrUnexpectedEOF
-	}
-	hdr, err := line()
-	if err != nil {
-		return s, err
-	}
-	if !strings.HasPrefix(hdr, "#KTAU-PROFILE") {
-		return s, fmt.Errorf("libktau: bad ascii header %q", hdr)
+		return l, err
 	}
 	meta, err := line()
 	if err != nil {
@@ -87,31 +122,12 @@ func ParseASCII(r io.Reader) (ktau.Snapshot, error) {
 	}
 	s.Exited = exited == 1
 
-	// Counter names line.
 	cline, err := line()
 	if err != nil {
 		return s, err
 	}
-	cfields := strings.Fields(cline)
-	if len(cfields) < 2 || cfields[0] != "counters" {
-		return s, fmt.Errorf("libktau: expected counters line, got %q", cline)
-	}
-	nctr, err := strconv.Atoi(cfields[1])
-	if err != nil {
+	if s.CounterNames, err = parseCounterNames(cline); err != nil {
 		return s, err
-	}
-	rest := strings.TrimSpace(strings.TrimPrefix(cline, "counters "+cfields[1]))
-	for i := 0; i < nctr; i++ {
-		var name string
-		n, err := fmt.Sscanf(rest, "%q", &name)
-		if n != 1 || err != nil {
-			return s, fmt.Errorf("libktau: bad counters line %q", cline)
-		}
-		s.CounterNames = append(s.CounterNames, name)
-		// Advance past the consumed quoted token.
-		idx := strings.Index(rest, "\"")
-		idx2 := strings.Index(rest[idx+1:], "\"")
-		rest = strings.TrimSpace(rest[idx+idx2+2:])
 	}
 
 	readCount := func(word string) (int, error) {
@@ -137,22 +153,19 @@ func ParseASCII(r io.Reader) (ktau.Snapshot, error) {
 		}
 		var e ktau.EventSnap
 		var g uint32
-		if _, err := fmt.Sscanf(l, "ev %d %q %d %d %d %d %d",
+		rd := strings.NewReader(l)
+		if _, err := fmt.Fscanf(rd, "ev %d %q %d %d %d %d %d",
 			&e.ID, &e.Name, &g, &e.Calls, &e.Subrs, &e.Incl, &e.Excl); err != nil {
 			return s, fmt.Errorf("libktau: bad ev line %q: %v", l, err)
 		}
-		// Counter values are the trailing fields.
-		if nctr > 0 {
-			fields := strings.Fields(l)
-			if len(fields) >= nctr {
-				tail := fields[len(fields)-nctr:]
-				for ci := 0; ci < nctr && ci < ktau.MaxCounters; ci++ {
-					v, err := strconv.ParseInt(tail[ci], 10, 64)
-					if err != nil {
-						return s, fmt.Errorf("libktau: bad counter value in %q", l)
-					}
-					e.Ctr[ci] = v
-				}
+		// Counter values are the fields after the last verb, one per name.
+		ctrs := strings.Fields(l[len(l)-rd.Len():])
+		if len(ctrs) != len(s.CounterNames) {
+			return s, fmt.Errorf("libktau: ev line %q has %d counter values, want %d", l, len(ctrs), len(s.CounterNames))
+		}
+		for ci, f := range ctrs {
+			if e.Ctr[ci], err = strconv.ParseInt(f, 10, 64); err != nil {
+				return s, fmt.Errorf("libktau: bad counter value in %q", l)
 			}
 		}
 		e.Group = ktau.Group(g)
@@ -194,7 +207,46 @@ func ParseASCII(r io.Reader) (ktau.Snapshot, error) {
 		m.Group = ktau.Group(g)
 		s.Mapped = append(s.Mapped, m)
 	}
+	end, err := line()
+	if err != nil {
+		return s, err
+	}
+	if end != "#END" {
+		return s, fmt.Errorf("libktau: expected #END, got %q", end)
+	}
 	return s, nil
+}
+
+// parseCounterNames reads a `counters N "name"...` line. N is bounded by
+// MaxCounters, and each of the N names must be a quoted string on the line.
+func parseCounterNames(l string) ([]string, error) {
+	rest, ok := strings.CutPrefix(l, "counters ")
+	if !ok {
+		return nil, fmt.Errorf("libktau: expected counters line, got %q", l)
+	}
+	num, rest, _ := strings.Cut(rest, " ")
+	n, err := strconv.Atoi(num)
+	if err != nil || n < 0 {
+		return nil, fmt.Errorf("libktau: bad counter count in %q", l)
+	}
+	if n > ktau.MaxCounters {
+		return nil, fmt.Errorf("%w: counters line claims %d", errCounters, n)
+	}
+	var names []string
+	for i := 0; i < n; i++ {
+		rest = strings.TrimLeft(rest, " \t")
+		q, err := strconv.QuotedPrefix(rest)
+		if err != nil {
+			return nil, fmt.Errorf("libktau: counters line %q has fewer than %d quoted names", l, n)
+		}
+		name, _ := strconv.Unquote(q) // a quoted prefix always unquotes
+		names = append(names, name)
+		rest = rest[len(q):]
+	}
+	if strings.TrimSpace(rest) != "" {
+		return nil, fmt.Errorf("libktau: trailing text in counters line %q", l)
+	}
+	return names, nil
 }
 
 // FormatProfile renders a human-readable profile listing, events sorted as

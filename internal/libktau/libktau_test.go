@@ -203,7 +203,7 @@ func TestASCIIRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(back, snap) {
+	if len(back) != 1 || !reflect.DeepEqual(back[0], snap) {
 		t.Errorf("ascii round trip differs:\ngot  %+v\nwant %+v", back, snap)
 	}
 }
@@ -395,11 +395,11 @@ func TestASCIIRoundTripWithCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(back, snap) {
-		t.Errorf("counter ascii round trip differs:\ngot  %+v\nwant %+v", back, snap)
+	if len(back) != 1 || !reflect.DeepEqual(back[0], snap) {
+		t.Fatalf("counter ascii round trip differs:\ngot  %+v\nwant %+v", back, snap)
 	}
-	if back.Events[0].Ctr[0] != 5000 || back.Events[0].Ctr[1] != 42 {
-		t.Errorf("counter values lost: %+v", back.Events[0].Ctr)
+	if back[0].Events[0].Ctr[0] != 5000 || back[0].Events[0].Ctr[1] != 42 {
+		t.Errorf("counter values lost: %+v", back[0].Events[0].Ctr)
 	}
 }
 

@@ -11,28 +11,13 @@ import "fmt"
 // This matches how eager-protocol MPICH behaved over TCP on Chiba-era
 // clusters.
 
-// Request is a handle for a pending non-blocking operation.
+// Request is a handle for a pending non-blocking receive.
 type Request struct {
-	r      *Rank
-	isRecv bool
-	from   int
-	tag    int
-	n      int // send size, or received size once complete
-	done   bool
-}
-
-// Isend starts a non-blocking send. With eager buffering the data is handed
-// to the transport immediately; the returned request completes trivially.
-func (r *Rank) Isend(to, n, tag int) *Request {
-	r.Tau.Start("MPI_Isend()")
-	f := r.w.flowTo(to, r.id)
-	f.meta.push(msgMeta{tag: tag, n: n})
-	self := r.w.flowTo(r.id, to)
-	self.conn.Send(r.u, msgHeaderBytes+n)
-	r.Stats.Sends++
-	r.Stats.BytesSent += uint64(n)
-	r.Tau.Stop("MPI_Isend()")
-	return &Request{r: r, from: to, tag: tag, n: n, done: true}
+	r    *Rank
+	from int
+	tag  int
+	n    int // received size once complete
+	done bool
 }
 
 // Irecv posts a non-blocking receive for the next message from `from` with
@@ -41,11 +26,11 @@ func (r *Rank) Isend(to, n, tag int) *Request {
 func (r *Rank) Irecv(from, tag int) *Request {
 	r.Tau.Start("MPI_Irecv()")
 	r.Tau.Stop("MPI_Irecv()")
-	return &Request{r: r, isRecv: true, from: from, tag: tag}
+	return &Request{r: r, from: from, tag: tag}
 }
 
-// Wait completes a non-blocking operation, blocking if its data has not yet
-// arrived. For receives it returns the payload size.
+// Wait completes a non-blocking receive, blocking if its data has not yet
+// arrived, and returns the payload size.
 func (r *Rank) Wait(req *Request) int {
 	if req.r != r {
 		panic("mpisim: waiting on another rank's request")
@@ -73,13 +58,6 @@ func (r *Rank) Wait(req *Request) int {
 	r.Stats.BytesRcvd += uint64(m.n)
 	r.Tau.Stop("MPI_Wait()")
 	return m.n
-}
-
-// WaitAll completes a set of requests in order.
-func (r *Rank) WaitAll(reqs ...*Request) {
-	for _, q := range reqs {
-		r.Wait(q)
-	}
 }
 
 // Sendrecv performs a simultaneous exchange with one partner, deadlock-free

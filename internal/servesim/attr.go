@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"ktau/internal/ktau"
 	"ktau/internal/perfmon"
@@ -178,9 +177,4 @@ func (a *Attribution) String() string {
 			d.Name, d.CapacityShare*100, d.Ticks)
 	}
 	return b.String()
-}
-
-// WallDuration converts the attributed span back to virtual time.
-func (a *Attribution) WallDuration(hz int64) time.Duration {
-	return sim.DurationOfCycles(a.Wall, hz)
 }

@@ -465,9 +465,6 @@ func (f *Fleet) finishGroup(ni, tenant int) {
 // Tasks returns every task of the fleet, for RunUntilDone.
 func (f *Fleet) Tasks() []*kernel.Task { return f.tasks }
 
-// LoadEnd returns the end of the load window on the virtual clock.
-func (f *Fleet) LoadEnd() sim.Time { return f.loadEnd }
-
 // Stats merges the per-client-node shards (in node order, deterministic)
 // into one latency store.
 func (f *Fleet) Stats() *Store {

@@ -88,9 +88,6 @@ func rackedPingPongTrace(t *testing.T, workers int) string {
 		engines[i] = NewEngine()
 	}
 	r := NewPartitionedRunner(engines, rackedMatrix(n, 4, 8*time.Millisecond), workers)
-	if !r.Partitioned() {
-		t.Fatal("racked matrix did not partition the runner")
-	}
 	if len(r.Groups()) != 2 {
 		t.Fatalf("groups = %v, want 2 racks", r.Groups())
 	}
@@ -256,6 +253,16 @@ func TestRunnerPostBoundaries(t *testing.T) {
 		}
 		return NewPartitionedRunner(engines, rackedMatrix(4, 2, 8*time.Millisecond), 1)
 	}
+	selfPost := func(r *Runner) {
+		var firedAt Time = -1
+		r.Engines()[0].At(0, func() {
+			r.Post(0, 0, Time(1), func() { firedAt = r.Engines()[0].Now() })
+		})
+		r.RunUntil(Time(int64(20 * time.Millisecond)))
+		if firedAt != Time(1) {
+			panic(fmt.Sprintf("self-post fired at %v, want 1ns", firedAt))
+		}
+	}
 	cases := []struct {
 		name  string
 		make  func() *Runner
@@ -381,16 +388,15 @@ func TestRunnerPostBoundaries(t *testing.T) {
 		{
 			name: "self-post mid-window is delivered to own calendar",
 			make: racked,
-			run: func(r *Runner) {
-				fired := false
-				r.Engines()[0].At(0, func() {
-					r.Post(0, 0, Time(1), func() { fired = true })
-				})
-				r.RunUntil(Time(int64(20 * time.Millisecond)))
-				if !fired {
-					panic("self-post was not delivered")
-				}
-			},
+			run:  selfPost,
+		},
+		{
+			// A flat runner gives each engine its own group, so a self-post
+			// mid-window lands on the engine's calendar at once, as on a
+			// racked runner.
+			name: "uniform self-post mid-window is delivered to own calendar",
+			make: uniform,
+			run:  selfPost,
 		},
 	}
 	for _, tc := range cases {
@@ -469,41 +475,55 @@ func TestRunnerMergeOrderProperty(t *testing.T) {
 	}
 }
 
-// TestPartitionedRunnerStepZeroAllocsSteadyState extends the PR 5 pooled
-// discipline to the partitioned window loop: once buffers are warm, epochs
-// with steady intra-group and cross-group traffic (posted through pooled
-// AtCall carriers, as netsim does) must not allocate.
+// TestPartitionedRunnerStepZeroAllocsSteadyState extends the engine's pooled
+// discipline to the epoch loop: once buffers are warm, epochs with steady
+// intra-group and cross-group traffic (posted through pooled AtCall
+// carriers, as netsim does) must not allocate. The flat row runs eight
+// 1ms epochs per op over single-engine groups, where every hop is
+// cross-group.
 func TestPartitionedRunnerStepZeroAllocsSteadyState(t *testing.T) {
-	engines := make([]*Engine, 4)
-	for i := range engines {
-		engines[i] = NewEngine()
-	}
-	r := NewPartitionedRunner(engines, rackedMatrix(4, 2, 8*time.Millisecond), 1)
-	if !r.Partitioned() {
-		t.Fatal("runner not partitioned")
-	}
-	// Steady traffic: pre-built ping-pong closures relay within rack 0
-	// (engines 0<->1) and across racks (engines 0<->2), re-arming from
-	// inside the callbacks. The closures are built once at boot, so the
-	// steady state exercises only the runner's own buffers.
-	var pingAB, pingBA, pingXR, pingRX func()
-	pingAB = func() { r.Post(1, 0, engines[1].Now().Add(r.PairLookahead(1, 0)), pingBA) }
-	pingBA = func() { r.Post(0, 1, engines[0].Now().Add(r.PairLookahead(0, 1)), pingAB) }
-	pingXR = func() { r.Post(2, 0, engines[2].Now().Add(r.PairLookahead(2, 0)), pingRX) }
-	pingRX = func() { r.Post(0, 2, engines[0].Now().Add(r.PairLookahead(0, 2)), pingXR) }
-	engines[0].At(Time(1), pingBA)
-	engines[0].At(Time(2), pingRX)
-	// Warm up buffers (inbox, pend, xbuf, engine pools, heap arrays).
-	end := r.Now()
-	for i := 0; i < 50; i++ {
-		end = end.Add(8 * time.Millisecond)
-		r.RunUntil(end)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		end = end.Add(8 * time.Millisecond)
-		r.RunUntil(end)
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state partitioned epoch allocates %v/op, want 0", allocs)
+	for _, tc := range []struct {
+		name   string
+		matrix *LatencyMatrix
+		groups int
+	}{
+		{"racked", rackedMatrix(4, 2, 8*time.Millisecond), 2},
+		{"flat", NewLatencyMatrix(4, time.Millisecond), 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			engines := make([]*Engine, 4)
+			for i := range engines {
+				engines[i] = NewEngine()
+			}
+			r := NewPartitionedRunner(engines, tc.matrix, 1)
+			if got := len(r.Groups()); got != tc.groups {
+				t.Fatalf("runner has %d groups, want %d", got, tc.groups)
+			}
+			// Steady traffic: pre-built ping-pong closures relay between
+			// engines 0<->1 (within rack 0 when racked) and 0<->2 (across
+			// racks), re-arming from inside the callbacks. The closures are
+			// built once at boot, so the steady state exercises only the
+			// runner's own buffers.
+			var pingAB, pingBA, pingXR, pingRX func()
+			pingAB = func() { r.Post(1, 0, engines[1].Now().Add(r.PairLookahead(1, 0)), pingBA) }
+			pingBA = func() { r.Post(0, 1, engines[0].Now().Add(r.PairLookahead(0, 1)), pingAB) }
+			pingXR = func() { r.Post(2, 0, engines[2].Now().Add(r.PairLookahead(2, 0)), pingRX) }
+			pingRX = func() { r.Post(0, 2, engines[0].Now().Add(r.PairLookahead(0, 2)), pingXR) }
+			engines[0].At(Time(1), pingBA)
+			engines[0].At(Time(2), pingRX)
+			// Warm up buffers (inbox, pend, xbuf, engine pools, heap arrays).
+			end := r.Now()
+			for i := 0; i < 50; i++ {
+				end = end.Add(8 * time.Millisecond)
+				r.RunUntil(end)
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				end = end.Add(8 * time.Millisecond)
+				r.RunUntil(end)
+			})
+			if allocs != 0 {
+				t.Errorf("steady-state epoch allocates %v/op, want 0", allocs)
+			}
+		})
 	}
 }

@@ -9,8 +9,8 @@ import (
 	"time"
 )
 
-// xev is a cross-engine event parked in the runner's inbox until the next
-// barrier flush. The (at, src, seq) triple is a strict total order: seq is
+// xev is a cross-engine event parked in a post buffer until it is
+// delivered. The (at, src, seq) triple is a strict total order: seq is
 // per-source and each source engine executes sequentially, so the key — and
 // therefore the merged delivery order — is independent of how worker
 // goroutines interleave.
@@ -41,22 +41,21 @@ func compareXev(a, b xev) int {
 	return cmp.Compare(a.seq, b.seq)
 }
 
-// runnerGroup is one synchronisation group of a partitioned runner: a set of
-// engines whose mutual lookahead is small enough that they must advance in
-// tight windows. Mid-epoch, a group is owned by exactly one worker
-// goroutine, so all its fields — including the pend buffer that carries
-// intra-group posts to the next group-local window — are accessed without
-// locks.
+// runnerGroup is one synchronisation group of the runner: a set of engines
+// whose mutual lookahead is small enough that they must advance in tight
+// windows. Mid-epoch, a group is owned by exactly one worker goroutine, so
+// all its fields — including the pend buffer that carries intra-group posts
+// to the next group-local window — are accessed without locks.
 type runnerGroup struct {
 	idx     int
 	members []int         // engine indices, ascending
 	window  time.Duration // min intra-group pair lookahead; 0 = single engine, no internal constraint
 
-	now       Time
-	windowEnd Time // end of the window currently running (valid mid-epoch)
+	now    Time
+	winEnd Time // end of the group-local window currently running (valid mid-epoch)
 
-	pend []xev // intra-group posts awaiting the next group-local flush
-	xbuf []xev // per-destination-group merge scratch, filled at rendezvous
+	pend []xev // intra-group posts awaiting the next group-local window
+	xbuf []xev // this group's share of the inbox, filled at rendezvous
 
 	panicIdx int
 	panicVal any
@@ -66,44 +65,36 @@ type runnerGroup struct {
 // conservative time-windowed synchronisation derived from a per-pair
 // lookahead matrix.
 //
-// With a uniform matrix (every pair at the same latency) all engines form
-// one synchronisation group and the runner behaves exactly as the classic
-// windowed design: all engines run concurrently through a window no longer
-// than the lookahead, with a barrier between windows, and cross-engine
-// posts merged at the barrier in (time, source, per-source sequence) order.
+// The engines are partitioned into synchronisation groups (strongly-coupled
+// pairs share a group; see LatencyMatrix.Partition), and the runner
+// advances in epochs: all groups rendezvous every min-cross-group-lookahead
+// of virtual time, and between rendezvous each group advances through its
+// own window clock sized by its internal minimum pair lookahead,
+// independently of the other groups. Cross-group events are parked in an
+// inbox and merged in (time, source, per-source sequence) order at the
+// rendezvous; the pair lookahead guarantees they can never land inside the
+// epoch that posted them.
 //
-// With a topology-aware matrix the engines are partitioned into groups
-// (strongly-coupled pairs share a group; see LatencyMatrix.Partition) and
-// the global barrier is replaced by an epoch: all groups rendezvous every
-// min-cross-group-lookahead of virtual time, and between rendezvous each
-// group advances through its own window clock sized by its internal minimum
-// pair lookahead, entirely independently of the other groups. Cross-group
-// events are parked in an epoch inbox and merged — sorted once per
-// destination group — at the rendezvous; the pair lookahead guarantees they
-// can never land inside the epoch that posted them.
+// A matrix that couples every engine into one group (any uniform matrix,
+// for example) is run as one single-engine group per engine. Each epoch is
+// then one window of the matrix minimum, run by every engine, with a
+// barrier after it.
 //
-// In both modes the schedule is byte-identical regardless of worker count:
-// a Runner with workers=1 takes the exact same scheduling decisions as a
-// parallel run.
+// The schedule is byte-identical regardless of worker count: a Runner with
+// workers=1 takes the exact same scheduling decisions as a parallel run.
 type Runner struct {
 	engines   []*Engine
 	matrix    *LatencyMatrix
-	lookahead time.Duration // matrix minimum: the uniform-mode window length
+	lookahead time.Duration // matrix minimum: a lower bound on every pair's lookahead
 	workers   int
 
 	now Time
 
-	// Single-group (uniform) mode state. The inbox also carries all
-	// between-epoch posts in partitioned mode.
-	mu        sync.Mutex
-	inbox     []xev
-	spare     []xev // drained inbox buffer, swapped back in by flush
-	seqs      []uint64
-	inWindow  bool
-	windowEnd Time
+	mu    sync.Mutex
+	inbox []xev // cross-group and between-epoch posts awaiting the next rendezvous
+	spare []xev // drained inbox buffer, swapped back in at the next rendezvous
+	seqs  []uint64
 
-	// Partitioned (multi-group) mode state; groups is nil when the matrix
-	// partitions into a single group.
 	groups   []*runnerGroup
 	groupOf  []int
 	xmin     time.Duration // min cross-group pair lookahead: the epoch span
@@ -114,8 +105,8 @@ type Runner struct {
 }
 
 // NewRunner returns a runner over the given engines with a uniform per-pair
-// lookahead — the classic single-group windowed mode. lookahead must be
-// positive; workers is clamped to [1, len(engines)].
+// lookahead: every engine advances in windows of that length. lookahead
+// must be positive; workers is clamped to [1, len(engines)].
 func NewRunner(engines []*Engine, lookahead time.Duration, workers int) *Runner {
 	if len(engines) == 0 {
 		panic("sim: runner needs at least one engine")
@@ -130,8 +121,9 @@ func NewRunner(engines []*Engine, lookahead time.Duration, workers int) *Runner 
 // derived from the per-pair lookahead matrix: engines whose pair lookahead
 // is within CoupleFactor of the matrix minimum share a synchronisation
 // group; groups advance independently between epoch rendezvous. A matrix
-// that partitions into one group (for example any uniform matrix) yields
-// the classic global-window runner.
+// that partitions into one group is run as one group per engine, with the
+// matrix minimum as the epoch span. workers is clamped to [1, number of
+// groups].
 func NewPartitionedRunner(engines []*Engine, m *LatencyMatrix, workers int) *Runner {
 	if len(engines) == 0 {
 		panic("sim: runner needs at least one engine")
@@ -142,46 +134,49 @@ func NewPartitionedRunner(engines []*Engine, m *LatencyMatrix, workers int) *Run
 	if m.Size() != len(engines) {
 		panic(fmt.Sprintf("sim: latency matrix size %d != engine count %d", m.Size(), len(engines)))
 	}
-	min := m.Min()
-	if min <= 0 {
+	lookahead := m.Min()
+	if lookahead <= 0 {
 		panic("sim: latency matrix minimum pair lookahead must be positive")
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(engines) {
-		workers = len(engines)
+	parts := m.Partition(CoupleFactor * lookahead)
+	if len(parts) == 1 {
+		// One group would run windows of the matrix minimum with nothing to
+		// meet. Single-engine groups run the same windows, as epochs.
+		parts = make([][]int, len(engines))
+		for i := range parts {
+			parts[i] = []int{i}
+		}
 	}
 	r := &Runner{
 		engines:   engines,
 		matrix:    m,
-		lookahead: min,
-		workers:   workers,
+		lookahead: lookahead,
+		workers:   max(1, min(workers, len(parts))),
 		seqs:      make([]uint64, len(engines)),
+		groupOf:   make([]int, len(engines)),
+		groups:    make([]*runnerGroup, len(parts)),
 	}
-	parts := m.Partition(CoupleFactor * min)
-	if len(parts) > 1 {
-		r.groupOf = make([]int, len(engines))
-		r.groups = make([]*runnerGroup, len(parts))
-		for gi, members := range parts {
-			r.groups[gi] = &runnerGroup{idx: gi, members: members, window: m.minWithin(members), panicIdx: -1}
-			for _, ei := range members {
-				r.groupOf[ei] = gi
-			}
+	for gi, members := range parts {
+		r.groups[gi] = &runnerGroup{idx: gi, members: members, window: m.minWithin(members), panicIdx: -1}
+		for _, ei := range members {
+			r.groupOf[ei] = gi
 		}
-		r.xmin = minAcross(m, r.groupOf)
+	}
+	// A single engine has no cross-group pair; its epoch is the matrix
+	// default.
+	if r.xmin = minAcross(m, r.groupOf); r.xmin == 0 {
+		r.xmin = lookahead
 	}
 	return r
 }
 
 // Now returns the runner's virtual time: the end of the last completed
-// window (or epoch, in partitioned mode). Individual engine clocks never
-// lag it between windows.
+// epoch. Individual engine clocks never lag it between epochs.
 func (r *Runner) Now() Time { return r.now }
 
-// Lookahead returns the minimum pair lookahead — the window length in
-// uniform mode, and a lower bound on every pair's lookahead in partitioned
-// mode. A post at Now()+Lookahead() is legal from any barrier hook.
+// Lookahead returns the minimum pair lookahead, a lower bound on every
+// pair's lookahead. A post at Now()+Lookahead() is legal from any barrier
+// hook.
 func (r *Runner) Lookahead() time.Duration { return r.lookahead }
 
 // PairLookahead returns the lookahead of the ordered engine pair src→dst:
@@ -198,27 +193,17 @@ func (r *Runner) PairLookahead(src, dst int) time.Duration {
 	return r.matrix.Pair(src, dst)
 }
 
-// Workers returns the number of worker goroutines used per window.
+// Workers returns the number of worker goroutines used per epoch.
 func (r *Runner) Workers() int { return r.workers }
 
 // Engines returns the engines the runner drives (index = engine id used by
 // Post). The slice must not be mutated.
 func (r *Runner) Engines() []*Engine { return r.engines }
 
-// Partitioned reports whether the runner is in multi-group mode.
-func (r *Runner) Partitioned() bool { return len(r.groups) > 1 }
-
 // Groups returns the synchronisation groups as slices of engine indices, in
-// ascending order of their lowest member. A uniform topology yields a
-// single group holding every engine.
+// ascending order of their lowest member. A uniform topology yields one
+// single-engine group per engine.
 func (r *Runner) Groups() [][]int {
-	if len(r.groups) == 0 {
-		all := make([]int, len(r.engines))
-		for i := range all {
-			all[i] = i
-		}
-		return [][]int{all}
-	}
 	out := make([][]int, len(r.groups))
 	for i, g := range r.groups {
 		out[i] = slices.Clone(g.members)
@@ -226,22 +211,14 @@ func (r *Runner) Groups() [][]int {
 	return out
 }
 
-// EpochSpan returns the virtual-time distance between global rendezvous: the
-// minimum cross-group pair lookahead in partitioned mode, or the window
-// length (every window is a rendezvous) in uniform mode.
-func (r *Runner) EpochSpan() time.Duration {
-	if len(r.groups) > 1 {
-		return r.xmin
-	}
-	return r.lookahead
-}
+// EpochSpan returns the virtual-time distance between global rendezvous:
+// the minimum cross-group pair lookahead.
+func (r *Runner) EpochSpan() time.Duration { return r.xmin }
 
-// OnBarrier registers fn to run on the runner's goroutine at every window
-// barrier, after all engines have finished the window and cross-engine
-// events have been merged. Barrier hooks are the sanctioned way to publish
-// one node's state for other nodes to read in the next window. In
-// partitioned mode the barrier is the epoch rendezvous: hooks run once per
-// epoch, when every group's clock has reached the epoch end.
+// OnBarrier registers fn to run on the runner's goroutine at every epoch
+// rendezvous, after every group's clock has reached the epoch end and
+// cross-group events have been merged. Barrier hooks are the sanctioned way
+// to publish one node's state for other nodes to read in the next epoch.
 func (r *Runner) OnBarrier(fn func()) {
 	if fn == nil {
 		panic("sim: nil barrier hook")
@@ -250,12 +227,19 @@ func (r *Runner) OnBarrier(fn func()) {
 }
 
 // Post schedules fn at virtual time at on engine dst, on behalf of engine
-// src. It is the only safe way to schedule across engines while a window is
-// running, and it panics if at arrives earlier than the pair lookahead
+// src. It is the only safe way to schedule across engines while an epoch
+// is running, and it panics if at arrives earlier than the pair lookahead
 // src→dst permits — such a post is a lookahead violation and would make
-// results depend on worker interleaving. Posts are merged in compareXev
-// order at the next barrier (uniform mode), the next group-local window
-// flush (intra-group), or the next epoch rendezvous (cross-group).
+// results depend on worker interleaving.
+//
+// Mid-epoch, Post runs on the goroutine that owns src's group (cross-engine
+// events always originate from the executing engine). A self-directed post
+// goes straight onto src's own calendar, which enforces at >= its clock. An
+// intra-group post waits in the group's pend buffer for the next
+// group-local window, lock-free. A cross-group post waits in the inbox for
+// the next rendezvous. Between epochs, posts may come from any goroutine
+// (hooks, boot wiring, tests) and all wait in the inbox, bounded only by
+// the runner clock. Every waiting post is delivered in compareXev order.
 func (r *Runner) Post(src, dst int, at Time, fn func()) {
 	if src < 0 || src >= len(r.engines) || dst < 0 || dst >= len(r.engines) {
 		panic(fmt.Sprintf("sim: post with engine out of range (src=%d dst=%d n=%d)", src, dst, len(r.engines)))
@@ -263,265 +247,91 @@ func (r *Runner) Post(src, dst int, at Time, fn func()) {
 	if fn == nil {
 		panic("sim: nil cross-engine event callback")
 	}
-	if len(r.groups) > 1 {
-		r.postGrouped(src, dst, at, fn)
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.inWindow && at < r.windowEnd {
-		panic(fmt.Sprintf("sim: cross-engine post %d->%d at %v violates pair lookahead %v (window ends at %v)",
-			src, dst, at, r.PairLookahead(src, dst), r.windowEnd))
-	}
-	if !r.inWindow && at < r.now {
+	if r.inEpoch {
+		if src == dst {
+			r.engines[src].At(at, fn)
+			return
+		}
+		g := r.groups[r.groupOf[src]]
+		if r.groupOf[dst] == g.idx {
+			if at < g.winEnd {
+				panic(fmt.Sprintf("sim: cross-engine post %d->%d at %v violates pair lookahead %v (group %d window ends at %v)",
+					src, dst, at, r.matrix.Pair(src, dst), g.idx, g.winEnd))
+			}
+			r.seqs[src]++
+			g.pend = append(g.pend, xev{at: at, dst: dst, src: src, seq: r.seqs[src], fn: fn})
+			return
+		}
+		if at < r.epochEnd {
+			panic(fmt.Sprintf("sim: cross-engine post %d->%d at %v violates pair lookahead %v (epoch ends at %v)",
+				src, dst, at, r.matrix.Pair(src, dst), r.epochEnd))
+		}
+	} else if at < r.now {
 		panic(fmt.Sprintf("sim: cross-engine post %d->%d at %v before now %v", src, dst, at, r.now))
 	}
+	r.mu.Lock()
 	r.seqs[src]++
 	r.inbox = append(r.inbox, xev{at: at, dst: dst, src: src, seq: r.seqs[src], fn: fn})
-}
-
-// postGrouped is the partitioned-mode post path. Mid-epoch it runs on the
-// goroutine that owns src's group (cross-engine events always originate
-// from the executing engine), so group-local state needs no locking; only
-// the cross-group inbox append takes the mutex. Between epochs all posts
-// come from the runner goroutine (hooks and boot wiring) and are parked in
-// the inbox for the next rendezvous flush.
-func (r *Runner) postGrouped(src, dst int, at Time, fn func()) {
-	if !r.inEpoch {
-		if at < r.now {
-			panic(fmt.Sprintf("sim: cross-engine post %d->%d at %v before now %v", src, dst, at, r.now))
-		}
-		r.seqs[src]++
-		r.inbox = append(r.inbox, xev{at: at, dst: dst, src: src, seq: r.seqs[src], fn: fn})
-		return
-	}
-	if src == dst {
-		// A self-directed post never crosses goroutines: the engine is owned
-		// by this executor, so it is delivered directly to its own calendar
-		// (which enforces at >= the engine clock) without window constraints.
-		r.engines[src].At(at, fn)
-		return
-	}
-	g := r.groups[r.groupOf[src]]
-	if r.groupOf[dst] == g.idx {
-		if at < g.windowEnd {
-			panic(fmt.Sprintf("sim: cross-engine post %d->%d at %v violates pair lookahead %v (group %d window ends at %v)",
-				src, dst, at, r.matrix.Pair(src, dst), g.idx, g.windowEnd))
-		}
-		r.seqs[src]++
-		g.pend = append(g.pend, xev{at: at, dst: dst, src: src, seq: r.seqs[src], fn: fn})
-		return
-	}
-	if at < r.epochEnd {
-		panic(fmt.Sprintf("sim: cross-engine post %d->%d at %v violates pair lookahead %v (epoch ends at %v)",
-			src, dst, at, r.matrix.Pair(src, dst), r.epochEnd))
-	}
-	r.seqs[src]++
-	x := xev{at: at, dst: dst, src: src, seq: r.seqs[src], fn: fn}
-	r.mu.Lock()
-	r.inbox = append(r.inbox, x)
 	r.mu.Unlock()
 }
 
-// flush drains the inbox into the destination engines in compareXev order.
-// Called between windows only. Delivery and callback release happen in one
-// pass, and the drained buffer is recycled into the next window's inbox so
-// a steady cross-traffic rate stops allocating.
-func (r *Runner) flush() {
+// deliver sorts buf in compareXev order, schedules every event on its
+// destination engine and returns buf emptied, callbacks released, for
+// reuse. Only the goroutine that owns the destination engines calls it.
+func (r *Runner) deliver(buf []xev) []xev {
+	if len(buf) == 0 {
+		return buf
+	}
+	slices.SortFunc(buf, compareXev)
+	for i := range buf {
+		r.engines[buf[i].dst].At(buf[i].at, buf[i].fn)
+		buf[i].fn = nil
+	}
+	return buf[:0]
+}
+
+// deliverPending empties every post buffer at a rendezvous. The inbox is
+// bucketed by destination group, then each group receives its leftover
+// intra-group posts and its bucket, each sorted once. Per-group sorting
+// keeps the merge cost proportional to each group's own traffic, and every
+// engine's insertion sequence is a pure function of the event set. The
+// drained inbox is recycled, so a steady cross-traffic rate stops
+// allocating.
+func (r *Runner) deliverPending() {
 	r.mu.Lock()
-	pend := r.inbox
+	in := r.inbox
 	r.inbox = r.spare[:0]
 	r.mu.Unlock()
-	if len(pend) == 0 {
-		r.spare = pend
-		return
+	for i := range in {
+		g := r.groups[r.groupOf[in[i].dst]]
+		g.xbuf = append(g.xbuf, in[i])
+		in[i].fn = nil
 	}
-	slices.SortFunc(pend, compareXev)
-	for i := range pend {
-		r.engines[pend[i].dst].At(pend[i].at, pend[i].fn)
-		pend[i].fn = nil
-	}
-	r.spare = pend[:0]
-}
-
-// flushLocal delivers a group's intra-group posts into its member engines in
-// compareXev order. Called only by the goroutine that owns the group (and by
-// the runner goroutine at rendezvous, when no group is running).
-func (g *runnerGroup) flushLocal(r *Runner) {
-	if len(g.pend) == 0 {
-		return
-	}
-	slices.SortFunc(g.pend, compareXev)
-	for i := range g.pend {
-		r.engines[g.pend[i].dst].At(g.pend[i].at, g.pend[i].fn)
-		g.pend[i].fn = nil
-	}
-	g.pend = g.pend[:0]
-}
-
-// flushCross drains the epoch inbox at a rendezvous: events are bucketed by
-// destination group, each bucket is sorted once in compareXev order, and
-// delivered bucket by bucket. Per-group sorting keeps the merge cost
-// proportional to each group's own traffic instead of resorting the global
-// stream, and bucket order (ascending group index) is fixed, so the engine
-// insertion sequence is a pure function of the event set.
-func (r *Runner) flushCross() {
+	r.spare = in[:0]
 	for _, g := range r.groups {
-		g.flushLocal(r)
-	}
-	r.mu.Lock()
-	pend := r.inbox
-	r.inbox = r.spare[:0]
-	r.mu.Unlock()
-	if len(pend) == 0 {
-		r.spare = pend
-		return
-	}
-	for i := range pend {
-		g := r.groups[r.groupOf[pend[i].dst]]
-		g.xbuf = append(g.xbuf, pend[i])
-		pend[i].fn = nil
-	}
-	r.spare = pend[:0]
-	for _, g := range r.groups {
-		if len(g.xbuf) == 0 {
-			continue
-		}
-		slices.SortFunc(g.xbuf, compareXev)
-		for i := range g.xbuf {
-			r.engines[g.xbuf[i].dst].At(g.xbuf[i].at, g.xbuf[i].fn)
-			g.xbuf[i].fn = nil
-		}
-		g.xbuf = g.xbuf[:0]
+		g.pend = r.deliver(g.pend)
+		g.xbuf = r.deliver(g.xbuf)
 	}
 }
 
-// Step flushes pending cross-engine events and runs one window (uniform
-// mode) or one epoch (partitioned mode) ending no later than limit, then
-// runs the barrier hooks. The final span — the one whose end is clamped to
-// limit — is closed: events scheduled exactly at limit fire. Empty spans
-// are skipped by starting at the earliest pending event. Step returns
-// false, without touching any clock, when no engine has a pending event and
-// all post buffers are empty.
+// Step delivers pending cross-engine events, runs one epoch ending no
+// later than limit, then runs the barrier hooks. Within the epoch every
+// group advances independently, each through its own sequence of
+// group-local windows, until all clocks reach the epoch end. The epoch span
+// is the minimum cross-group pair lookahead, so no cross-group event posted
+// inside the epoch can land before the next rendezvous; within a group the
+// usual window invariant holds against the group's own (shorter) minimum
+// pair lookahead. Worker goroutines pull whole groups, never individual
+// engines: everything a group touches mid-epoch is owned by one goroutine,
+// which is what keeps intra-group posts lock-free.
+//
+// The final epoch — the one whose end is clamped to limit — is closed:
+// events scheduled exactly at limit fire. Empty spans are skipped by
+// starting at the earliest pending event. Step returns false, without
+// touching any clock, when no engine has a pending event and all post
+// buffers are empty.
 func (r *Runner) Step(limit Time) bool {
-	if len(r.groups) > 1 {
-		return r.stepGrouped(limit)
-	}
-	r.flush()
-	var earliest Time
-	pending := false
-	for _, e := range r.engines {
-		if t, ok := e.NextEventAt(); ok && (!pending || t < earliest) {
-			earliest, pending = t, true
-		}
-	}
-	if !pending {
-		return false
-	}
-	start := r.now
-	if earliest > start {
-		start = earliest
-	}
-	if start > limit {
-		start = limit
-	}
-	end := start.Add(r.lookahead)
-	closed := false
-	if end >= limit {
-		end = limit
-		closed = true
-	}
-
-	r.mu.Lock()
-	r.inWindow = true
-	r.windowEnd = end
-	r.mu.Unlock()
-
-	if r.workers == 1 {
-		// Serial mode: run the window inline. Engine order within a window is
-		// free choice — lookahead guarantees no intra-window interaction — so
-		// ascending index takes the same scheduling decisions the worker pool
-		// would, without goroutine or atomic-counter overhead.
-		for _, eng := range r.engines {
-			if closed {
-				eng.RunUntil(end)
-			} else {
-				eng.RunWindow(end)
-			}
-		}
-		r.mu.Lock()
-		r.inWindow = false
-		r.mu.Unlock()
-		r.now = end
-		for _, h := range r.hooks {
-			h()
-		}
-		return true
-	}
-
-	// Worker goroutines pull engine indices from a shared counter. A panic
-	// inside an engine (a simulated-application bug) is caught per engine,
-	// the remaining engines still finish the window, and the lowest-indexed
-	// panic is re-raised on the caller — the same engine's panic surfaces no
-	// matter how many workers ran or which one hit it first.
-	var next int64
-	var pmu sync.Mutex
-	panicIdx, panicVal := -1, any(nil)
-	var wg sync.WaitGroup
-	wg.Add(r.workers)
-	for w := 0; w < r.workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(r.engines) {
-					return
-				}
-				func() {
-					defer func() {
-						if v := recover(); v != nil {
-							pmu.Lock()
-							if panicIdx < 0 || i < panicIdx {
-								panicIdx, panicVal = i, v
-							}
-							pmu.Unlock()
-						}
-					}()
-					if closed {
-						r.engines[i].RunUntil(end)
-					} else {
-						r.engines[i].RunWindow(end)
-					}
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	if panicIdx >= 0 {
-		panic(panicVal)
-	}
-
-	r.mu.Lock()
-	r.inWindow = false
-	r.mu.Unlock()
-	r.now = end
-	for _, h := range r.hooks {
-		h()
-	}
-	return true
-}
-
-// stepGrouped runs one epoch: a rendezvous flush, then every group advances
-// independently — each through its own sequence of group-local windows —
-// until all clocks reach the epoch end, then the barrier hooks. The epoch
-// span is the minimum cross-group pair lookahead, so no cross-group event
-// posted inside the epoch can land before the next rendezvous; within a
-// group the usual window invariant holds against the group's own (shorter)
-// minimum pair lookahead. Worker goroutines pull whole groups, never
-// individual engines: everything a group touches mid-epoch is owned by one
-// goroutine, which is what keeps the group-local flush lock-free.
-func (r *Runner) stepGrouped(limit Time) bool {
-	r.flushCross()
+	r.deliverPending()
 	var earliest Time
 	pending := false
 	for _, e := range r.engines {
@@ -546,13 +356,8 @@ func (r *Runner) stepGrouped(limit Time) bool {
 		closed = true
 	}
 
-	for _, g := range r.groups {
-		g.panicIdx = -1
-		g.panicVal = nil
-	}
 	r.inEpoch = true
 	r.epochEnd = end
-
 	if r.workers == 1 {
 		for _, g := range r.groups {
 			r.runGroupEpoch(g, end, closed)
@@ -565,11 +370,15 @@ func (r *Runner) stepGrouped(limit Time) bool {
 	r.inEpoch = false
 
 	// Panic propagation: the lowest-indexed engine's panic surfaces no
-	// matter how groups were scheduled across workers.
+	// matter how groups were scheduled across workers. The scan also clears
+	// the slots for the next epoch.
 	panicIdx, panicVal := -1, any(nil)
 	for _, g := range r.groups {
-		if g.panicIdx >= 0 && (panicIdx < 0 || g.panicIdx < panicIdx) {
-			panicIdx, panicVal = g.panicIdx, g.panicVal
+		if g.panicIdx >= 0 {
+			if panicIdx < 0 || g.panicIdx < panicIdx {
+				panicIdx, panicVal = g.panicIdx, g.panicVal
+			}
+			g.panicIdx, g.panicVal = -1, nil
 		}
 	}
 	if panicIdx >= 0 {
@@ -587,18 +396,14 @@ func (r *Runner) stepGrouped(limit Time) bool {
 // whole groups from a shared counter; group order of completion is
 // irrelevant because groups share no mid-epoch state.
 func (r *Runner) runEpochParallel(end Time, closed bool) {
-	workers := r.workers
-	if workers > len(r.groups) {
-		workers = len(r.groups)
-	}
-	var next int64
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	wg.Add(r.workers)
+	for w := 0; w < r.workers; w++ {
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
+				i := int(next.Add(1)) - 1
 				if i >= len(r.groups) {
 					return
 				}
@@ -609,17 +414,24 @@ func (r *Runner) runEpochParallel(end Time, closed bool) {
 	wg.Wait()
 }
 
-// runGroupEpoch advances one group from its current clock to the epoch end
-// through consecutive group-local windows. Each window is sized by the
-// group's internal minimum pair lookahead, starts no earlier than the
-// group's earliest pending event (empty spans are skipped), and is clamped
-// to the epoch end; the final window of a closed epoch is itself closed.
-// A panicking engine is recorded (lowest member index wins), the remaining
-// members still finish the current window, and the group stops advancing —
-// the panic is re-raised at the rendezvous.
+// runGroupEpoch advances one group from its current clock to the epoch end.
+// A single engine has no intra-group pair to wait for and runs straight to
+// the epoch end. A larger group goes through consecutive group-local
+// windows. Each window is sized by the group's internal minimum pair
+// lookahead, starts no earlier than the group's earliest pending event
+// (empty spans are skipped), and is clamped to the epoch end; the final
+// window of a closed epoch is itself closed. A panicking engine is recorded
+// (lowest member index wins), the remaining members still finish the
+// current window, and the group stops advancing — the panic is re-raised
+// at the rendezvous.
 func (r *Runner) runGroupEpoch(g *runnerGroup, epochEnd Time, closed bool) {
+	if g.window == 0 {
+		r.runEngineSpan(g, g.members[0], epochEnd, closed)
+		g.now = epochEnd
+		return
+	}
 	for {
-		g.flushLocal(r)
+		g.pend = r.deliver(g.pend)
 		var earliest Time
 		pending := false
 		for _, ei := range g.members {
@@ -636,12 +448,12 @@ func (r *Runner) runGroupEpoch(g *runnerGroup, epochEnd Time, closed bool) {
 		}
 		end := epochEnd
 		final := true
-		if pending && g.window > 0 {
+		if pending {
 			if w := start.Add(g.window); w < epochEnd {
 				end, final = w, false
 			}
 		}
-		g.windowEnd = end
+		g.winEnd = end
 		runClosed := closed && final
 		for _, ei := range g.members {
 			r.runEngineSpan(g, ei, end, runClosed)
@@ -670,7 +482,7 @@ func (r *Runner) runEngineSpan(g *runnerGroup, ei int, end Time, closed bool) {
 	}
 }
 
-// RunUntil runs windows until virtual time t. If the calendar drains first,
+// RunUntil runs epochs until virtual time t. If the calendar drains first,
 // every clock is advanced to t so relative scheduling keeps working.
 func (r *Runner) RunUntil(t Time) {
 	for r.now < t {

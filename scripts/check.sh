@@ -15,8 +15,9 @@
 #                     data-structure packages are the ones with real
 #                     concurrency surface)
 #   go test -fuzz -- the perfmon and tracepipe frame decoders, the libktau
-#                    /proc/ktau profile and trace decoders, and the Chrome
-#                    trace-event writer (byte-equal to encoding/json), 10s each
+#                    /proc/ktau profile and trace decoders and ASCII profile
+#                    reader, and the Chrome trace-event writer (byte-equal to
+#                    encoding/json), 10s each
 #   ktau-sweep -- the smoke grid runs under a per-cell timeout and is diffed
 #                 against the committed baseline (testdata/sweeps/smoke.json),
 #                 as are the parscale, faultgrid and servegrid grids;
@@ -61,13 +62,18 @@ go test -race ./internal/faultsim/ ./internal/ship/ ./internal/perfmon/
 
 echo "== go test -race (partitioned runner + cluster + serial/parallel cross-check) =="
 # The sim package covers the partitioned runner itself (latency-matrix
-# partitioning, epoch rendezvous, merge order, zero-alloc steady state); the
-# experiments cross-checks then pin byte identity of the full monitored,
-# fault-injected workloads against serial on both the flat topology (the
-# classic single-group runner, 4 workers) and a racked one that partitions
-# the runner, at workers {2, 3, 8} — more groups than workers, workers that
-# don't divide groups, and more workers than groups.
+# partitioning, epoch rendezvous, merge order, zero-alloc steady state). Its
+# concurrency tests then repeat ten times: the merge-order property posts
+# from six goroutines while the runner is quiescent, and the serial/parallel
+# identity and lowest-engine-panic tests hand groups to worker goroutines.
+# The experiments cross-checks pin byte identity of the full monitored,
+# fault-injected workloads against serial on both the flat topology (one
+# group per node, 4 workers) and a racked one with a group per rack, at
+# workers {2, 3, 8} — more groups than workers, workers that don't divide
+# groups, and more workers than groups.
 go test -race ./internal/sim/ ./internal/cluster/
+go test -race -count=10 ./internal/sim/ \
+    -run 'TestRunnerMergeOrderProperty|SerialParallelIdentical|PanicLowestEngineWins'
 go test -race ./internal/experiments/ -run TestParallelMatchesSerialByteForByte
 
 echo "== go test -race (trace pipeline + cluster-trace determinism) =="
@@ -81,13 +87,17 @@ echo "== fuzz decoders (never panic; anything that decodes round-trips) and the 
 # The libktau decoders read the blobs /proc/ktau hands out; their seeds are
 # blobs procfs packed from a real measurement, every truncation of them and
 # the two huge-count blobs that once exhausted memory, and anything that
-# decodes must re-pack through procfs to the same bytes.
+# decodes must re-pack through procfs to the same bytes. The ASCII reader
+# behind kprof is seeded with WriteASCII output of a real measurement,
+# every truncation of it and the inputs that once crashed or stalled it;
+# anything it parses must re-write and re-parse to equal snapshots.
 # Both Chrome exports stream through ktrace.ChromeWriter, whose every event
 # must encode byte for byte as the encoding/json reference in its test does.
 go test ./internal/perfmon/ -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 10s
 go test ./internal/tracepipe/ -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 10s
 go test ./internal/libktau/ -run '^$' -fuzz '^FuzzDecodeProfiles$' -fuzztime 10s
 go test ./internal/libktau/ -run '^$' -fuzz '^FuzzDecodeTrace$' -fuzztime 10s
+go test ./internal/libktau/ -run '^$' -fuzz '^FuzzParseASCII$' -fuzztime 10s
 go test ./internal/ktrace/ -run '^$' -fuzz '^FuzzChromeEvent$' -fuzztime 10s
 
 echo "== go test -race (serving workload + serve serial/parallel cross-check) =="
