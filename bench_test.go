@@ -610,54 +610,6 @@ func BenchmarkParallelChiba(b *testing.B) {
 	writeBench(b, "BENCH_parallel.json", out)
 }
 
-// BenchmarkTraceOverhead runs the trace-pipeline perturbation sweep — the
-// same Chiba LU job with collection off, with live profile monitoring, with
-// the full streaming trace pipeline, at fixed sampling rates, and with the
-// adaptive (always-on) configuration — and writes the virtual-time slowdown
-// of every configuration to BENCH_trace.json. check.sh gates on the
-// headline slowdowns.
-func BenchmarkTraceOverhead(b *testing.B) {
-	var res *ktau.TraceOverheadResult
-	for i := 0; i < b.N; i++ {
-		res = ktau.RunTraceOverhead(16, 1)
-	}
-	printOnce("traceov", func() {
-		fmt.Println()
-		res.Render(os.Stdout)
-	})
-	out := map[string]any{
-		"benchmark": "Chiba LU trace-pipeline perturbation sweep (off / profile / full trace / sampled / adaptive)",
-		"ranks":     res.Ranks,
-	}
-	rows := make([]map[string]any, 0, len(res.Rows))
-	for _, r := range res.Rows {
-		rows = append(rows, map[string]any{
-			"config":         r.Config,
-			"rate":           r.Rate,
-			"adaptive":       r.Adaptive,
-			"virtual_exec_s": r.Exec.Seconds(),
-			"slowdown_pct":   r.SlowPct,
-			"trace_records":  r.Records,
-			"sampled_out":    r.SampledOut,
-			"wire_bytes":     r.WireBytes,
-		})
-		switch r.Config {
-		case "Profile":
-			b.ReportMetric(r.SlowPct, "profile-%")
-			out["profile_slowdown_pct"] = r.SlowPct
-		case "Profile+Trace":
-			b.ReportMetric(r.SlowPct, "profile+trace-%")
-			b.ReportMetric(float64(r.Records), "trace-records")
-			out["full_trace_slowdown_pct"] = r.SlowPct
-		case "Profile+Trace(adaptive)":
-			b.ReportMetric(r.SlowPct, "adaptive-%")
-			out["adaptive_slowdown_pct"] = r.SlowPct
-		}
-	}
-	out["rows"] = rows
-	writeBench(b, "BENCH_trace.json", out)
-}
-
 // BenchmarkIONode runs the §6 I/O-node characterization extension: compute
 // clients streaming checkpoints to an I/O node under two storage
 // configurations, decomposed by KTAU's kernel-wide view.

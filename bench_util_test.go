@@ -111,12 +111,12 @@ func TestParallelBenchSchema(t *testing.T) {
 }
 
 // TestCommittedParallelBenchParses keeps the committed BENCH_parallel.json
-// loadable by the gate: if the benchmark's schema moves, the committed
-// artifact must be regenerated in the same change.
+// present and loadable by the gate: if the benchmark's schema moves, the
+// committed artifact must be regenerated in the same change.
 func TestCommittedParallelBenchParses(t *testing.T) {
 	blob, err := os.ReadFile("BENCH_parallel.json")
 	if err != nil {
-		t.Skipf("no committed BENCH_parallel.json: %v", err)
+		t.Fatalf("committed BENCH_parallel.json: %v", err)
 	}
 	if err := ktau.CheckBenchPayload("BENCH_parallel.json", blob); err != nil {
 		t.Fatalf("committed BENCH_parallel.json fails validation: %v", err)

@@ -2,7 +2,9 @@
 // a parameter grid into cells, runs them concurrently on a bounded worker
 // pool with a mandatory per-cell wall-clock timeout, writes one structured
 // JSON result per cell, and diffs the sweep against a committed baseline so
-// behavioural or fingerprint regressions fail CI loudly.
+// behavioural or fingerprint regressions fail CI loudly. The perturb and
+// serve16 grids also hold every cell to absolute overhead, tail-latency and
+// throughput budgets, which -update-baselines refuses to record past.
 //
 //	ktau-sweep -list                          # named grids and specs
 //	ktau-sweep -grid smoke                    # run the check.sh smoke grid
@@ -49,7 +51,7 @@ func main() {
 		jobs      = flag.Int("j", 1, "concurrently running cells")
 		outDir    = flag.String("out", "", "write one JSON file per cell (plus report.json) to this directory")
 		gate      = flag.Bool("gate", false, "diff the sweep against the committed baseline; non-zero exit on mismatch")
-		update    = flag.Bool("update-baselines", false, "write the sweep as the new committed baseline")
+		update    = flag.Bool("update-baselines", false, "write the sweep as the new committed baseline (refused when a cell breaks its grid's budgets)")
 		baseline  = flag.String("baseline", "", "baseline path (default testdata/sweeps/<grid>.json)")
 		wallTol   = flag.Float64("wall-tol", -1, "override baseline wall-clock tolerance factor (0 disables the wall gate)")
 		benchGate = flag.Bool("bench-gate", false, "strict-parse and threshold-gate the BENCH_*.json files, then exit")

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -11,9 +12,10 @@ import (
 )
 
 // Baseline is a committed sweep snapshot (testdata/sweeps/<grid>.json).
-// Fingerprints and statuses are matched exactly; metrics are exact unless a
-// tolerance band is recorded; wall-clock is gated only by a generous
-// multiplier because it is the one host-dependent quantity.
+// Fingerprints, statuses and metrics are matched exactly (virtual-time
+// quantities are deterministic); wall-clock is gated only by a generous
+// multiplier because it is the one host-dependent quantity. A grid listed
+// in gridBudgets also holds every cell to absolute limits.
 type Baseline struct {
 	// Path is where the baseline was loaded from; DiffBaseline includes it
 	// in every violation so a failing CI log names the file to re-record
@@ -23,11 +25,8 @@ type Baseline struct {
 	// WallTolX allows a cell's wall time to exceed the recorded one by this
 	// factor before failing (0 = don't gate wall-clock at all). The
 	// mandatory per-cell timeout still bounds every run.
-	WallTolX float64 `json:"wall_tol_x"`
-	// MetricTol maps metric name -> absolute tolerance band. Metrics not
-	// listed must match exactly (virtual-time quantities are deterministic).
-	MetricTol map[string]float64 `json:"metric_tol,omitempty"`
-	Cells     []BaselineCell     `json:"cells"`
+	WallTolX float64        `json:"wall_tol_x"`
+	Cells    []BaselineCell `json:"cells"`
 }
 
 // BaselineCell is one cell's committed expectation.
@@ -39,40 +38,73 @@ type BaselineCell struct {
 	Fingerprints map[string]string  `json:"fingerprints,omitempty"`
 }
 
-// slowdownTol is the default absolute band (percentage points) applied to
-// *_slowdown_pct metrics when a baseline is recorded: slowdowns are ratios
-// of virtual times and deterministic, but they are the metrics whose exact
-// values legitimately move when the perturbation model is tuned, so they
-// get a band instead of byte-exactness.
-const slowdownTol = 2.0
+// gridBudgets holds the absolute limits a grid's cells must meet on top of
+// matching their baseline: DiffBaseline applies them to every cell of the
+// sweep, and SaveBaseline refuses a baseline that breaks one, so
+// re-recording a baseline can never loosen a budget. A gated key missing
+// from a cell is a violation.
+var gridBudgets = map[string][]BenchCheck{
+	// Table 3's question for the trace pipeline: what live collection
+	// costs the job it watches, in virtual time.
+	"perturb": {
+		{Key: "profile_slowdown_pct", Op: "<=", Limit: 5,
+			Why: "profile pipeline must stay inside the paper's daemon budget"},
+		{Key: "full_trace_slowdown_pct", Op: "<=", Limit: 25,
+			Why: "full-trace regression ceiling"},
+		{Key: "adaptive_slowdown_pct", Op: "<", Limit: 5,
+			Why: "always-on budget: the adaptive configuration is meant to stay on"},
+	},
+	// The serving run's tail and throughput budgets are relative to the
+	// 16-node seed-7 run as first recorded: worst tenant p99 16.253 ms and
+	// 4972 completed req/s.
+	"serve16": {
+		{Key: "t_api_p99_us", Op: "<=", Limit: 20316.25,
+			Why: "serving tail may not stretch more than 25% past 16.253 ms"},
+		{Key: "t_web_p99_us", Op: "<=", Limit: 20316.25,
+			Why: "serving tail may not stretch more than 25% past 16.253 ms"},
+		{Key: "req_per_s", Op: ">=", Limit: 3977.6,
+			Why: "completed throughput may not drop below 80% of 4972 req/s"},
+		{Key: "completed", Op: ">=", Limit: 1,
+			Why: "the serving run must drain"},
+		{Key: "leaked_conns", Op: "<=", Limit: 0,
+			Why: "every connection endpoint must close"},
+		{Key: "rogue_fingered", Op: ">=", Limit: 1,
+			Why: "tail attribution must finger the planted rogue daemon"},
+	},
+}
 
-// NewBaseline snapshots a sweep result: wall tolerance 25x (loose enough
-// for any host, loud for a real hang) and slowdown bands applied.
+// budgetViolations checks one cell's metrics against its grid's budgets.
+func budgetViolations(grid, cell string, metrics map[string]float64) []string {
+	return checkAll(fmt.Sprintf("grid %s budget: cell %s", grid, cell), gridBudgets[grid], metrics, nil)
+}
+
+// NewBaseline snapshots a sweep result with a wall tolerance of 25x: loose
+// enough for any host, loud for a real hang.
 func NewBaseline(res *SweepResult) *Baseline {
-	b := &Baseline{Grid: res.Grid, WallTolX: 25, MetricTol: map[string]float64{}}
+	b := &Baseline{Grid: res.Grid, WallTolX: 25}
 	for _, cell := range res.Cells {
-		bc := BaselineCell{
+		b.Cells = append(b.Cells, BaselineCell{
 			Name:         cell.Name,
 			Status:       cell.Status,
 			WallMS:       math.Round(cell.WallMS),
 			Metrics:      cell.Metrics,
 			Fingerprints: cell.Fingerprints,
-		}
-		b.Cells = append(b.Cells, bc)
-		for k := range cell.Metrics {
-			if strings.HasSuffix(k, "_slowdown_pct") {
-				b.MetricTol[k] = slowdownTol
-			}
-		}
-	}
-	if len(b.MetricTol) == 0 {
-		b.MetricTol = nil
+		})
 	}
 	return b
 }
 
-// SaveBaseline writes the baseline, creating parent directories.
+// SaveBaseline writes the baseline, creating parent directories. It writes
+// nothing, and returns every violation, when a cell breaks its grid's
+// budgets.
 func SaveBaseline(path string, b *Baseline) error {
+	var v []string
+	for _, bc := range b.Cells {
+		v = append(v, budgetViolations(b.Grid, bc.Name, bc.Metrics)...)
+	}
+	if len(v) > 0 {
+		return fmt.Errorf("refusing to write %s:\n%s", path, strings.Join(v, "\n"))
+	}
 	data, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {
 		return err
@@ -90,17 +122,26 @@ func LoadBaseline(path string) (*Baseline, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Duplicate keys would be silently merged by Unmarshal; scan first.
-	if _, err := FlattenJSON(data); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	var b Baseline
-	if err := dec.Decode(&b); err != nil {
+	b, err := parseBaseline(data)
+	if err != nil {
 		return nil, fmt.Errorf("baseline %s: %w", path, err)
 	}
 	b.Path = path
+	return b, nil
+}
+
+// parseBaseline is LoadBaseline's bytes-level half.
+func parseBaseline(data []byte) (*Baseline, error) {
+	// Duplicate keys would be silently merged by Unmarshal; scan first.
+	if _, err := FlattenJSON(data); err != nil {
+		return nil, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var b Baseline
+	if err := dec.Decode(&b); err != nil {
+		return nil, err
+	}
 	return &b, nil
 }
 
@@ -125,7 +166,8 @@ func (b *Baseline) context(p *Params) string {
 // human-readable violation per mismatch, each naming the cell and the key.
 // An empty slice means the gate passes. The comparison is symmetric about
 // coverage: cells, metric keys and fingerprint keys missing from either
-// side fail loudly rather than being skipped.
+// side fail loudly rather than being skipped. Every cell is also held to
+// the sweep grid's budgets (DiffCell).
 func DiffBaseline(base *Baseline, res *SweepResult) []string {
 	var v []string
 	if base.Grid != res.Grid {
@@ -155,7 +197,11 @@ func DiffBaseline(base *Baseline, res *SweepResult) []string {
 		// Every per-cell mismatch line carries the cell's full parameters and
 		// the baseline path so a failing CI run is diagnosable as-is.
 		ctx := base.context(&c.Params)
-		for _, m := range diffCell(base, &bc, c) {
+		if c.Status == bc.Status && base.WallTolX > 0 && bc.WallMS > 0 && c.WallMS > base.WallTolX*bc.WallMS {
+			v = append(v, fmt.Sprintf("cell %s: wall %.0fms exceeds %gx baseline %.0fms%s",
+				bc.Name, c.WallMS, base.WallTolX, bc.WallMS, ctx))
+		}
+		for _, m := range DiffCell(res.Grid, &bc, c) {
 			v = append(v, m+ctx)
 		}
 	}
@@ -175,16 +221,16 @@ func DiffBaseline(base *Baseline, res *SweepResult) []string {
 	return v
 }
 
-func diffCell(base *Baseline, bc *BaselineCell, c *CellResult) []string {
+// DiffCell is the deterministic part of the per-cell gate: status,
+// metrics and fingerprints against the baseline cell, then the cell's
+// metrics against the budgets of the sweep's grid. It leaves out wall time,
+// the one host-dependent field, so reports can count its lines.
+func DiffCell(grid string, bc *BaselineCell, c *CellResult) []string {
 	var v []string
 	if c.Status != bc.Status {
 		v = append(v, fmt.Sprintf("cell %s: status %q != baseline %q (%s)", bc.Name, c.Status, bc.Status, c.Err))
 		// A status flip invalidates everything downstream; stop here.
 		return v
-	}
-	if base.WallTolX > 0 && bc.WallMS > 0 && c.WallMS > base.WallTolX*bc.WallMS {
-		v = append(v, fmt.Sprintf("cell %s: wall %.0fms exceeds %gx baseline %.0fms",
-			bc.Name, c.WallMS, base.WallTolX, bc.WallMS))
 	}
 	v = append(v, diffKeys(bc.Name, "metric", keysF(bc.Metrics), keysF(c.Metrics))...)
 	for _, k := range sortedKeysF(bc.Metrics) {
@@ -193,10 +239,9 @@ func diffCell(base *Baseline, bc *BaselineCell, c *CellResult) []string {
 		if !ok {
 			continue // already reported by diffKeys
 		}
-		tol := base.MetricTol[k]
-		if math.Abs(have-want) > tol {
-			v = append(v, fmt.Sprintf("cell %s: metric %s = %g outside baseline %g ± %g",
-				bc.Name, k, have, want, tol))
+		if have != want {
+			v = append(v, fmt.Sprintf("cell %s: metric %s = %g != baseline %g",
+				bc.Name, k, have, want))
 		}
 	}
 	v = append(v, diffKeys(bc.Name, "fingerprint", keysS(bc.Fingerprints), keysS(c.Fingerprints))...)
@@ -211,7 +256,7 @@ func diffCell(base *Baseline, bc *BaselineCell, c *CellResult) []string {
 				bc.Name, k, have, want))
 		}
 	}
-	return v
+	return append(v, budgetViolations(grid, bc.Name, c.Metrics)...)
 }
 
 // diffKeys reports keys present on one side only.

@@ -1,8 +1,11 @@
 package harness
 
 import (
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -36,26 +39,6 @@ func TestBaselineAcceptsIdenticalSweep(t *testing.T) {
 	base := NewBaseline(res)
 	if v := DiffBaseline(base, res); len(v) != 0 {
 		t.Fatalf("identical sweep rejected: %v", v)
-	}
-}
-
-func TestBaselineSlowdownTolerance(t *testing.T) {
-	res := fakeSweep()
-	base := NewBaseline(fakeSweep())
-	// Inside the ±2 band: accepted.
-	res.Cells[0].Metrics["x_slowdown_pct"] = 4.5
-	if v := DiffBaseline(base, res); len(v) != 0 {
-		t.Fatalf("slowdown inside tolerance rejected: %v", v)
-	}
-	// Outside the band: rejected, naming cell and key.
-	res.Cells[0].Metrics["x_slowdown_pct"] = 6.0
-	v := DiffBaseline(base, res)
-	if len(v) != 1 {
-		t.Fatalf("got %d violations, want 1: %v", len(v), v)
-	}
-	if !strings.Contains(v[0], "fake/r8-serial-none-off-s1") ||
-		!strings.Contains(v[0], "x_slowdown_pct") {
-		t.Fatalf("violation does not name cell and key: %q", v[0])
 	}
 }
 
@@ -210,4 +193,117 @@ func TestLoadBaselineRejectsUnknownFields(t *testing.T) {
 	if _, err := LoadBaseline(path); err == nil {
 		t.Fatal("unknown field accepted")
 	}
+}
+
+// committedBaseline loads testdata/sweeps/<grid>.json from the repo root.
+func committedBaseline(grid string) (*Baseline, error) {
+	return LoadBaseline(filepath.Join("..", "..", "testdata", "sweeps", grid+".json"))
+}
+
+// TestNamedGridsHaveBaselines keeps every named grid gateable without
+// running a cell: each has a committed baseline that loads and records
+// exactly the grid's cells, in grid order, and every budgeted grid exists.
+func TestNamedGridsHaveBaselines(t *testing.T) {
+	grids := NamedGrids()
+	for name, g := range grids {
+		base, err := committedBaseline(name)
+		if err != nil {
+			t.Errorf("grid %s: %v", name, err)
+			continue
+		}
+		if base.Grid != name {
+			t.Errorf("%s: baseline records grid %q", base.Path, base.Grid)
+		}
+		var want, got []string
+		for _, p := range g.Cells() {
+			want = append(want, p.Name())
+		}
+		for _, bc := range base.Cells {
+			got = append(got, bc.Name)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: cells %v, grid %s expands to %v", base.Path, got, name, want)
+		}
+	}
+	for name := range gridBudgets {
+		if _, ok := grids[name]; !ok {
+			t.Errorf("gridBudgets names %q, which is not a named grid", name)
+		}
+	}
+}
+
+// TestGridBudgets pushes every budgeted metric of every committed budgeted
+// baseline past its limit, and separately removes it. Each case must fail
+// the gate with a line naming grid, cell, key, value and limit, and
+// SaveBaseline must refuse the same cells and leave the file untouched.
+func TestGridBudgets(t *testing.T) {
+	for grid, checks := range gridBudgets {
+		base, err := committedBaseline(grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := DiffBaseline(base, sweepOf(base)); len(v) != 0 {
+			t.Fatalf("%s: committed baseline fails its own gate: %v", grid, v)
+		}
+		for i := range base.Cells {
+			cell := base.Cells[i].Name
+			for _, c := range checks {
+				past := c.Limit
+				switch c.Op {
+				case "<=":
+					past++
+				case ">=":
+					past--
+				}
+				at := fmt.Sprintf("grid %s budget: cell %s: ", grid, cell)
+				cases := map[string]struct {
+					mutate func(map[string]float64)
+					want   string
+				}{
+					"past limit": {
+						func(m map[string]float64) { m[c.Key] = past },
+						fmt.Sprintf("%s%s = %g violates %s %g", at, c.Key, past, c.Op, c.Limit),
+					},
+					"removed": {
+						func(m map[string]float64) { delete(m, c.Key) },
+						fmt.Sprintf("%skey %q missing or not a number, want %s %g", at, c.Key, c.Op, c.Limit),
+					},
+				}
+				for name, tc := range cases {
+					res := sweepOf(base)
+					tc.mutate(res.Cells[i].Metrics)
+					if all := strings.Join(DiffBaseline(base, res), "\n"); !strings.Contains(all, tc.want) {
+						t.Errorf("%s %s: gate violations missing %q:\n%s", c.Key, name, tc.want, all)
+					}
+
+					path := filepath.Join(t.TempDir(), grid+".json")
+					if err := os.WriteFile(path, []byte("old\n"), 0o644); err != nil {
+						t.Fatal(err)
+					}
+					err := SaveBaseline(path, NewBaseline(res))
+					if err == nil || !strings.Contains(err.Error(), tc.want) {
+						t.Errorf("%s %s: SaveBaseline returned %v, want a refusal containing %q", c.Key, name, err, tc.want)
+					}
+					if data, _ := os.ReadFile(path); string(data) != "old\n" {
+						t.Errorf("%s %s: refused save still wrote %q", c.Key, name, data)
+					}
+				}
+			}
+		}
+	}
+}
+
+// sweepOf rebuilds the sweep a baseline recorded, with maps of its own.
+func sweepOf(b *Baseline) *SweepResult {
+	res := &SweepResult{Grid: b.Grid}
+	for _, bc := range b.Cells {
+		res.Cells = append(res.Cells, &CellResult{
+			Name:         bc.Name,
+			Status:       bc.Status,
+			WallMS:       bc.WallMS,
+			Metrics:      maps.Clone(bc.Metrics),
+			Fingerprints: maps.Clone(bc.Fingerprints),
+		})
+	}
+	return res
 }

@@ -13,18 +13,8 @@ import (
 func goodBench(t *testing.T, dir string) {
 	t.Helper()
 	files := map[string]string{
-		"BENCH_trace.json": `{
-  "profile_slowdown_pct": 2.5,
-  "full_trace_slowdown_pct": 12.0,
-  "adaptive_slowdown_pct": 1.1,
-  "rows": [{"config": "Off", "slowdown_pct": 0}]
-}`,
 		"BENCH_core.json": `{
   "chiba32_serial": {"chiba_speedup_x": 1.8, "alloc_reduction_x": "inf"}
-}`,
-		"BENCH_serve.json": `{
-  "p99_ratio": 1.02,
-  "rps_ratio": 0.97
 }`,
 		"BENCH_parallel.json": goodParallelJSON,
 	}
@@ -51,9 +41,9 @@ func TestGateBenchFilesPass(t *testing.T) {
 func TestGateBenchFilesMissingFile(t *testing.T) {
 	dir := t.TempDir()
 	goodBench(t, dir)
-	os.Remove(filepath.Join(dir, "BENCH_serve.json"))
+	os.Remove(filepath.Join(dir, "BENCH_core.json"))
 	v := GateBenchFiles(dir, nil)
-	if len(v) == 0 || !strings.Contains(strings.Join(v, "\n"), "BENCH_serve.json") {
+	if len(v) == 0 || !strings.Contains(strings.Join(v, "\n"), "BENCH_core.json") {
 		t.Fatalf("missing file not flagged: %v", v)
 	}
 }
@@ -61,10 +51,10 @@ func TestGateBenchFilesMissingFile(t *testing.T) {
 func TestGateBenchFilesMissingKey(t *testing.T) {
 	dir := t.TempDir()
 	goodBench(t, dir)
-	blob := `{"p99_ratio": 1.0}` // rps_ratio gone
-	os.WriteFile(filepath.Join(dir, "BENCH_serve.json"), []byte(blob), 0o644)
+	blob := `{"chiba32_serial": {"alloc_reduction_x": "inf"}}` // chiba_speedup_x gone
+	os.WriteFile(filepath.Join(dir, "BENCH_core.json"), []byte(blob), 0o644)
 	v := strings.Join(GateBenchFiles(dir, nil), "\n")
-	if !strings.Contains(v, `"rps_ratio" missing`) {
+	if !strings.Contains(v, `"chiba32_serial.chiba_speedup_x" missing`) {
 		t.Fatalf("missing key not flagged: %v", v)
 	}
 }
@@ -72,8 +62,8 @@ func TestGateBenchFilesMissingKey(t *testing.T) {
 func TestGateBenchFilesDuplicateKey(t *testing.T) {
 	dir := t.TempDir()
 	goodBench(t, dir)
-	blob := `{"p99_ratio": 1.0, "p99_ratio": 2.0, "rps_ratio": 0.9}`
-	os.WriteFile(filepath.Join(dir, "BENCH_serve.json"), []byte(blob), 0o644)
+	blob := `{"chiba32_serial": {"chiba_speedup_x": 1.8, "chiba_speedup_x": 1.9}}`
+	os.WriteFile(filepath.Join(dir, "BENCH_core.json"), []byte(blob), 0o644)
 	v := strings.Join(GateBenchFiles(dir, nil), "\n")
 	if !strings.Contains(v, "duplicate key") {
 		t.Fatalf("duplicate key not flagged: %v", v)
@@ -83,21 +73,21 @@ func TestGateBenchFilesDuplicateKey(t *testing.T) {
 func TestGateBenchFilesThreshold(t *testing.T) {
 	dir := t.TempDir()
 	goodBench(t, dir)
-	blob := `{"p99_ratio": 1.5, "rps_ratio": 0.97}` // tail stretched past 1.25x
-	os.WriteFile(filepath.Join(dir, "BENCH_serve.json"), []byte(blob), 0o644)
+	blob := `{"chiba32_serial": {"chiba_speedup_x": 1.1}}` // under the 1.25x floor
+	os.WriteFile(filepath.Join(dir, "BENCH_core.json"), []byte(blob), 0o644)
 	v := strings.Join(GateBenchFiles(dir, nil), "\n")
-	if !strings.Contains(v, "p99_ratio") || !strings.Contains(v, "violates") {
+	if !strings.Contains(v, "chiba_speedup_x") || !strings.Contains(v, "violates") {
 		t.Fatalf("threshold violation not flagged: %v", v)
 	}
 }
 
 func TestCheckBenchPayload(t *testing.T) {
-	ok := []byte(`{"p99_ratio": 1.0, "rps_ratio": 0.9}`)
-	if err := CheckBenchPayload("BENCH_serve.json", ok); err != nil {
+	ok := []byte(`{"chiba32_serial": {"chiba_speedup_x": 1.8}}`)
+	if err := CheckBenchPayload("BENCH_core.json", ok); err != nil {
 		t.Fatal(err)
 	}
-	missing := []byte(`{"p99_ratio": 1.0}`)
-	if err := CheckBenchPayload("BENCH_serve.json", missing); err == nil {
+	missing := []byte(`{"chiba32_serial": {}}`)
+	if err := CheckBenchPayload("BENCH_core.json", missing); err == nil {
 		t.Fatal("missing gated key accepted at write time")
 	}
 	// The parallel file gets the full rows-schema validation at write time.
@@ -310,6 +300,7 @@ func TestFlattenJSONErrors(t *testing.T) {
 		"nested duplicate": `{"a": {"x": 1, "x": 2}}`,
 		"trailing data":    `{"a": 1} {"b": 2}`,
 		"not json":         `hello`,
+		"deep nesting":     strings.Repeat("[", maxFlattenDepth+1) + strings.Repeat("]", maxFlattenDepth+1),
 	}
 	for name, blob := range cases {
 		if _, err := FlattenJSON([]byte(blob)); err == nil {

@@ -135,13 +135,23 @@ func NamedGrids() map[string]Grid {
 			Trace:   []TraceAxis{{Mode: "full"}, {Mode: "adaptive", Rate: 0.25}},
 			Seeds:   []uint64{42},
 		},
-		// perturb sweeps the trace-overhead study across seeds; slowdown
-		// metrics get tolerance bands in the baseline rather than exact
-		// matches.
+		// perturb is the trace-pipeline perturbation study at 16 ranks: the
+		// same LU job with collection off, profiling, full tracing, fixed
+		// sampling and adaptive tracing. gridBudgets holds its slowdowns to
+		// the overhead budgets.
 		"perturb": {
 			Name:  "perturb",
 			Exp:   "traceov",
-			Ranks: []int{8},
+			Ranks: []int{16},
+			Seeds: []uint64{1},
+		},
+		// serve16 is one serial 16-node serving run at seed 7; gridBudgets
+		// bounds its tenant tails and throughput and requires a drained run,
+		// no leaked connections and the rogue daemon fingered.
+		"serve16": {
+			Name:  "serve16",
+			Exp:   "serve",
+			Ranks: []int{16},
 			Seeds: []uint64{7},
 		},
 		// faultgrid runs the full three-plan fault study per seed.

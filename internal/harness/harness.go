@@ -5,9 +5,11 @@
 // — parameters, status, wall time, virtual-time metrics, and the
 // deterministic fingerprints the repo already computes (profile / store /
 // trace / hist digests). A committed-baseline diff layer (baseline.go) turns
-// a sweep into a regression gate, and benchgate.go applies the same loud,
-// strict-parse discipline to the BENCH_*.json files so scripts/check.sh
-// never scrapes JSON with sed again.
+// a sweep into the one gate for virtual-time results: statuses, metrics and
+// fingerprints match exactly, and the perturbation and serving grids' cells
+// must also hold their overhead, tail-latency and throughput budgets.
+// benchgate.go applies the same strict parsing to the BENCH_*.json files,
+// which hold host wall-clock measurements.
 package harness
 
 import (

@@ -289,9 +289,10 @@ func traceCell(ctx context.Context, p Params) *CellResult {
 	return &CellResult{Metrics: metrics, Fingerprints: fps, Text: text.String(), Raw: res}
 }
 
-// traceovCell wraps the six-configuration trace-overhead sweep. Its
-// headline metrics use the same key names as BENCH_trace.json so the
-// slowdown tolerance bands read identically in both gates.
+// traceovCell wraps the six-configuration trace-overhead sweep. Its three
+// headline slowdowns are what the perturb grid's budgets gate; the rows
+// fingerprint covers every configuration's rendered row, which pins each
+// slowdown to two decimals.
 func traceovCell(ctx context.Context, p Params) *CellResult {
 	res := experiments.RunTraceOverhead(p.Ranks, p.Seed)
 	metrics := map[string]float64{}

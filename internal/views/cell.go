@@ -26,7 +26,7 @@ func BuildCell(c *harness.CellResult) *Report {
 	if data, err := json.Marshal(c.Params); err == nil {
 		s.AddFact("params", string(data))
 	}
-	if t := metricsTable("Metrics (virtual-time, deterministic)", c.Metrics, nil, nil); t != nil {
+	if t := metricsTable("Metrics (virtual-time, deterministic)", c.Metrics, nil); t != nil {
 		s.Tables = append(s.Tables, t)
 	}
 	if t := fingerprintTable(c.Fingerprints, nil); t != nil {
@@ -286,9 +286,9 @@ func BuildTraceOverhead(res *experiments.TraceOverheadResult) *Report {
 }
 
 // metricsTable renders a metric map sorted by key. When base is non-nil the
-// table carries the baseline value and the delta inline; tol supplies
-// per-metric tolerance bands for the verdict column.
-func metricsTable(caption string, m, base map[string]float64, tol map[string]float64) *Table {
+// table carries the baseline value, the delta and an exact-match verdict
+// inline.
+func metricsTable(caption string, m, base map[string]float64) *Table {
 	if len(m) == 0 && len(base) == 0 {
 		return nil
 	}
@@ -317,17 +317,11 @@ func metricsTable(caption string, m, base map[string]float64, tol map[string]flo
 			case !okV:
 				row = append(row, FmtFloat(want), "-", "MISSING")
 			default:
-				delta := v - want
 				verdict := "ok"
-				if d := delta; d < 0 {
-					d = -d
-					if d > tol[k] {
-						verdict = fmt.Sprintf("OUTSIDE ±%s", FmtFloat(tol[k]))
-					}
-				} else if d > tol[k] {
-					verdict = fmt.Sprintf("OUTSIDE ±%s", FmtFloat(tol[k]))
+				if v != want {
+					verdict = "MISMATCH"
 				}
-				row = append(row, FmtFloat(want), fmtDelta(delta), verdict)
+				row = append(row, FmtFloat(want), fmtDelta(v-want), verdict)
 			}
 		}
 		t.Rows = append(t.Rows, row)

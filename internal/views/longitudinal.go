@@ -213,7 +213,8 @@ func fingerprintChurn(prev, cur *TrendEntry) int {
 var headlineMetrics = []string{
 	"exec_s", "frames", "trace_records", "trace_sampled_out",
 	"req_per_s", "t_api_p99_us", "t_web_p99_us",
-	"degraded_slowdown_x", "adaptive_slowdown_pct", "full_trace_slowdown_pct",
+	"degraded_slowdown_x", "profile_slowdown_pct", "full_trace_slowdown_pct",
+	"adaptive_slowdown_pct",
 }
 
 // cellTrends renders one table per cell name: entries down, headline

@@ -38,7 +38,10 @@ func BuildSweep(res *harness.SweepResult, base *harness.Baseline) *Report {
 		if base != nil {
 			verdict := "NOT IN BASELINE"
 			if bc := baseCells[c.Name]; bc != nil {
-				verdict = cellVerdict(base, bc, c)
+				verdict = "match"
+				if n := len(harness.DiffCell(res.Grid, bc, c)); n > 0 {
+					verdict = fmt.Sprintf("%d MISMATCHES", n)
+				}
 			}
 			row = append(row, verdict)
 		}
@@ -70,20 +73,18 @@ func BuildSweep(res *harness.SweepResult, base *harness.Baseline) *Report {
 		}
 		var wantM map[string]float64
 		var wantF map[string]string
-		var tol map[string]float64
 		if base != nil {
 			if bc := baseCells[c.Name]; bc != nil {
 				wantM, wantF = bc.Metrics, bc.Fingerprints
 			} else {
 				wantM, wantF = map[string]float64{}, map[string]string{}
 			}
-			tol = base.MetricTol
 		}
 		caption := "Metrics"
 		if base != nil {
 			caption = "Metrics vs baseline"
 		}
-		if t := metricsTable(caption, c.Metrics, wantM, tol); t != nil {
+		if t := metricsTable(caption, c.Metrics, wantM); t != nil {
 			sec.Tables = append(sec.Tables, t)
 		}
 		if t := fingerprintTable(c.Fingerprints, wantF); t != nil {
@@ -91,47 +92,6 @@ func BuildSweep(res *harness.SweepResult, base *harness.Baseline) *Report {
 		}
 	}
 	return r
-}
-
-// cellVerdict summarises one cell's gate outcome for the status table.
-func cellVerdict(base *harness.Baseline, bc *harness.BaselineCell, c *harness.CellResult) string {
-	if c.Status != bc.Status {
-		return fmt.Sprintf("STATUS %q != baseline %q", c.Status, bc.Status)
-	}
-	bad := 0
-	for k, want := range bc.Metrics {
-		have, ok := c.Metrics[k]
-		if !ok {
-			bad++
-			continue
-		}
-		d := have - want
-		if d < 0 {
-			d = -d
-		}
-		if d > base.MetricTol[k] {
-			bad++
-		}
-	}
-	for k := range c.Metrics {
-		if _, ok := bc.Metrics[k]; !ok {
-			bad++
-		}
-	}
-	for k, want := range bc.Fingerprints {
-		if have, ok := c.Fingerprints[k]; !ok || have != want {
-			bad++
-		}
-	}
-	for k := range c.Fingerprints {
-		if _, ok := bc.Fingerprints[k]; !ok {
-			bad++
-		}
-	}
-	if bad > 0 {
-		return fmt.Sprintf("%d MISMATCHES", bad)
-	}
-	return "match"
 }
 
 // basePath names the baseline in the subtitle (falls back to the grid name

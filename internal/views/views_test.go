@@ -123,8 +123,8 @@ func TestSweepReportGolden(t *testing.T) {
 	res := fakeSweep()
 	base := harness.NewBaseline(fakeSweep())
 	base.Path = "testdata/sweeps/faketest.json"
-	// Perturb one metric outside its band and one fingerprint so the golden
-	// pins the mismatch rendering too.
+	// Perturb one metric and one fingerprint so the golden pins the
+	// mismatch rendering too.
 	res.Cells[0].Metrics["v"] = 9
 	res.Cells[1].Fingerprints["fp"] = "dead0123456789abcdef"
 	var buf bytes.Buffer
@@ -134,7 +134,7 @@ func TestSweepReportGolden(t *testing.T) {
 	checkGolden(t, "sweep_fixture.md", buf.Bytes())
 	out := buf.String()
 	for _, want := range []string{
-		"MISMATCH", "OUTSIDE", "+1", // the injected deviations, rendered inline
+		"| +1 | MISMATCH |", "MISMATCH (baseline", // the injected deviations, rendered inline
 		"testdata/sweeps/faketest.json",
 	} {
 		if !strings.Contains(out, want) {
@@ -143,6 +143,21 @@ func TestSweepReportGolden(t *testing.T) {
 	}
 	if strings.Contains(out, "120") && strings.Contains(out, "wall") {
 		t.Error("wall-clock content leaked into the report")
+	}
+}
+
+// TestSweepReportCountsGateLines pins the status verdict to the gate's own
+// per-cell diff, budgets included: cells that match their baseline but
+// lack the perturb grid's three budgeted slowdowns count three lines each.
+func TestSweepReportCountsGateLines(t *testing.T) {
+	res := fakeSweep()
+	res.Grid = "perturb"
+	var buf bytes.Buffer
+	if err := WriteMarkdown(&buf, BuildSweep(res, harness.NewBaseline(res))); err != nil {
+		t.Fatal(err)
+	}
+	if want := "| fake/r8-serial-none-off-s1 | ok | 1 | 3 MISMATCHES |"; !strings.Contains(buf.String(), want) {
+		t.Errorf("status row missing %q:\n%s", want, buf.String())
 	}
 }
 

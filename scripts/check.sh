@@ -16,11 +16,14 @@
 #                     concurrency surface)
 #   go test -fuzz -- the perfmon and tracepipe frame decoders, the libktau
 #                    /proc/ktau profile and trace decoders and ASCII profile
-#                    reader, and the Chrome trace-event writer (byte-equal to
-#                    encoding/json), 10s each
+#                    reader, the Chrome trace-event writer (byte-equal to
+#                    encoding/json), and the sweep-baseline and BENCH JSON
+#                    readers, 10s each
 #   ktau-sweep -- the smoke grid runs under a per-cell timeout and is diffed
 #                 against the committed baseline (testdata/sweeps/smoke.json),
-#                 as are the parscale, faultgrid and servegrid grids;
+#                 as are the parscale, faultgrid, servegrid, perturb and
+#                 serve16 grids; perturb and serve16 also hold the trace
+#                 overhead and serving tail/throughput budgets;
 #                 the cross-layer sweep report is diffed byte-for-byte against
 #                 the committed golden (testdata/views/smoke_report.md); the
 #                 longitudinal trend report must render from the committed
@@ -93,12 +96,18 @@ echo "== fuzz decoders (never panic; anything that decodes round-trips) and the 
 # anything it parses must re-write and re-parse to equal snapshots.
 # Both Chrome exports stream through ktrace.ChromeWriter, whose every event
 # must encode byte for byte as the encoding/json reference in its test does.
+# The sweep-baseline reader and the BENCH JSON flattener and parallel-bench
+# parser are seeded with the committed baselines and BENCH files; a baseline
+# or parallel-bench payload that loads must marshal and load again to an
+# equal value.
 go test ./internal/perfmon/ -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 10s
 go test ./internal/tracepipe/ -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 10s
 go test ./internal/libktau/ -run '^$' -fuzz '^FuzzDecodeProfiles$' -fuzztime 10s
 go test ./internal/libktau/ -run '^$' -fuzz '^FuzzDecodeTrace$' -fuzztime 10s
 go test ./internal/libktau/ -run '^$' -fuzz '^FuzzParseASCII$' -fuzztime 10s
 go test ./internal/ktrace/ -run '^$' -fuzz '^FuzzChromeEvent$' -fuzztime 10s
+go test ./internal/harness/ -run '^$' -fuzz '^FuzzFlattenJSON$' -fuzztime 10s
+go test ./internal/harness/ -run '^$' -fuzz '^FuzzLoadBaseline$' -fuzztime 10s
 
 echo "== go test -race (serving workload + serve serial/parallel cross-check) =="
 go test -race ./internal/tcpsim/ ./internal/servesim/
@@ -152,6 +161,19 @@ echo "== sweep servegrid (perfmon monitoring the serving workload) =="
 # testdata/sweeps/servegrid.json.
 go run ./cmd/ktau-sweep -grid servegrid -timeout 90s -gate
 
+echo "== sweep perturb (trace-pipeline perturbation study, overhead budgets) =="
+# The 16-rank traceov study, gated against testdata/sweeps/perturb.json and
+# held to the overhead budgets: profile <= 5%, full trace <= 25%, adaptive
+# < 5% slowdown in virtual time.
+go run ./cmd/ktau-sweep -grid perturb -timeout 90s -gate
+
+echo "== sweep serve16 (serving workload, tail and throughput budgets) =="
+# One serial 16-node serving run at seed 7, gated against
+# testdata/sweeps/serve16.json and held to its budgets: each tenant's p99
+# <= 1.25 x 16.253 ms, completed req/s >= 0.80 x 4972, a drained run, no
+# leaked connections and the rogue daemon fingered.
+go run ./cmd/ktau-sweep -grid serve16 -timeout 90s -gate
+
 echo "== longitudinal trend report (renders from testdata/longitudinal) =="
 trend_tmp=$(mktemp /tmp/ktau_trend_XXXXXX.md)
 tmpfiles="$tmpfiles $trend_tmp"
@@ -188,22 +210,14 @@ go run ./cmd/ktau-exp -exp trace -ranks 8 -trace-rate 0.25 -trace-out "$trace_ad
 echo "== benchmark smoke (writes BENCH_parallel.json) =="
 go test -run '^$' -bench BenchmarkParallelChiba -benchtime=1x .
 
-echo "== trace perturbation sweep (writes BENCH_trace.json) =="
-go test -run '^$' -bench BenchmarkTraceOverhead -benchtime=1x .
-
 echo "== core hot-path benchmarks (writes BENCH_core.json) =="
 go test -run '^$' -bench 'BenchmarkEngineThroughput|BenchmarkKtauEventPath|BenchmarkFrameEncode' -benchmem .
 go test -run '^$' -bench BenchmarkCoreHotPath -benchtime=1x .
 
-echo "== serving-workload benchmark (writes BENCH_serve.json) =="
-go test -run '^$' -bench BenchmarkServe -benchtime=1x .
-
 echo "== bench gate (strict-parse + thresholds on all BENCH_*.json) =="
 # Replaces the old sed/awk scraping: every gated file must exist, parse with
-# no duplicate keys, and hold its thresholds (profile <= 5%, full trace
-# <= 25%, adaptive < 5%, Chiba speedup >= 1.25x, serve p99 <= 1.25x and
-# throughput >= 0.80x of the recorded baselines). Missing or renamed keys
-# fail loudly instead of producing an empty capture.
+# no duplicate keys, and hold its thresholds (Chiba speedup >= 1.25x).
+# Missing or renamed keys fail loudly instead of producing an empty capture.
 #
 # BENCH_parallel.json gets the conditional multi-core speedup gate: every
 # row must have identical_results (enforced unconditionally), and on hosts
