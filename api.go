@@ -647,23 +647,10 @@ func RunFaultStudy(ranks int, seed uint64) *FaultStudy {
 
 // ---- multi-tenant serving workload (servesim) ----
 
-// ServeSpec configures the multi-tenant serving experiment: an open-loop
-// request workload monitored by the perfmon pipeline, with a noisy-neighbor
-// daemon planted on one server node.
-type ServeSpec = experiments.ServeSpec
-
 // ServeResult is the harvested serving run: per-tenant latency quantiles,
 // the merged latency store, the collector's kernel time-series, and the
 // tail-latency attribution for each tenant's worst server node.
 type ServeResult = experiments.ServeResult
-
-// DefaultServe returns the baseline two-tenant serving scenario for a
-// cluster of the given size (minimum 8 nodes; 8 logical clients per node).
-func DefaultServe(nodes int) ServeSpec { return experiments.DefaultServe(nodes) }
-
-// RunServe executes the serving scenario end to end and correlates each
-// tenant's worst request tails with the kernel's view of that node.
-func RunServe(spec ServeSpec) *ServeResult { return experiments.RunServe(spec) }
 
 // RunServeDefault runs the baseline scenario at the given cluster size.
 func RunServeDefault(nodes int, seed uint64) *ServeResult {
@@ -741,17 +728,6 @@ type ClusterTraceResult = experiments.ClusterTraceResult
 // traced Chiba run and returns the merged whole-cluster trace state.
 func RunClusterTrace(ranks int, seed uint64) *ClusterTraceResult {
 	return experiments.RunClusterTrace(ranks, seed)
-}
-
-// TraceOverheadResult quantifies the observation pipelines' own
-// perturbation (collection off / profile-only / full trace / sampled /
-// adaptive).
-type TraceOverheadResult = experiments.TraceOverheadResult
-
-// RunTraceOverhead reruns one Chiba workload under the collection
-// configurations of the perturbation sweep and reports each slowdown.
-func RunTraceOverhead(ranks int, seed uint64) *TraceOverheadResult {
-	return experiments.RunTraceOverhead(ranks, seed)
 }
 
 // ---- adaptive (always-on) tracing ----

@@ -238,7 +238,7 @@ func (c *Cluster) CrossCall(src, dst int, fn func()) {
 	c.Runner.Post(src, dst, at, fn)
 }
 
-// Shutdown releases all task goroutines on all nodes.
+// Shutdown unwinds every task on every node (see kernel.Kernel.Shutdown).
 func (c *Cluster) Shutdown() {
 	for _, n := range c.Nodes {
 		n.K.Shutdown()

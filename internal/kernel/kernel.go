@@ -203,8 +203,8 @@ func (k *Kernel) DevIRQEvent(src string) ktau.EventID {
 // Crash halts the node at the current virtual instant, as a power failure
 // or panic would: no further instruction executes. Every in-flight activity
 // — running work segments, pending interrupts, sleeps about to expire — is
-// silently discarded; task goroutines stay parked (and task states frozen)
-// until Shutdown releases them. Crash is what the fault layer calls for a
+// silently discarded; task programs stay suspended (and task states frozen)
+// until Shutdown unwinds them. Crash is what the fault layer calls for a
 // node-crash fault; it is irreversible.
 func (k *Kernel) Crash() {
 	if k.crashed {
@@ -261,18 +261,17 @@ func (k *Kernel) stretch(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * k.slow)
 }
 
-// Shutdown releases all parked task goroutines. After Shutdown the kernel
-// must not be used further; it exists so that tests and repeated experiment
-// runs do not leak goroutines.
+// Shutdown stops every task's coroutine: a suspended program unwinds, its
+// deferred functions run, and its goroutine is gone by the time Shutdown
+// returns. After Shutdown the kernel must not be used further; it exists so
+// that tests and repeated experiment runs do not leak goroutines.
 func (k *Kernel) Shutdown() {
 	if k.shutdown {
 		return
 	}
 	k.shutdown = true
 	for _, t := range k.order {
-		if t.grant != nil && t.state != StateZombie {
-			close(t.grant)
-		}
+		t.stop()
 	}
 }
 

@@ -1,6 +1,9 @@
 package kernel
 
 import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -429,16 +432,200 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestShutdownReleasesGoroutines(t *testing.T) {
-	eng, k := testKernel(t, 1, nil)
-	blocked := k.Spawn("stuck", func(u *UCtx) {
-		u.Sleep(time.Hour)
-	}, SpawnOpts{})
-	eng.RunUntil(sim.Time(int64(10 * time.Millisecond)))
-	if blocked.Exited() {
-		t.Fatal("task should still be sleeping")
+// parkedTasks spawns one task in each state a program can be suspended in
+// when Shutdown comes, runs k's engine until they have settled, then spawns
+// one more that is never dispatched. ran counts started programs and
+// unwound counts those whose deferred function has run.
+func parkedTasks(t *testing.T, eng *sim.Engine, k *Kernel, ran, unwound *int) {
+	t.Helper()
+	before := *ran
+	wq := NewWaitQueue("never")
+	body := func(f func(u *UCtx)) Program {
+		return func(u *UCtx) {
+			*ran++
+			defer func() { *unwound++ }()
+			f(u)
+		}
 	}
-	k.Shutdown() // must not deadlock; cleanup also calls it (idempotent)
+	k.Spawn("computing", body(func(u *UCtx) { u.Compute(time.Hour) }), SpawnOpts{})
+	k.Spawn("sleeping", body(func(u *UCtx) { u.Sleep(time.Hour) }), SpawnOpts{})
+	k.Spawn("waiting", body(func(u *UCtx) {
+		u.Syscall("sys_read", func(kc *KCtx) { kc.Wait(wq) })
+	}), SpawnOpts{})
+	k.Spawn("ksleeping", body(func(u *UCtx) {
+		u.Syscall("sys_nanosleep", func(kc *KCtx) { kc.Sleep(time.Hour) })
+	}), SpawnOpts{})
+	exited := k.Spawn("exited", body(func(u *UCtx) { u.Compute(time.Millisecond) }), SpawnOpts{})
+	eng.RunUntil(eng.Now().Add(20 * time.Millisecond))
+	if !exited.Exited() || *ran-before != 5 {
+		t.Fatalf("setup: exited=%v, %d programs started, want 5", exited.Exited(), *ran-before)
+	}
+	k.Spawn("fresh", body(func(u *UCtx) { u.Compute(time.Millisecond) }), SpawnOpts{})
+}
+
+func TestShutdownReleasesGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var ran, unwound int
+	eng, k := testKernel(t, 2, nil)
+	parkedTasks(t, eng, k, &ran, &unwound)
+	crashEng, crashed := testKernel(t, 2, nil)
+	parkedTasks(t, crashEng, crashed, &ran, &unwound)
+	crashed.Crash()
+	crashEng.RunUntil(crashEng.Now().Add(10 * time.Millisecond))
+
+	k.Shutdown()
+	crashed.Shutdown()
+	k.Shutdown() // idempotent; the cleanup calls it again too
+
+	// No polling: Shutdown returns only once every program has unwound.
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after Shutdown, %d before the tasks were spawned", n, base)
+	}
+	if ran != 10 || unwound != ran {
+		t.Errorf("%d programs started (want 10, the fresh ones never run), %d deferred functions ran", ran, unwound)
+	}
+}
+
+// TestTaskPanicLeavesThroughDeferredShutdown drives a kernel the way every
+// experiments entry point drives its cluster, with Shutdown deferred: the
+// task's panic leaves the engine through it, and every other task must
+// still be released.
+func TestTaskPanicLeavesThroughDeferredShutdown(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var ran, unwound int
+	eng, k := testKernel(t, 2, nil)
+	parkedTasks(t, eng, k, &ran, &unwound)
+	k.Spawn("boom", func(u *UCtx) {
+		u.Compute(time.Millisecond)
+		panic("workload bug")
+	}, SpawnOpts{})
+	r := func() (r any) {
+		defer func() { r = recover() }()
+		defer k.Shutdown()
+		for eng.Step() {
+		}
+		return nil
+	}()
+	if r != "workload bug" {
+		t.Fatalf("recovered %v, want the task's panic", r)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after Shutdown, %d before the tasks were spawned", n, base)
+	}
+	if unwound != ran {
+		t.Errorf("%d programs started, %d deferred functions ran", ran, unwound)
+	}
+}
+
+// handoffAccounting runs a workload that issues every request kind on a
+// two-CPU kernel, calling step to advance the engine, and returns the
+// tasks' and kernel's accounting.
+func handoffAccounting(t *testing.T, step func(*sim.Engine) bool) string {
+	eng, k := testKernel(t, 2, nil)
+	wq := NewWaitQueue("tokens")
+	tokens := 0
+	var tasks []*Task
+	for i := 0; i < 4; i++ {
+		tasks = append(tasks, k.Spawn(fmt.Sprintf("w%d", i), func(u *UCtx) {
+			for j := 0; j < 20; j++ {
+				u.Compute(time.Duration(1+i) * 700 * time.Microsecond)
+				u.Yield()
+				u.Syscall("sys_read", func(kc *KCtx) {
+					kc.Use(50 * time.Microsecond)
+					for tokens == 0 {
+						kc.Wait(wq)
+					}
+					tokens--
+				})
+				u.Sleep(300 * time.Microsecond)
+			}
+		}, SpawnOpts{}))
+	}
+	tasks = append(tasks, k.Spawn("producer", func(u *UCtx) {
+		for j := 0; j < 80; j++ {
+			u.Compute(400 * time.Microsecond)
+			u.Syscall("sys_write", func(kc *KCtx) {
+				tokens++
+				wq.WakeOne(k)
+			})
+		}
+	}, SpawnOpts{}))
+	for done := false; !done; {
+		done = true
+		for _, tk := range tasks {
+			done = done && tk.Exited()
+		}
+		if !done && !step(eng) {
+			t.Fatalf("engine ran dry at %v with tasks unfinished", eng.Now())
+		}
+	}
+	out := fmt.Sprintf("now=%v events=%d stats=%+v\n", eng.Now(), eng.EventCount, k.Stats)
+	for _, tk := range tasks {
+		out += fmt.Sprintf("%s end=%v user=%v kern=%v vol=%v/%d invol=%v/%d\n", tk.Name(), tk.EndAt,
+			tk.UserTime, tk.KernTime, tk.VolWait, tk.VolSwitches, tk.InvolWait, tk.InvolSwitches)
+	}
+	return out
+}
+
+// TestEngineStepsOnFreshGoroutines resumes task programs from a new
+// goroutine at every engine step, as the partitioned runner's workers
+// resume a group's tasks from whichever worker picks the group up. The
+// accounting must equal a run driven from one goroutine.
+func TestEngineStepsOnFreshGoroutines(t *testing.T) {
+	serial := handoffAccounting(t, (*sim.Engine).Step)
+	hopping := handoffAccounting(t, func(eng *sim.Engine) bool {
+		ch := make(chan bool)
+		go func() { ch <- eng.Step() }()
+		return <-ch
+	})
+	if serial != hopping {
+		t.Errorf("accounting differs:\none goroutine:\n%s\nfresh goroutine per step:\n%s", serial, hopping)
+	}
+}
+
+// TestBackToBackYieldsRunInConstantStack yields many times with nothing
+// else runnable on the CPU. Each such yield resumes the task at once; that
+// must not add engine stack frames.
+func TestBackToBackYieldsRunInConstantStack(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(8 << 20))
+	eng, k := testKernel(t, 1, nil)
+	const yields = 200000
+	n := 0
+	task := k.Spawn("yielder", func(u *UCtx) {
+		for ; n < yields; n++ {
+			u.Yield()
+		}
+	}, SpawnOpts{})
+	runUntilDone(t, eng, time.Second, task)
+	if n != yields || task.VolSwitches != 0 {
+		t.Errorf("%d yields, %d voluntary switches; want %d and 0", n, task.VolSwitches, yields)
+	}
+}
+
+// BenchmarkTaskHandoff measures one compute request's round trip on one
+// CPU: the program hands the request to the engine, the engine runs the
+// work segment's completion event and resumes the program.
+func BenchmarkTaskHandoff(b *testing.B) {
+	eng := sim.NewEngine()
+	p := DefaultParams()
+	p.NumCPUs = 1
+	p.CostJitter = 0
+	p.PageFaultRate = 0
+	k := NewKernel(eng, "bench", p, sim.NewRNG(1), ktau.Options{})
+	defer k.Shutdown()
+	task := k.Spawn("w", func(u *UCtx) {
+		for i := 0; i < b.N; i++ {
+			u.Compute(time.Microsecond)
+		}
+	}, SpawnOpts{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for !task.Exited() && eng.Step() {
+	}
+	b.StopTimer()
+	if !task.Exited() {
+		b.Fatal("engine ran dry before the task exited")
+	}
 }
 
 func TestKCtxSleepInsideSyscall(t *testing.T) {

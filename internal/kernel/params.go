@@ -11,9 +11,10 @@
 // paper describes, and measurement overhead feeds back into virtual time so
 // perturbation studies are faithful.
 //
-// Simulated processes are goroutines coupled to the engine by strict
-// unbuffered-channel handoffs: exactly one goroutine (engine or one task)
-// runs at any instant, so simulations are fully deterministic.
+// Simulated processes are coroutines of the engine (iter.Pull): the engine
+// resumes a task's program, which runs until its next request and hands
+// control back, so exactly one of them (engine or one task) runs at any
+// instant and simulations are fully deterministic.
 package kernel
 
 import "time"

@@ -112,7 +112,7 @@ func (k *Kernel) completeSwitch(c *CPU, t *Task) {
 
 // dispatch installs t as the current task on c and lets it continue:
 // resuming a preempted work segment, running a parked continuation, or
-// granting the task goroutine its next request.
+// resuming the task's program until its next request.
 func (k *Kernel) dispatch(c *CPU, t *Task) {
 	if c.curr != nil {
 		panic("kernel: dispatch onto busy CPU")

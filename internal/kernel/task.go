@@ -1,7 +1,15 @@
+//go:build go1.23
+
+// The constraint above sets this file's language version to go1.23, which
+// iter.Pull needs, while both go.mod files still say go 1.22: the benchmark
+// module's go line moves only with a change to the benchmark, and without
+// the constraint go vet rejects the import in both modules.
+
 package kernel
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"time"
 
@@ -73,10 +81,11 @@ func (k TaskKind) String() string {
 	}
 }
 
-// Program is the body of a simulated process. It runs on its own goroutine
-// and expresses all CPU consumption and kernel interaction through the UCtx
-// it receives; plain Go computation between UCtx calls takes zero virtual
-// time.
+// Program is the body of a simulated process. It runs as a coroutine of the
+// engine: every UCtx or KCtx call that consumes virtual time hands a request
+// to the engine and suspends the program until the engine resumes it. All
+// CPU consumption and kernel interaction goes through the UCtx it receives;
+// plain Go computation between those calls takes zero virtual time.
 type Program func(u *UCtx)
 
 type reqKind uint8
@@ -87,21 +96,18 @@ const (
 	reqWait
 	reqSleep
 	reqYield
-	reqExit
-	reqPanic
 )
 
 type request struct {
 	kind reqKind
 	d    time.Duration
 	wq   *WaitQueue
-	pv   any
 }
 
 type shutdownSentinel struct{}
 
-// errShutdown is panicked inside task goroutines when the kernel shuts down,
-// unwinding them cleanly.
+// errShutdown is panicked inside a task's program when the kernel shuts
+// down, unwinding it cleanly.
 var errShutdown = shutdownSentinel{}
 
 // Task is a simulated process: the analogue of a Linux task_struct, carrying
@@ -123,14 +129,17 @@ type Task struct {
 
 	// seg is the storage for the task's work segment (a task consumes at
 	// most one segment at a time, so t.work always points here when set);
-	// activateFn is the reusable "regrant the CPU" continuation. Both avoid
-	// a heap allocation per compute request.
+	// activateFn is the reusable "resume the program" continuation. Both
+	// avoid a heap allocation per compute request.
 	seg        workSeg
 	activateFn func()
 
-	grant chan struct{}
-	req   chan request
-	done  chan struct{}
+	// next resumes the program until its next request (ok is false once the
+	// program has returned); stop unwinds a suspended program; yield, held
+	// by the program's side, suspends it with a request.
+	next  func() (request, bool)
+	stop  func()
+	yield func(request) bool
 
 	kd  *ktau.TaskData
 	rng *sim.RNG
@@ -193,9 +202,6 @@ func (t *Task) LastCPU() int { return t.cpuID }
 // KD returns the task's KTAU measurement structure.
 func (t *Task) KD() *ktau.TaskData { return t.kd }
 
-// Done is closed when the task exits.
-func (t *Task) Done() <-chan struct{} { return t.done }
-
 // Exited reports whether the task has finished.
 func (t *Task) Exited() bool { return t.state == StateZombie }
 
@@ -240,36 +246,30 @@ func (t *Task) takeUserDebt() time.Duration {
 	return d
 }
 
-// ---- goroutine side of the coprocess protocol ----
+// ---- program side of the coroutine handoff ----
 
-func (t *Task) run() {
+// body is the task's coroutine: the program, with the shutdown unwind
+// absorbed so that stop returns normally. Any other panic leaves through
+// next, on the goroutine driving the engine.
+func (t *Task) body(yield func(request) bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(shutdownSentinel); ok {
-				return
+			if _, ok := r.(shutdownSentinel); !ok {
+				panic(r)
 			}
-			// Forward the panic to the engine goroutine, which is blocked
-			// waiting for this task's next request.
-			t.req <- request{kind: reqPanic, pv: r}
 		}
 	}()
-	t.await()
+	t.yield = yield
 	t.program(t.uctx)
-	t.req <- request{kind: reqExit}
 }
 
-// await parks until the engine grants the CPU.
-func (t *Task) await() {
-	_, ok := <-t.grant
-	if !ok || t.k.shutdown {
+// call hands a request to the engine and suspends the program until the
+// engine resumes it. yield reports false once Shutdown has stopped the
+// coroutine; the program then unwinds.
+func (t *Task) call(r request) {
+	if !t.yield(r) {
 		panic(errShutdown)
 	}
-}
-
-// call issues a request to the engine and parks until regranted.
-func (t *Task) call(r request) {
-	t.req <- r
-	t.await()
 }
 
 // ---- engine side ----
@@ -302,9 +302,6 @@ func (k *Kernel) Spawn(name string, program Program, opts SpawnOpts) *Task {
 		state:   StateSleeping,
 		cpuID:   -1,
 		program: program,
-		grant:   make(chan struct{}),
-		req:     make(chan request),
-		done:    make(chan struct{}),
 		rng:     k.rng.Stream(fmt.Sprintf("task/%s/%d", name, pid)),
 		StartAt: k.eng.Now(),
 	}
@@ -314,7 +311,7 @@ func (k *Kernel) Spawn(name string, program Program, opts SpawnOpts) *Task {
 	t.uctx = &UCtx{t: t, k: k}
 	k.tasks[pid] = t
 	k.order = append(k.order, t)
-	go t.run()
+	t.next, t.stop = iter.Pull(t.body)
 	k.Wake(t)
 	return t
 }
@@ -332,11 +329,22 @@ func (k *Kernel) Signal(t *Task, sig int) {
 	}
 }
 
-// activate grants the CPU to t's goroutine and handles its next request.
+// activate resumes t's program and handles its next request; a program that
+// has returned exits the task. A yield with nothing else runnable on the CPU
+// resumes the program again here, so back-to-back yields run in this loop
+// instead of deepening the engine's stack.
 func (k *Kernel) activate(t *Task) {
-	t.grant <- struct{}{}
-	r := <-t.req
-	k.handle(t, r)
+	for {
+		r, ok := t.next()
+		if !ok {
+			k.exitTask(k.cpus[t.cpuID], t)
+			return
+		}
+		if r.kind != reqYield || len(k.cpus[t.cpuID].rq) > 0 {
+			k.handle(t, r)
+			return
+		}
+	}
 }
 
 // handle processes one request from a running task.
@@ -379,10 +387,7 @@ func (k *Kernel) handle(t *Task, r request) {
 		k.blockCurrent(c, t)
 
 	case reqYield:
-		if len(c.rq) == 0 {
-			k.activate(t)
-			return
-		}
+		// activate resumed the task in place if nothing else was runnable.
 		t.markSwitchedOut(k.eng.Now(), SwitchVoluntary)
 		k.m.Entry(t.kd, k.evSchedVol)
 		t.state = StateRunnable
@@ -392,12 +397,6 @@ func (k *Kernel) handle(t *Task, r request) {
 		if next := k.pickTask(c); next != nil {
 			k.switchTo(c, next)
 		}
-
-	case reqExit:
-		k.exitTask(c, t)
-
-	case reqPanic:
-		panic(r.pv)
 
 	default:
 		panic(fmt.Sprintf("kernel: unknown request kind %d", r.kind))
@@ -419,7 +418,6 @@ func (k *Kernel) exitTask(c *CPU, t *Task) {
 	if c.curr == t {
 		c.curr = nil
 	}
-	close(t.done)
 	if next := k.pickTask(c); next != nil {
 		k.switchTo(c, next)
 	} else {

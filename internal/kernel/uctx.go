@@ -8,7 +8,8 @@ import (
 )
 
 // UCtx is the user-space execution context handed to a Program. All methods
-// must be called from the task's own goroutine.
+// must be called from the task's own program: the calls that take virtual
+// time suspend the program's coroutine until the engine resumes it.
 type UCtx struct {
 	t *Task
 	k *Kernel
@@ -89,7 +90,7 @@ func (u *UCtx) SetKtauCtx(ctx int32) {
 func (u *UCtx) KtauCtx() int32 { return u.t.kd.UserCtx() }
 
 // KCtx is the kernel-mode execution context available inside a system call
-// body. All methods must be called from the task's own goroutine.
+// body. All methods must be called from the task's own program, like UCtx's.
 type KCtx struct {
 	t *Task
 	k *Kernel

@@ -161,8 +161,8 @@ func (h calendar) heapify() {
 }
 
 // Engine is a deterministic discrete-event simulator. It is not safe for
-// concurrent use; simulated processes synchronise with the engine through
-// strict channel handoffs so that only one goroutine runs at a time.
+// concurrent use; simulated processes run as coroutines resumed from engine
+// callbacks, so only one goroutine runs at a time.
 type Engine struct {
 	now     Time
 	pq      calendar

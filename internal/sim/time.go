@@ -4,9 +4,10 @@
 // All components of the simulated cluster — CPUs, the scheduler, interrupt
 // controllers, NICs, and the KTAU measurement system itself — advance a
 // single virtual clock owned by an Engine. Exactly one goroutine executes
-// simulation logic at any instant (simulated processes hand control back and
-// forth with the engine over unbuffered channels), so a given configuration
-// and seed always produces bit-identical results.
+// simulation logic at any instant (simulated processes are coroutines that
+// the kernel resumes from engine callbacks and that hand control back with
+// their next request), so a given configuration and seed always produces
+// bit-identical results.
 package sim
 
 import (

@@ -9,11 +9,13 @@
 #                 root ./... skips; an internal API change that breaks the
 #                 benchmark fails here instead of only in the benchmark run
 #   go test -race  -- data-race check on the non-simulation packages
-#                     (packages driven by the discrete-event engine serialise
-#                     their goroutines through it, so the full suite under
-#                     -race is slow without adding coverage; the pure
-#                     data-structure packages are the ones with real
-#                     concurrency surface)
+#                     (packages driven by the discrete-event engine run their
+#                     tasks one at a time as coroutines of it, so the full
+#                     suite under -race is slow without adding coverage; the
+#                     pure data-structure packages are the ones with real
+#                     concurrency surface), and on the kernel itself, whose
+#                     task coroutines the partitioned runner's workers resume
+#                     from whichever goroutine picks a group up
 #   go test -fuzz -- the perfmon and tracepipe frame decoders, the libktau
 #                    /proc/ktau profile and trace decoders and ASCII profile
 #                    reader, the Chrome trace-event writer (byte-equal to
@@ -63,20 +65,26 @@ go test -race ./internal/analysis/ ./internal/ktau/ ./internal/ktrace/ ./interna
 echo "== go test -race (fault injection + pipeline + shared transport) =="
 go test -race ./internal/faultsim/ ./internal/ship/ ./internal/perfmon/
 
-echo "== go test -race (partitioned runner + cluster + serial/parallel cross-check) =="
-# The sim package covers the partitioned runner itself (latency-matrix
-# partitioning, epoch rendezvous, merge order, zero-alloc steady state). Its
-# concurrency tests then repeat ten times: the merge-order property posts
-# from six goroutines while the runner is quiescent, and the serial/parallel
-# identity and lowest-engine-panic tests hand groups to worker goroutines.
+echo "== go test -race (kernel coroutines + partitioned runner + cluster + serial/parallel cross-check) =="
+# The kernel package covers the task coroutines (iter.Pull) the runner's
+# workers resume; the sim package covers the partitioned runner itself
+# (latency-matrix partitioning, epoch rendezvous, merge order, zero-alloc
+# steady state). Their concurrency tests then repeat ten times: the
+# merge-order property posts from six goroutines while the runner is
+# quiescent, the serial/parallel identity and lowest-engine-panic tests hand
+# groups to worker goroutines, one kernel test resumes its tasks from a new
+# goroutine at every engine step, and two check that Shutdown has unwound
+# every task (also after a task's panic) before it returns.
 # The experiments cross-checks pin byte identity of the full monitored,
 # fault-injected workloads against serial on both the flat topology (one
 # group per node, 4 workers) and a racked one with a group per rack, at
 # workers {2, 3, 8} — more groups than workers, workers that don't divide
 # groups, and more workers than groups.
-go test -race ./internal/sim/ ./internal/cluster/
+go test -race ./internal/kernel/ ./internal/sim/ ./internal/cluster/
 go test -race -count=10 ./internal/sim/ \
     -run 'TestRunnerMergeOrderProperty|SerialParallelIdentical|PanicLowestEngineWins'
+go test -race -count=10 ./internal/kernel/ \
+    -run 'TestEngineStepsOnFreshGoroutines|TestShutdownReleasesGoroutines|TestTaskPanicLeavesThroughDeferredShutdown'
 go test -race ./internal/experiments/ -run TestParallelMatchesSerialByteForByte
 
 echo "== go test -race (trace pipeline + cluster-trace determinism) =="
