@@ -60,7 +60,9 @@ func refChromeTrace(tl []Event, hz int64, pid int) ([]byte, error) {
 
 // hostileNames need every kind of escaping encoding/json does: quotes,
 // backslashes, control characters, HTML-sensitive bytes, invalid UTF-8 and
-// the JavaScript line separators.
+// the JavaScript line separators. DEL, the last byte encoding/json writes as
+// itself, and valid non-ASCII UTF-8, which it also writes unescaped, pin
+// both edges of the writer's plain-byte table.
 var hostileNames = []string{
 	"sys_writev",
 	`do_IRQ["timer"]`,
@@ -69,6 +71,8 @@ var hostileNames = []string{
 	"<script>a&b</script>",
 	"bad\xffutf8\xc3",
 	"line\u2028sep\u2029para",
+	"del\x7fete",
+	"caf\u00e9",
 	"",
 }
 
@@ -87,6 +91,12 @@ func TestWriteChromeTraceMatchesReference(t *testing.T) {
 		Event{TSC: math.MaxInt64, Name: "far", Kind: ktau.KindAtomic, Val: math.MaxInt64},
 		Event{TSC: math.MinInt64, Name: "before", Kind: ktau.KindAtomic, Val: math.MinInt64},
 	)
+	// One name per byte value, each between plain bytes, so every entry of
+	// the writer's plain-byte table is judged on its own.
+	var everyByte []Event
+	for c := 0; c < 256; c++ {
+		everyByte = append(everyByte, Event{TSC: int64(c), Name: string([]byte{'a', byte(c), 'z'}), Kind: ktau.KindEntry})
+	}
 	cases := []struct {
 		name string
 		tl   []Event
@@ -95,6 +105,7 @@ func TestWriteChromeTraceMatchesReference(t *testing.T) {
 		{"empty", nil, 450_000_000},
 		{"sample", sampleTimeline(), 450_000_000},
 		{"hostile", tl, 450_000_000},
+		{"every byte", everyByte, 450_000_000},
 		{"sub-microsecond", tl, 2_000_000_000_000},
 		{"tiny", tl, math.MaxInt64},
 		{"huge", tl, 1},
@@ -141,20 +152,26 @@ func TestChromeWriterReturnsFirstWriteError(t *testing.T) {
 // FuzzChromeEvent requires the streaming writer to produce exactly the
 // bytes encoding/json produces for the reference struct, for any field
 // values, and to fail exactly when encoding/json fails (a NaN or infinite
-// timestamp).
+// timestamp). Each input is written as four events stamped ts, ts, ts2 and
+// ts, so the writer's reuse of the previous timestamp's text is judged
+// both where the bits repeat and where they do not.
 func FuzzChromeEvent(f *testing.F) {
 	for i, name := range hostileNames {
-		f.Add(name, "kernel", "B", "", "name", name, "value", 0.0, i, 2*i+1, 0, int64(-i), uint8(i%3))
+		f.Add(name, "kernel", "B", "", "name", name, "value", 0.0, 0.0, i, 2*i+1, 0, int64(-i), uint8(i%3))
 	}
-	for _, ts := range []float64{0, math.Copysign(0, -1), 1e-6, 9.99e-7, 1e-7, -5e-300, 1.5, 123456.789,
-		9.999999999999999e20, 1e21, -1e21, 1.7e308, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		f.Add("MPI_msg", "mpi", "s", "e", "src", "dst", "bytes", ts, 3, 6, 7, int64(4096), uint8(2))
+	// Each timestamp is paired with the next, so among the pairs are 0 and
+	// -0 (equal as numbers, different bits and text) and the two sides of
+	// the 1e21 switch to exponent form.
+	tss := []float64{0, math.Copysign(0, -1), 1e-6, 9.99e-7, 1e-7, -5e-300, 1.5, 123456.789,
+		9.999999999999999e20, 1e21, -1e21, 1.7e308, math.NaN(), math.Inf(1), math.Inf(-1)}
+	for i, ts := range tss {
+		f.Add("MPI_msg", "mpi", "s", "e", "src", "dst", "bytes", ts, tss[(i+1)%len(tss)], 3, 6, 7, int64(4096), uint8(2))
 	}
 	for _, n := range []int{math.MinInt, -1, math.MaxInt} {
-		f.Add("thread_name", "", "M", "", "sort_index", "<&>", "value", 0.0, n, n, n, int64(n), uint8(2))
+		f.Add("thread_name", "", "M", "", "sort_index", "<&>", "value", 0.0, 1.0, n, n, n, int64(n), uint8(2))
 	}
-	f.Add("x", "", "i", "", "same", "key", "same", 1.0, 0, 0, 0, int64(math.MinInt64), uint8(2))
-	f.Fuzz(func(t *testing.T, name, cat, ph, bp, key1, str1, key2 string, ts float64, pid, tid, id int, int2 int64, nargs uint8) {
+	f.Add("x", "", "i", "", "same", "key", "same", 1.0, 1.0, 0, 0, 0, int64(math.MinInt64), uint8(2))
+	f.Fuzz(func(t *testing.T, name, cat, ph, bp, key1, str1, key2 string, ts, ts2 float64, pid, tid, id int, int2 int64, nargs uint8) {
 		ref := chromeEvent{Name: name, Cat: cat, Phase: ph, TS: ts, PID: pid, TID: tid, ID: id, BindPt: bp}
 		switch nargs % 3 {
 		case 1:
@@ -170,12 +187,16 @@ func FuzzChromeEvent(f *testing.F) {
 				ev.Args = append(ev.Args, ChromeArg{Key: k, Int: v.(int64)})
 			}
 		}
+		ref2, ev2 := ref, ev
+		ref2.TS, ev2.TS = ts2, ts2
 
 		var want bytes.Buffer
-		wantErr := json.NewEncoder(&want).Encode([]chromeEvent{ref, ref})
+		wantErr := json.NewEncoder(&want).Encode([]chromeEvent{ref, ref, ref2, ref})
 		var got bytes.Buffer
 		cw := NewChromeWriter(&got)
 		cw.Event(&ev)
+		cw.Event(&ev)
+		cw.Event(&ev2)
 		cw.Event(&ev)
 		gotErr := cw.Close()
 		if (gotErr != nil) != (wantErr != nil) {

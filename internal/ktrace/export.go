@@ -49,15 +49,19 @@ const chromeChunk = 64 << 10
 // structs: fields in ChromeEvent order under the keys name, cat, ph, ts,
 // pid, tid, id, bp and args, the fields documented as omitted when empty
 // tagged omitempty, Args as a map[string]any (so keys come out sorted), and
-// a trailing newline. Every distinct string is quoted once, by
-// encoding/json itself, so escaping matches by construction.
+// a trailing newline. A string made only of bytes encoding/json writes as
+// themselves is copied between quotes; every other distinct string is quoted
+// once, by encoding/json itself, so escaping matches by construction. A
+// timestamp with the same bits as the previous one reuses its text.
 type ChromeWriter struct {
 	w      io.Writer
 	buf    []byte
 	events int
 	err    error
-	quoted map[string][]byte // JSON literal of every string seen so far
+	quoted map[string][]byte // JSON literal of every escaped string seen so far
 	args   []ChromeArg       // scratch for sorting an event's args
+	tsBits uint64            // bits of the last timestamp written
+	ts     []byte            // its JSON text
 }
 
 // NewChromeWriter opens a trace-event array on w.
@@ -65,7 +69,10 @@ func NewChromeWriter(w io.Writer) *ChromeWriter {
 	// One event never exceeds a quarter chunk unless its strings are long,
 	// so a flushed buffer almost never has to grow.
 	buf := make([]byte, 0, chromeChunk+chromeChunk/4)
-	return &ChromeWriter{w: w, buf: append(buf, '['), quoted: make(map[string][]byte)}
+	return &ChromeWriter{
+		w: w, buf: append(buf, '['), quoted: make(map[string][]byte),
+		tsBits: math.Float64bits(math.NaN()), // Event writes no NaN
+	}
 }
 
 // Event appends one event. After a write error, or a timestamp JSON cannot
@@ -92,7 +99,13 @@ func (cw *ChromeWriter) Event(ev *ChromeEvent) {
 	b = append(b, `,"ph":`...)
 	b = cw.appendString(b, ev.Phase)
 	b = append(b, `,"ts":`...)
-	b = appendFloat(b, ev.TS)
+	if bits := math.Float64bits(ev.TS); bits == cw.tsBits {
+		b = append(b, cw.ts...)
+	} else {
+		n := len(b)
+		b = appendFloat(b, ev.TS)
+		cw.tsBits, cw.ts = bits, append(cw.ts[:0], b[n:]...)
+	}
 	b = append(b, `,"pid":`...)
 	b = strconv.AppendInt(b, int64(ev.PID), 10)
 	b = append(b, `,"tid":`...)
@@ -144,7 +157,29 @@ func (cw *ChromeWriter) flush() {
 	cw.buf = cw.buf[:0]
 }
 
+// jsonPlain marks the bytes encoding/json writes inside a string as
+// themselves: 0x20 to 0x7f, less the quote and backslash it escapes, and the
+// <, > and & it escapes for HTML.
+var jsonPlain = func() (plain [256]bool) {
+	for c := 0x20; c <= 0x7f; c++ {
+		plain[c] = true
+	}
+	for _, c := range []byte(`"\<>&`) {
+		plain[c] = false
+	}
+	return plain
+}()
+
 func (cw *ChromeWriter) appendString(b []byte, s string) []byte {
+	i := 0
+	for i < len(s) && jsonPlain[s[i]] {
+		i++
+	}
+	if i == len(s) {
+		b = append(b, '"')
+		b = append(b, s...)
+		return append(b, '"')
+	}
 	q, ok := cw.quoted[s]
 	if !ok {
 		// The cache keeps its own copy, so the caller's strings never

@@ -1,6 +1,8 @@
 package promfmt
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -81,4 +83,25 @@ func TestLintCatchesDeviations(t *testing.T) {
 			t.Errorf("Lint(%q): want a violation containing %q, got %v", c.doc, c.want, v)
 		}
 	}
+}
+
+// FuzzLint: Lint never panics, whatever the bytes. Its seeds are the
+// committed exports of both pipelines, which must lint clean.
+func FuzzLint(f *testing.F) {
+	for _, path := range []string{
+		filepath.Join("..", "perfmon", "testdata", "export.prom"),
+		filepath.Join("..", "tracepipe", "testdata", "crash.prom"),
+	} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if v := Lint(data); len(v) != 0 {
+			f.Fatalf("%s: committed export does not lint clean: %v", path, v)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		Lint(data)
+	})
 }

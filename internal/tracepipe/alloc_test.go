@@ -33,9 +33,9 @@ func TestAppendFrameAllocsAmortized(t *testing.T) {
 
 // TestWriteChromeTraceAllocsIndependentOfRecords pins the Chrome export's
 // allocations to the collector's shape (streams, distinct names, flows),
-// not to its record count: references are sorted in one slice and events
-// stream through one reused buffer, so 100 and 10 000 records cost the
-// same allocations.
+// not to its record count: references are placed into one slice by way of
+// one slice of bucket bounds, and events stream through one reused buffer,
+// so 100 and 10 000 records cost the same allocations.
 func TestWriteChromeTraceAllocsIndependentOfRecords(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not reproducible under -race")

@@ -131,33 +131,83 @@ type recRef struct {
 // before kernel) and then by arrival, so (segment, position) is each
 // record's place in its stream's records concatenated in stream order.
 // That is a total order, so the result is the stable sort by TSC of the
-// streams concatenated in order, whatever the sort algorithm and whether or
-// not each stream is TSC-ordered; it is byte-identical however many workers
-// drove the simulation and in whatever order frames arrived.
+// streams concatenated in order, whether or not each stream is TSC-ordered;
+// it is byte-identical however many workers drove the simulation and in
+// whatever order frames arrived.
+//
+// Kernel streams arrive unsorted (records land behind later-stamped ones of
+// their own stream), so the order is placed rather than merged: one pass
+// finds the TSC range, a counting pass sizes power-of-two-wide TSC buckets,
+// about one per four records, and a placement pass writes each reference
+// into its bucket in (segment, position) order. Buckets partition the TSC
+// range in order, so only each bucket's few references are left to sort on
+// the full key; a bucket that takes every record is the one comparison sort
+// of them all.
 func mergeOrder(segs []exportSeg) ([]recRef, error) {
 	n := 0
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	for _, s := range segs {
 		n += len(s.recs)
+		for i := range s.recs {
+			lo, hi = min(lo, s.recs[i].TSC), max(hi, s.recs[i].TSC)
+		}
 	}
 	if len(segs) > math.MaxInt32 || n > math.MaxInt32 {
 		return nil, fmt.Errorf("tracepipe: %d records in %d segments exceed the export's int32 references", n, len(segs))
 	}
-	refs := make([]recRef, 0, n)
-	for si, s := range segs {
-		for pos := range s.recs {
-			refs = append(refs, recRef{tsc: s.recs[pos].TSC, seg: int32(si), pos: int32(pos)})
+	refs := make([]recRef, n)
+	if n == 0 {
+		return refs, nil
+	}
+
+	// Bucket b holds the TSCs lo + [b<<shift, (b+1)<<shift). Offsets from lo
+	// are taken unsigned: two int64 TSCs can be up to 2^64-1 apart.
+	span, want := uint64(hi)-uint64(lo), uint64(max(1, n/4))
+	shift := uint(0)
+	for span>>shift >= want {
+		shift++
+	}
+	// next[b] counts bucket b's references, then becomes the index its next
+	// reference goes to, so once every reference is placed it is where
+	// bucket b ends and bucket b+1 starts.
+	next := make([]int32, span>>shift+1)
+	for _, s := range segs {
+		for i := range s.recs {
+			next[(uint64(s.recs[i].TSC)-uint64(lo))>>shift]++
 		}
 	}
-	slices.SortFunc(refs, func(a, b recRef) int {
-		if c := cmp.Compare(a.tsc, b.tsc); c != 0 {
-			return c
+	start := int32(0)
+	for b, count := range next {
+		next[b] = start
+		start += count
+	}
+	for si, s := range segs {
+		for pos := range s.recs {
+			tsc := s.recs[pos].TSC
+			b := (uint64(tsc) - uint64(lo)) >> shift
+			refs[next[b]] = recRef{tsc: tsc, seg: int32(si), pos: int32(pos)}
+			next[b]++
 		}
-		if c := cmp.Compare(a.seg, b.seg); c != 0 {
-			return c
+	}
+	start = 0
+	for _, end := range next {
+		if end-start > 1 {
+			slices.SortFunc(refs[start:end], compareRefs)
 		}
-		return cmp.Compare(a.pos, b.pos)
-	})
+		start = end
+	}
 	return refs, nil
+}
+
+// compareRefs orders references by (TSC, segment, position).
+func compareRefs(a, b recRef) int {
+	if c := cmp.Compare(a.tsc, b.tsc); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.seg, b.seg); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.pos, b.pos)
 }
 
 // trackID maps one ring's stream onto a Chrome thread track: each task gets

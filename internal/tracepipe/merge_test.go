@@ -2,8 +2,12 @@ package tracepipe
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
+	"math/rand"
 	"sort"
 	"sync"
 	"testing"
@@ -59,13 +63,50 @@ func refMerged(c *Collector) []refMergedEvent {
 	return out
 }
 
+// checkMergeOrder exports the collector and requires its record events to
+// be the reference merge's, in the reference's order.
+func checkMergeOrder(t *testing.T, c *Collector) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := c.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got := exportedRecords(t, buf.Bytes())
+
+	ref := refMerged(c)
+	var want []chromeRecord
+	for _, e := range ref {
+		phase := map[ktau.RecordKind]string{ktau.KindEntry: "B", ktau.KindExit: "E", ktau.KindAtomic: "i"}[e.rec.Kind]
+		if phase == "" {
+			continue
+		}
+		cat := "user"
+		if e.key.Kernel {
+			cat = "kernel"
+		}
+		want = append(want, chromeRecord{
+			Name: e.rec.Name, Cat: cat, Phase: phase,
+			TS:  float64(e.rec.TSC-ref[0].rec.TSC) / float64(c.hz) * 1e6,
+			PID: e.key.NodeIdx, TID: trackID(e.key.PID, e.key.Kernel),
+		})
+	}
+	if len(got) != len(want) {
+		t.Fatalf("exported %d record events, reference has %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d = %+v, reference %+v", i, got[i], want[i])
+		}
+	}
+}
+
 // TestMergeOrderMatchesStableSort pins the export's record order to the
-// reference merge on TSC ties across nodes, pids and the user/kernel
+// reference merge: on TSC ties across nodes, pids and the user/kernel
 // layers, on records split over several frames arriving out of node order,
-// and on a stream whose records are not in TSC order.
+// on streams whose records are not in TSC order, on the extreme int64 TSCs,
+// and on a reversed burst in a narrow TSC range beside one far outlier,
+// which puts almost every record in one bucket.
 func TestMergeOrderMatchesStableSort(t *testing.T) {
-	const hz = 1_000_000
-	c := NewCollector(3, hz)
 	kinds := []ktau.RecordKind{ktau.KindEntry, ktau.KindAtomic, ktau.KindExit, 0}
 	seq := 0 // names every record uniquely, so the order check is exact
 	stream := func(node, pid int, kernel bool, tscs ...int64) Stream {
@@ -79,60 +120,137 @@ func TestMergeOrderMatchesStableSort(t *testing.T) {
 		}
 		return s
 	}
-	frames := []Frame{
-		{NodeIdx: 2, Streams: []Stream{
-			stream(2, 4, true, 300, 100, 200, 100, 50), // not TSC-ordered
-			stream(2, 4, false, 100, 100),
+	burst := make([]int64, 300)
+	for i := range burst {
+		burst[i] = int64(1000 - i/3) // descending, three records per TSC
+	}
+	cases := []struct {
+		name   string
+		frames []Frame
+	}{
+		{"ties, splits and unordered streams", []Frame{
+			{NodeIdx: 2, Streams: []Stream{
+				stream(2, 4, true, 300, 100, 200, 100, 50), // not TSC-ordered
+				stream(2, 4, false, 100, 100),
+			}},
+			{NodeIdx: 0, Streams: []Stream{
+				stream(0, 7, true, 100, 150),
+				stream(0, 7, false, 100, 200),
+				stream(0, 3, false, 100, 100, 250),
+			}},
+			{NodeIdx: 1, Streams: []Stream{
+				stream(1, 1, true, 100, 200, 300),
+			}},
+			{NodeIdx: 0, Streams: []Stream{
+				stream(0, 7, true, 90, 100), // a later frame of the same stream
+				stream(0, 3, true, 100),
+			}},
 		}},
-		{NodeIdx: 0, Streams: []Stream{
-			stream(0, 7, true, 100, 150),
-			stream(0, 7, false, 100, 200),
-			stream(0, 3, false, 100, 100, 250),
+		{"all TSCs equal", []Frame{
+			{NodeIdx: 1, Streams: []Stream{stream(1, 2, true, 5, 5, 5), stream(1, 2, false, 5, 5)}},
+			{NodeIdx: 0, Streams: []Stream{stream(0, 9, false, 5, 5), stream(0, 1, true, 5)}},
+			{NodeIdx: 1, Streams: []Stream{stream(1, 2, true, 5, 5), stream(1, 1, false, 5, 5, 5, 5)}},
 		}},
-		{NodeIdx: 1, Streams: []Stream{
-			stream(1, 1, true, 100, 200, 300),
+		{"extreme TSCs", []Frame{
+			{NodeIdx: 0, Streams: []Stream{
+				stream(0, 1, false, math.MaxInt64, math.MinInt64, 0, math.MaxInt64, -1, math.MinInt64),
+				stream(0, 1, true, math.MinInt64, math.MinInt64+1, math.MaxInt64-1, math.MaxInt64),
+			}},
+			{NodeIdx: 1, Streams: []Stream{stream(1, 1, false, math.MaxInt64, 1, math.MinInt64)}},
 		}},
-		{NodeIdx: 0, Streams: []Stream{
-			stream(0, 7, true, 90, 100), // a later frame of the same stream
-			stream(0, 3, true, 100),
+		{"reversed burst beside a far outlier", []Frame{
+			{NodeIdx: 0, Streams: []Stream{stream(0, 1, true, burst[:150]...), stream(0, 1, false, 1<<40)}},
+			{NodeIdx: 1, Streams: []Stream{stream(1, 1, true, burst[150:]...)}},
+			{NodeIdx: 0, Streams: []Stream{stream(0, 1, true, burst...)}},
 		}},
 	}
-	for _, f := range frames {
-		c.Ingest(f, 0)
-	}
-
-	var buf bytes.Buffer
-	if err := c.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got := exportedRecords(t, buf.Bytes())
-
-	ref := refMerged(c)
-	base := ref[0].rec.TSC
-	var want []chromeRecord
-	for _, e := range ref {
-		phase := map[ktau.RecordKind]string{ktau.KindEntry: "B", ktau.KindExit: "E", ktau.KindAtomic: "i"}[e.rec.Kind]
-		if phase == "" {
-			continue
-		}
-		cat := "user"
-		if e.key.Kernel {
-			cat = "kernel"
-		}
-		want = append(want, chromeRecord{
-			Name: e.rec.Name, Cat: cat, Phase: phase,
-			TS:  float64(e.rec.TSC-base) / hz * 1e6,
-			PID: e.key.NodeIdx, TID: trackID(e.key.PID, e.key.Kernel),
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCollector(3, 1_000_000)
+			for _, f := range tc.frames {
+				c.Ingest(f, 0)
+			}
+			checkMergeOrder(t, c)
 		})
 	}
-	if len(got) != len(want) {
-		t.Fatalf("exported %d record events, reference has %d", len(got), len(want))
+}
+
+// fuzzFrames turns fuzzer bytes into one single-stream frame per chunk. A
+// chunk's first byte picks the stream (one of three nodes, two pids and
+// both layers) and the segment's length, 1 to 16 records; each following
+// byte stamps one record: with the previous record's TSC, whatever its
+// stream (ties across nodes, pids and layers); a small signed step from it
+// (narrow and reversed runs); the next eight bytes as an int64; or
+// MinInt64 or MaxInt64.
+func fuzzFrames(data []byte) []Frame {
+	var frames []Frame
+	var tsc int64
+	seq := 0
+	kinds := []ktau.RecordKind{ktau.KindEntry, ktau.KindAtomic, ktau.KindExit}
+	for len(data) > 0 {
+		h := data[0]
+		data = data[1:]
+		s, n := int(h%12), 1+int(h/12)%16
+		node := s / 4
+		st := Stream{PID: 1 + s/2%2, Task: "t", Kernel: s%2 == 1}
+		for ; n > 0 && len(data) > 0; n-- {
+			op := data[0]
+			data = data[1:]
+			switch op % 4 {
+			case 1:
+				tsc += int64(int8(op)) >> 2
+			case 2:
+				var raw [8]byte
+				data = data[copy(raw[:], data):]
+				tsc = int64(binary.BigEndian.Uint64(raw[:]))
+			case 3:
+				tsc = math.MaxInt64
+				if op&4 != 0 {
+					tsc = math.MinInt64
+				}
+			}
+			seq++
+			st.Recs = append(st.Recs, Rec{TSC: tsc, Name: fmt.Sprintf("#%d", seq), Kind: kinds[seq%len(kinds)]})
+		}
+		frames = append(frames, Frame{NodeIdx: node, Streams: []Stream{st}})
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("event %d = %+v, reference %+v", i, got[i], want[i])
+	return frames
+}
+
+// FuzzMergeOrder requires the export's record order to equal the reference
+// merge's on any frames fuzzFrames builds.
+func FuzzMergeOrder(f *testing.F) {
+	f.Add([]byte{0x00, 0x00})
+	ties := []byte{}
+	for s := byte(0); s < 12; s++ {
+		ties = append(ties, 12*3+s, 0, 0, 0, 0) // four records at TSC 0 on every stream
+	}
+	f.Add(ties)
+	// MaxInt64, MinInt64 and a tie with it, MaxInt64, MinInt64, MinInt64+1;
+	// then on another node MinInt64, MaxInt64, MaxInt64-1.
+	extremes := []byte{12*7 + 3, 3, 7, 0, 3, 7, 2, 0x80, 0, 0, 0, 0, 0, 0, 1}
+	f.Add(append(extremes, 12*2+6, 7, 3, 2, 0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfe))
+	// One record at 2^36, then 207 records stepping down from 4096 across
+	// every stream: almost all of them share the lowest bucket.
+	burst := []byte{12*15 + 1, 2, 0, 0, 0, 0x10, 0, 0, 0, 0}
+	burst = append(burst, 2, 0, 0, 0, 0, 0, 0, 0x10, 0)
+	for i := 0; i < 14; i++ {
+		burst = append(burst, 0xfd) // step -1
+	}
+	for s := byte(0); s < 12; s++ {
+		burst = append(burst, 12*15+s)
+		for i := 0; i < 16; i++ {
+			burst = append(burst, 0xfd)
 		}
 	}
+	f.Add(burst)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := NewCollector(3, 1_000_000)
+		for _, fr := range fuzzFrames(data) {
+			c.Ingest(fr, 0)
+		}
+		checkMergeOrder(t, c)
+	})
 }
 
 // totalsWriter calls back into the collector on every write, as a writer
@@ -238,5 +356,87 @@ func TestLoopbackIngestCopiesAgentBuffer(t *testing.T) {
 	}
 	if n := len(exportedRecords(t, after.Bytes())); n != 6 {
 		t.Fatalf("export holds %d records, want 6", n)
+	}
+}
+
+// exportShapedCollector builds a collector shaped like a live-traced Chiba
+// LU run's, scaled down: a user and a kernel stream per task, each shipped
+// round by round in segments of 64 to 127 records, 25 record names, about
+// 40% of records sharing the TSC of their stream's previous record, and
+// about 13% of records late: stamped just before a record up to 200
+// positions earlier in their stream. Each node also logs one matched MPI
+// send and receive per round.
+func exportShapedCollector(nodes, tasks, recsPerStream int) *Collector {
+	rng := rand.New(rand.NewSource(1))
+	names := make([]string, 25)
+	for i := range names {
+		names[i] = fmt.Sprintf("sys_call_%02d", i)
+	}
+	kinds := []ktau.RecordKind{ktau.KindEntry, ktau.KindExit, ktau.KindAtomic}
+	type stream struct {
+		pid    int
+		kernel bool
+		recs   []Rec
+	}
+	streams := make([][]stream, nodes)
+	for node := range streams {
+		for pid := 1; pid <= tasks; pid++ {
+			for _, kernel := range []bool{false, true} {
+				recs := make([]Rec, recsPerStream)
+				tsc := int64(rng.Intn(1000))
+				for i := range recs {
+					if rng.Intn(10) >= 4 {
+						tsc += 1 + int64(rng.Intn(2000))
+					}
+					recs[i] = Rec{TSC: tsc, Name: names[rng.Intn(len(names))], Kind: kinds[rng.Intn(len(kinds))], Val: int64(i)}
+					if i > 0 && rng.Intn(100) < 13 {
+						recs[i].TSC = recs[i-1-rng.Intn(min(i, 200))].TSC - 1
+					}
+				}
+				streams[node] = append(streams[node], stream{pid: pid, kernel: kernel, recs: recs})
+			}
+		}
+	}
+	c := NewCollector(nodes, 450_000_000)
+	for round := 0; ; round++ {
+		shipped := false
+		for node := range streams {
+			f := Frame{NodeIdx: node, Round: round}
+			for i := range streams[node] {
+				s := &streams[node][i]
+				n := min(len(s.recs), 64+rng.Intn(64))
+				if n == 0 {
+					continue
+				}
+				f.Streams = append(f.Streams, Stream{PID: s.pid, Task: "lu.A", Kernel: s.kernel, Recs: s.recs[:n:n]})
+				s.recs = s.recs[n:]
+			}
+			if len(f.Streams) == 0 {
+				continue
+			}
+			shipped = true
+			peer := (node + 1) % nodes
+			f.Msgs = []Msg{
+				{Src: node, Dst: peer, Seq: uint64(round), Send: true, PID: 1, EndTSC: f.Streams[0].Recs[0].TSC},
+				{Src: (node + nodes - 1) % nodes, Dst: node, Seq: uint64(round), PID: 1, EndTSC: f.Streams[0].Recs[0].TSC + 1},
+			}
+			c.Ingest(f, 1)
+		}
+		if !shipped {
+			return c
+		}
+	}
+}
+
+// BenchmarkWriteChromeTrace prices the export layer alone: one Chrome
+// export of a 16-node collector holding 131 072 records.
+func BenchmarkWriteChromeTrace(b *testing.B) {
+	c := exportShapedCollector(16, 4, 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.WriteChromeTrace(io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

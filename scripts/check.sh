@@ -19,8 +19,10 @@
 #   go test -fuzz -- the perfmon and tracepipe frame decoders, the libktau
 #                    /proc/ktau profile and trace decoders and ASCII profile
 #                    reader, the Chrome trace-event writer (byte-equal to
-#                    encoding/json), and the sweep-baseline and BENCH JSON
-#                    readers, 10s each
+#                    encoding/json), the cluster trace's merge order (equal
+#                    to a stable sort), the sweep-baseline and BENCH JSON
+#                    readers, the Prometheus exposition linter and the
+#                    longitudinal history reader, 10s each
 #   ktau-sweep -- the smoke grid runs under a per-cell timeout and is diffed
 #                 against the committed baseline (testdata/sweeps/smoke.json),
 #                 as are the parscale, faultgrid, servegrid, perturb and
@@ -103,19 +105,33 @@ echo "== fuzz decoders (never panic; anything that decodes round-trips) and the 
 # every truncation of it and the inputs that once crashed or stalled it;
 # anything it parses must re-write and re-parse to equal snapshots.
 # Both Chrome exports stream through ktrace.ChromeWriter, whose every event
-# must encode byte for byte as the encoding/json reference in its test does.
+# must encode byte for byte as the encoding/json reference in its test does,
+# also where it reuses the previous timestamp's text. The cluster export's
+# bucketed merge must give the record order of a stable sort by TSC on any
+# frames: arbitrary and extreme TSCs, ties across nodes, pids and layers,
+# and bursts that put almost every record in one bucket.
 # The sweep-baseline reader and the BENCH JSON flattener and parallel-bench
 # parser are seeded with the committed baselines and BENCH files; a baseline
 # or parallel-bench payload that loads must marshal and load again to an
-# equal value.
-go test ./internal/perfmon/ -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 10s
-go test ./internal/tracepipe/ -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 10s
-go test ./internal/libktau/ -run '^$' -fuzz '^FuzzDecodeProfiles$' -fuzztime 10s
-go test ./internal/libktau/ -run '^$' -fuzz '^FuzzDecodeTrace$' -fuzztime 10s
-go test ./internal/libktau/ -run '^$' -fuzz '^FuzzParseASCII$' -fuzztime 10s
-go test ./internal/ktrace/ -run '^$' -fuzz '^FuzzChromeEvent$' -fuzztime 10s
-go test ./internal/harness/ -run '^$' -fuzz '^FuzzFlattenJSON$' -fuzztime 10s
-go test ./internal/harness/ -run '^$' -fuzz '^FuzzLoadBaseline$' -fuzztime 10s
+# equal value. The exposition linter is seeded with both pipelines'
+# committed Prometheus exports, which must lint clean, and must never panic;
+# the history reader is seeded with testdata/longitudinal, and a history it
+# loads must append and load again to equal entries.
+# Minimizing is capped at 100 runs per new input: a 60 s default spent on a
+# seed of several kilobytes left the JSON readers' 10 s with a few dozen
+# runs.
+fuzz() { go test "$1" -run '^$' -fuzz "^$2\$" -fuzztime 10s -fuzzminimizetime 100x; }
+fuzz ./internal/perfmon/ FuzzDecodeFrame
+fuzz ./internal/tracepipe/ FuzzDecodeFrame
+fuzz ./internal/tracepipe/ FuzzMergeOrder
+fuzz ./internal/libktau/ FuzzDecodeProfiles
+fuzz ./internal/libktau/ FuzzDecodeTrace
+fuzz ./internal/libktau/ FuzzParseASCII
+fuzz ./internal/ktrace/ FuzzChromeEvent
+fuzz ./internal/harness/ FuzzFlattenJSON
+fuzz ./internal/harness/ FuzzLoadBaseline
+fuzz ./internal/promfmt/ FuzzLint
+fuzz ./internal/views/ FuzzLoadTrend
 
 echo "== go test -race (serving workload + serve serial/parallel cross-check) =="
 go test -race ./internal/tcpsim/ ./internal/servesim/
