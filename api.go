@@ -721,15 +721,6 @@ func DecodeTraceFrame(b []byte) (TraceFrame, error) { return tracepipe.DecodeFra
 // /proc/ktau/trace (libKtau).
 type TraceDump = libktau.TraceDump
 
-// ClusterTraceResult is the outcome of one traced cluster run.
-type ClusterTraceResult = experiments.ClusterTraceResult
-
-// RunClusterTrace executes the standard fault-injected, live-monitored,
-// traced Chiba run and returns the merged whole-cluster trace state.
-func RunClusterTrace(ranks int, seed uint64) *ClusterTraceResult {
-	return experiments.RunClusterTrace(ranks, seed)
-}
-
 // ---- adaptive (always-on) tracing ----
 
 // TracePolicy is one node's trace-collection policy: which event groups the
@@ -753,29 +744,6 @@ func TraceFullPolicy() TracePolicy { return tracepipe.FullPolicy() }
 // collector-driven focus loop.
 func AdaptiveTraceConfig(rate float64) *TracePipeConfig {
 	return experiments.AdaptiveTraceConfig(rate)
-}
-
-// RunClusterTraceAdaptive is RunClusterTrace with the adaptive pipeline:
-// sampling at the given base rate, backlog throttling, and the focus loop.
-func RunClusterTraceAdaptive(ranks int, seed uint64, rate float64) *ClusterTraceResult {
-	return experiments.RunClusterTraceAdaptive(ranks, seed, rate)
-}
-
-// TraceDetectionResult pairs the online detector's verdict with the
-// trace-side evidence for one collection configuration.
-type TraceDetectionResult = experiments.TraceDetectionResult
-
-// RunTraceDetection plants the §5.1 OS-noise daemon on one node of a
-// monitored, traced run and reports how both views see it under the given
-// trace configuration (nil = full tracing).
-func RunTraceDetection(ranks int, seed uint64, noisy int, tcfg *TracePipeConfig) *TraceDetectionResult {
-	return experiments.RunTraceDetection(ranks, seed, noisy, tcfg)
-}
-
-// TraceChibaSpec returns the standard configuration for a traced cluster
-// run (shared by RunClusterTrace, tests, and the check.sh smoke step).
-func TraceChibaSpec(ranks int, seed uint64) (ChibaSpec, LiveOptions) {
-	return experiments.TraceChibaSpec(ranks, seed)
 }
 
 // ---- sweep harness (cmd/ktau-sweep) ----

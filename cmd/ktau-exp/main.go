@@ -13,7 +13,8 @@
 //
 // The scenario experiments (faults, serve, trace, traceov) are thin wrappers
 // over the sweep-harness specs that cmd/ktau-sweep grids over; running them
-// here executes exactly one cell and prints its rendered report.
+// here executes exactly one cell and prints its rendered report. trace is
+// the chiba spec under the degraded fault plan with a trace mode.
 package main
 
 import (
@@ -32,6 +33,7 @@ import (
 	"time"
 
 	"ktau"
+	"ktau/internal/experiments"
 )
 
 type runner func(ranks int, out io.Writer) error
@@ -59,12 +61,13 @@ var fixedScale = map[string]bool{
 // the merged cluster trace there and validates the emitted JSON.
 var traceOut string
 
-// traceRate / traceAdaptive select the adaptive pipeline for the trace
-// experiment: -trace-adaptive (or any -trace-rate below 1) swaps in
-// sampling, backlog throttling and the collector-driven focus loop.
+// traceRate / traceMode select the trace experiment's pipeline: "full",
+// or "adaptive" (sampling at traceRate, backlog throttling and the
+// collector-driven focus loop) under -trace-adaptive or any -trace-rate
+// below 1.
 var (
-	traceRate     float64
-	traceAdaptive bool
+	traceRate float64
+	traceMode string
 )
 
 // expParallel / expWorkers / expRacks mirror -parallel / -workers / -racks
@@ -150,14 +153,27 @@ func runExpCell(exp string, ranks int, mutate func(*ktau.SweepParams)) (*ktau.Sw
 	return cell, nil
 }
 
-// runTrace executes the traced cluster run and, with -trace-out, writes the
-// merged Chrome trace and verifies it: the file must parse as JSON and
-// contain at least one correlated MPI flow event.
+// selectTraceMode maps -trace-adaptive and -trace-rate onto the chiba
+// cell's trace axis, rejecting a rate outside (0, 1] instead of mapping it
+// silently onto some pipeline.
+func selectTraceMode(adaptive bool, rate float64) (string, error) {
+	if err := experiments.CheckTraceRate(rate); err != nil {
+		return "", fmt.Errorf("-trace-rate: %w", err)
+	}
+	if adaptive || rate < 1 {
+		return "adaptive", nil
+	}
+	return "full", nil
+}
+
+// runTrace executes the traced cluster run — a chiba cell under the
+// degraded fault plan — and, with -trace-out, writes the merged Chrome
+// trace and verifies it with checkTrace.
 func runTrace(ranks int, out io.Writer) error {
-	cell, err := runExpCell("trace", ranks, func(p *ktau.SweepParams) {
-		p.Trace = "full"
-		if traceAdaptive || traceRate < 1 {
-			p.Trace = "adaptive"
+	cell, err := runExpCell("chiba", ranks, func(p *ktau.SweepParams) {
+		p.Faults = "degraded"
+		p.Trace = traceMode
+		if traceMode == "adaptive" {
 			p.Rate = traceRate
 		}
 	})
@@ -170,38 +186,64 @@ func runTrace(ranks int, out io.Writer) error {
 	if traceOut == "" {
 		return nil
 	}
-	res := cell.Raw.(*ktau.ClusterTraceResult)
 	f, err := os.Create(traceOut)
 	if err != nil {
 		return err
 	}
-	werr := res.WriteTrace(f)
+	werr := cell.Raw.(*ktau.LiveResult).Trace.Store().WriteChromeTrace(f)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
 	if werr != nil {
 		return werr
 	}
-	blob, err := os.ReadFile(traceOut)
+	f, err = os.Open(traceOut)
 	if err != nil {
 		return err
 	}
-	var events []map[string]any
-	if err := json.Unmarshal(blob, &events); err != nil {
-		return fmt.Errorf("emitted trace is not valid JSON: %w", err)
+	defer f.Close()
+	events, flows, err := checkTrace(f)
+	if err != nil {
+		return err
 	}
-	flows := 0
-	for _, e := range events {
-		if ph, _ := e["ph"].(string); ph == "s" {
+	fmt.Fprintf(out, "wrote %s: %d events, %d flow events (valid JSON)\n",
+		traceOut, events, flows)
+	return nil
+}
+
+// checkTrace streams an emitted Chrome trace one event at a time, so memory
+// stays flat in the trace's size, and counts its events and MPI flow
+// starts ("ph":"s"). The trace must be a single JSON array of event objects
+// with nothing after it, holding at least one flow event.
+func checkTrace(r io.Reader) (events, flows int, err error) {
+	dec := json.NewDecoder(r)
+	tok, err := dec.Token()
+	if err != nil {
+		return 0, 0, fmt.Errorf("emitted trace is not valid JSON: %w", err)
+	}
+	if tok != json.Delim('[') {
+		return 0, 0, fmt.Errorf("emitted trace is not a JSON array")
+	}
+	for dec.More() {
+		var ev map[string]any
+		if err := dec.Decode(&ev); err != nil {
+			return 0, 0, fmt.Errorf("emitted trace is not valid JSON: %w", err)
+		}
+		events++
+		if ph, _ := ev["ph"].(string); ph == "s" {
 			flows++
 		}
 	}
-	if flows == 0 {
-		return fmt.Errorf("emitted trace contains no MPI flow events")
+	if _, err := dec.Token(); err != nil {
+		return 0, 0, fmt.Errorf("emitted trace is not valid JSON: %w", err)
 	}
-	fmt.Fprintf(out, "wrote %s: %d events, %d flow events (valid JSON)\n",
-		traceOut, len(events), flows)
-	return nil
+	if _, err := dec.Token(); err != io.EOF {
+		return 0, 0, fmt.Errorf("emitted trace has data after its closing ]")
+	}
+	if flows == 0 {
+		return 0, 0, fmt.Errorf("emitted trace contains no MPI flow events")
+	}
+	return events, flows, nil
 }
 
 func main() {
@@ -215,14 +257,21 @@ func main() {
 	flag.StringVar(&traceOut, "trace-out", "",
 		"write the merged cluster trace (Perfetto-loadable JSON) to this file (trace experiment)")
 	flag.Float64Var(&traceRate, "trace-rate", 1,
-		"adaptive sampling rate for the trace experiment (below 1 enables the adaptive pipeline)")
-	flag.BoolVar(&traceAdaptive, "trace-adaptive", false,
+		"adaptive sampling rate for the trace experiment, 0 < rate <= 1 (below 1 enables the adaptive pipeline)")
+	traceAdaptive := flag.Bool("trace-adaptive", false,
 		"run the trace experiment with the adaptive pipeline (sampling, throttling, focus loop)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken at exit to this file")
 	flag.StringVar(&reportOut, "report", "",
 		"write a cross-layer performance report (.html or .md) for the experiment (single experiment only)")
 	flag.Parse()
+
+	mode, err := selectTraceMode(*traceAdaptive, traceRate)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ktau-exp:", err)
+		os.Exit(2)
+	}
+	traceMode = mode
 
 	ranksSet := false
 	flag.Visit(func(f *flag.Flag) {

@@ -40,7 +40,7 @@ import (
 func main() {
 	var (
 		gridName  = flag.String("grid", "", "named grid to run (see -list)")
-		exp       = flag.String("exp", "", "spec for an ad-hoc grid (chiba|faults|serve|trace|traceov)")
+		exp       = flag.String("exp", "", "spec for an ad-hoc grid (chiba|faults|serve|traceov)")
 		ranks     = flag.String("ranks", "", "ranks axis, e.g. 8,16 (default 8)")
 		racks     = flag.String("racks", "", "racks axis: 0 = flat network, N > 1 = N racks (partitions the runner; default 0)")
 		workers   = flag.String("workers", "", "workers axis: 0 = serial, N = parallel with N workers (default 0)")

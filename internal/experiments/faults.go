@@ -97,13 +97,19 @@ func RunFaultStudy(ranks int, seed uint64) *FaultStudy {
 
 	study.Clean = RunChibaLive(spec, LiveOptions{})
 	study.Degraded = RunChibaLive(spec, LiveOptions{Faults: &study.DegradedPlan})
-	// The crash leaves surviving ranks blocked on the dead peer forever, so
-	// the job deadline is tight and the pipeline runs a bounded number of
-	// rounds past the failover instead of waiting for the job.
-	crashOpts := LiveOptions{Faults: &study.CrashPlan, JobDeadline: 3 * time.Second}
-	crashOpts.PerfMon.Rounds = 25
+	crashOpts := LiveOptions{Faults: &study.CrashPlan}
+	boundCrash(&crashOpts)
 	study.Crash = RunChibaLive(spec, crashOpts)
 	return study
+}
+
+// boundCrash bounds a CrashPlan run. The crash leaves surviving ranks
+// blocked on the dead peer forever, so the job deadline is tight and the
+// pipeline runs a bounded number of rounds past the failover instead of
+// waiting for the job.
+func boundCrash(opts *LiveOptions) {
+	opts.JobDeadline = 3 * time.Second
+	opts.PerfMon.Rounds = 25
 }
 
 // Render prints the comparison.

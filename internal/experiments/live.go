@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"ktau/internal/cluster"
@@ -38,6 +39,68 @@ type LiveOptions struct {
 	// profile fingerprints) can still read node state like packed
 	// /proc/ktau profiles.
 	Observe func(*cluster.Cluster, *LiveResult)
+}
+
+// LiveChiba returns the monitored Chiba run every live entry point shares
+// (the sweep's chiba cells, ktau-exp's trace experiment, the perturbation
+// study and the detection check): NPB LU at one rank per node for 4
+// iterations, perfmon shipping every 20 ms, under the named fault plan and
+// trace mode.
+//
+// faults is "none" (or ""), "degraded" (DegradedPlan) or "crash" (CrashPlan,
+// with the job and the pipeline bounded). trace is "off" (or ""), "full" or
+// "adaptive": both trace modes enable 4096-record rings and ship every
+// 25 ms; adaptive samples at the base rate (0 selects 0.25) with the
+// throttle thresholds tightened so the fault plans drive the state machine
+// through degrade/recover transitions. An unknown plan or mode, or an
+// adaptive rate outside (0, 1], is an error.
+func LiveChiba(ranks int, seed uint64, faults, trace string, rate float64) (ChibaSpec, LiveOptions, error) {
+	spec := DefaultChiba(ranks, 1)
+	spec.Seed = seed
+	spec.Iters = 4
+	opts := LiveOptions{PerfMon: perfmon.Config{Interval: 20 * time.Millisecond}}
+	switch faults {
+	case "", "none":
+	case "degraded":
+		plan := DegradedPlan(ranks, seed)
+		opts.Faults = &plan
+	case "crash":
+		plan := CrashPlan(seed)
+		opts.Faults = &plan
+		boundCrash(&opts)
+	default:
+		return ChibaSpec{}, LiveOptions{}, fmt.Errorf("unknown fault plan %q (none|degraded|crash)", faults)
+	}
+	switch trace {
+	case "", "off":
+		return spec, opts, nil
+	case "full":
+		opts.Trace = &tracepipe.Config{Interval: traceInterval}
+	case "adaptive":
+		if rate == 0 {
+			rate = 0.25
+		}
+		if err := CheckTraceRate(rate); err != nil {
+			return ChibaSpec{}, LiveOptions{}, err
+		}
+		cfg := AdaptiveTraceConfig(rate)
+		cfg.Adaptive.ThrottleHigh = 512
+		cfg.Adaptive.ThrottleLow = 128
+		opts.Trace = cfg
+	default:
+		return ChibaSpec{}, LiveOptions{}, fmt.Errorf("unknown trace mode %q (off|full|adaptive)", trace)
+	}
+	spec.TraceCapacity = 4096
+	return spec, opts, nil
+}
+
+// CheckTraceRate rejects an adaptive base sampling rate outside (0, 1],
+// NaN included.
+func CheckTraceRate(rate float64) error {
+	if rate > 0 && rate <= 1 {
+		return nil
+	}
+	return fmt.Errorf("bad adaptive rate %g (want 0 < rate <= 1)", rate)
 }
 
 // LiveNodeData is one node's kernel activity as the online store saw it,

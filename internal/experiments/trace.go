@@ -8,9 +8,7 @@ import (
 	"ktau/internal/analysis"
 	"ktau/internal/ktau"
 	"ktau/internal/mpisim"
-	"ktau/internal/perfmon"
 	"ktau/internal/tracepipe"
-	"ktau/internal/workload"
 )
 
 // wireTraceSources points a tracepipe deployment at the MPI job: each node's
@@ -82,23 +80,17 @@ func wireTraceSources(cfg *tracepipe.Config, spec ChibaSpec, w *mpisim.World) {
 	}
 }
 
-// TraceChibaSpec returns the standard configuration for a traced cluster
-// run: a fault-injected (DegradedPlan), live-monitored Chiba job with both
-// kernel and user trace rings enabled, the profile pipeline and the trace
-// pipeline shipping over the same simulated network. Shared by
-// RunClusterTrace, the determinism test and the check.sh smoke step so they
-// all exercise the same path.
+// traceInterval is the collection interval of every traced run's ktraced
+// agents.
+const traceInterval = 25 * time.Millisecond
+
+// TraceChibaSpec is the standard traced cluster run: LiveChiba under
+// DegradedPlan with the full trace pipeline, so the kernel and user trace
+// rings, the profile pipeline and the trace pipeline all ship over the
+// same faulty network. ktau-exp's trace experiment and the perfbench
+// lu_traced workload run this configuration.
 func TraceChibaSpec(ranks int, seed uint64) (ChibaSpec, LiveOptions) {
-	spec := DefaultChiba(ranks, 1)
-	spec.Seed = seed
-	spec.Iters = 4
-	spec.TraceCapacity = 4096
-	plan := DegradedPlan(ranks, seed)
-	opts := LiveOptions{
-		PerfMon: perfmon.Config{Interval: 20 * time.Millisecond},
-		Faults:  &plan,
-		Trace:   &tracepipe.Config{Interval: 25 * time.Millisecond},
-	}
+	spec, opts, _ := LiveChiba(ranks, seed, "degraded", "full", 0) // valid names: no error
 	return spec, opts
 }
 
@@ -109,7 +101,7 @@ func TraceChibaSpec(ranks int, seed uint64) (ChibaSpec, LiveOptions) {
 // detector's store and rank prefix automatically).
 func AdaptiveTraceConfig(rate float64) *tracepipe.Config {
 	return &tracepipe.Config{
-		Interval: 25 * time.Millisecond,
+		Interval: traceInterval,
 		Adaptive: &tracepipe.Adaptive{
 			Base: tracepipe.Policy{Groups: ktau.GroupAll, Rate: rate},
 		},
@@ -117,76 +109,22 @@ func AdaptiveTraceConfig(rate float64) *tracepipe.Config {
 	}
 }
 
-// AdaptiveChibaSpec is TraceChibaSpec with the adaptive pipeline swapped in,
-// throttle thresholds tightened so the fault plan actually drives the state
-// machine through degrade/recover transitions. Shared by the adaptive
-// determinism test and RunClusterTraceAdaptive.
-func AdaptiveChibaSpec(ranks int, seed uint64, rate float64) (ChibaSpec, LiveOptions) {
-	spec, opts := TraceChibaSpec(ranks, seed)
-	cfg := AdaptiveTraceConfig(rate)
-	cfg.Adaptive.ThrottleHigh = 512
-	cfg.Adaptive.ThrottleLow = 128
-	opts.Trace = cfg
-	return spec, opts
-}
-
-// ClusterTraceResult is the outcome of one traced cluster run.
-type ClusterTraceResult struct {
-	Live *LiveResult
-	// Records / MsgEvents total what the collector ingested.
-	Records   uint64
-	MsgEvents uint64
-	// SampledOut totals the records the sampling policies discarded (0 on
-	// non-adaptive runs).
-	SampledOut uint64
-	// Flows are the correlated MPI send→recv pairs.
-	Flows []tracepipe.Flow
-	// Stats are the per-node pipeline self-metrics (loss, drops, backlog).
-	Stats []tracepipe.NodeStats
-}
-
-func clusterTraceResult(live *LiveResult) *ClusterTraceResult {
-	store := live.Trace.Store()
-	recs, msgs := store.Totals()
-	return &ClusterTraceResult{
-		Live:       live,
-		Records:    recs,
-		MsgEvents:  msgs,
-		SampledOut: store.SampledOut(),
-		Flows:      store.Flows(),
-		Stats:      store.Stats(),
+// RenderTrace prints a traced run's summary: collection volume, flow
+// correlation, and per-node pipeline self-metrics. It prints nothing for a
+// run without the trace pipeline.
+func (r *LiveResult) RenderTrace(w io.Writer) {
+	if r.Trace == nil {
+		return
 	}
-}
-
-// RunClusterTrace executes the standard traced cluster run (fault-injected,
-// live-monitored) and returns the merged whole-cluster trace state.
-func RunClusterTrace(ranks int, seed uint64) *ClusterTraceResult {
-	spec, opts := TraceChibaSpec(ranks, seed)
-	return clusterTraceResult(RunChibaLive(spec, opts))
-}
-
-// RunClusterTraceAdaptive is RunClusterTrace with the adaptive pipeline:
-// sampling at the given base rate, backlog throttling, and the
-// collector-driven focus loop.
-func RunClusterTraceAdaptive(ranks int, seed uint64, rate float64) *ClusterTraceResult {
-	spec, opts := AdaptiveChibaSpec(ranks, seed, rate)
-	return clusterTraceResult(RunChibaLive(spec, opts))
-}
-
-// WriteTrace writes the merged whole-cluster Chrome trace (Perfetto-loadable).
-func (r *ClusterTraceResult) WriteTrace(w io.Writer) error {
-	return r.Live.Trace.Store().WriteChromeTrace(w)
-}
-
-// Render prints the traced run's summary: collection volume, flow
-// correlation, and per-node self-metrics.
-func (r *ClusterTraceResult) Render(w io.Writer) {
+	st := r.Trace.Store()
+	recs, msgs := st.Totals()
 	fmt.Fprintf(w, "Cluster trace: %d records, %d MPI endpoint events, %d correlated flows, %d sampled out\n",
-		r.Records, r.MsgEvents, len(r.Flows), r.SampledOut)
+		recs, msgs, len(st.Flows()), st.SampledOut())
 	fmt.Fprintf(w, "collector=node%d failovers=%d drained=%v\n",
-		r.Live.Trace.CollectorNode(), r.Live.Trace.Failovers(), r.TraceDrainedOK())
-	rows := make([][]string, 0, len(r.Stats))
-	for _, s := range r.Stats {
+		r.Trace.CollectorNode(), r.Trace.Failovers(), r.TraceDrained)
+	stats := st.Stats()
+	rows := make([][]string, 0, len(stats))
+	for _, s := range stats {
 		rows = append(rows, []string{
 			s.Node,
 			fmt.Sprintf("%d", s.Frames),
@@ -207,9 +145,6 @@ func (r *ClusterTraceResult) Render(w io.Writer) {
 		"ReadErrs", "Drops a/s", "BacklogPk", "WireBytes", "Down",
 	}, rows)
 }
-
-// TraceDrainedOK reports whether the trace pipeline fully drained.
-func (r *ClusterTraceResult) TraceDrainedOK() bool { return r.Live.TraceDrained }
 
 // ---- Perturbation study: tracing overhead (the method of Tables 2-4
 // applied to the pipeline itself, as STaKTAU does for the profiler) ----
@@ -257,9 +192,9 @@ func (t *TraceOverheadResult) Row(config string) *TraceOverheadRow {
 // configurations and reports the per-layer slowdown. The adaptive row is
 // the ROADMAP target: Profile+Trace(adaptive) must stay under 5%.
 func RunTraceOverhead(ranks int, seed uint64) *TraceOverheadResult {
-	base := DefaultChiba(ranks, 1)
-	base.Seed = seed
-	base.Iters = 4
+	// Both runs are fault-free; the names are valid, so neither call errs.
+	base, profOpts, _ := LiveChiba(ranks, seed, "none", "off", 0)
+	traced, fullOpts, _ := LiveChiba(ranks, seed, "none", "full", 0)
 
 	res := &TraceOverheadResult{Ranks: ranks}
 
@@ -269,9 +204,7 @@ func RunTraceOverhead(ranks int, seed uint64) *TraceOverheadResult {
 	res.Rows = append(res.Rows, TraceOverheadRow{Config: "Off", Exec: off.Exec})
 
 	// Profile: perfmon agents ship profile deltas while the job runs.
-	prof := RunChibaLive(base, LiveOptions{
-		PerfMon: perfmon.Config{Interval: 20 * time.Millisecond},
-	})
+	prof := RunChibaLive(base, profOpts)
 	var profWire uint64
 	for _, n := range prof.LiveNodes {
 		profWire += n.WireBytes
@@ -283,12 +216,9 @@ func RunTraceOverhead(ranks int, seed uint64) *TraceOverheadResult {
 	// Traced configurations: ktraced agents drain and ship records
 	// alongside the profile pipeline, under one policy per row.
 	runTraced := func(name string, rate float64, adaptive bool, tcfg *tracepipe.Config) {
-		tspec := base
-		tspec.TraceCapacity = 4096
-		trace := RunChibaLive(tspec, LiveOptions{
-			PerfMon: perfmon.Config{Interval: 20 * time.Millisecond},
-			Trace:   tcfg,
-		})
+		opts := fullOpts
+		opts.Trace = tcfg
+		trace := RunChibaLive(traced, opts)
 		var wire uint64
 		for _, n := range trace.LiveNodes {
 			wire += n.WireBytes
@@ -304,19 +234,16 @@ func RunTraceOverhead(ranks int, seed uint64) *TraceOverheadResult {
 		})
 	}
 
-	runTraced("Profile+Trace", 1, false,
-		&tracepipe.Config{Interval: 25 * time.Millisecond})
+	runTraced("Profile+Trace", 1, false, fullOpts.Trace)
 	for _, rate := range []float64{0.25, 0.05} {
 		// Fixed-rate rows isolate the sampling effect: throttling disabled
 		// (MaxLevel -1), no focus loop.
-		runTraced(fmt.Sprintf("Profile+Trace(r=%g)", rate), rate, false,
-			&tracepipe.Config{
-				Interval: 25 * time.Millisecond,
-				Adaptive: &tracepipe.Adaptive{
-					Base:     tracepipe.Policy{Groups: ktau.GroupAll, Rate: rate},
-					MaxLevel: -1,
-				},
-			})
+		cfg := *fullOpts.Trace
+		cfg.Adaptive = &tracepipe.Adaptive{
+			Base:     tracepipe.Policy{Groups: ktau.GroupAll, Rate: rate},
+			MaxLevel: -1,
+		}
+		runTraced(fmt.Sprintf("Profile+Trace(r=%g)", rate), rate, false, &cfg)
 	}
 	runTraced("Profile+Trace(adaptive)", 0.05, true, AdaptiveTraceConfig(0.05))
 
@@ -353,77 +280,4 @@ func (t *TraceOverheadResult) Render(w io.Writer) {
 	analysis.Table(w, []string{
 		"Config", "Rate", "Exec (s)", "%Slowdown", "TraceRecs", "SampledOut", "WireBytes",
 	}, rows)
-}
-
-// ---- Detection quality under sampling: does the adaptive pipeline still
-// finger the right node? ----
-
-// TraceDetectionResult pairs the profile-side detector verdict with the
-// trace-side evidence for one collection configuration.
-type TraceDetectionResult struct {
-	// Flagged is the perfmon OS-noise detector's output (node names).
-	Flagged []string
-	// SchedRecords counts scheduling records ("schedule", "schedule_vol")
-	// per node in the collected trace.
-	SchedRecords []uint64
-	// TopNode is the node index with the most scheduling records (-1 when
-	// the trace is empty).
-	TopNode int
-	// Records / SampledOut total the collector's ingest accounting.
-	Records    uint64
-	SampledOut uint64
-}
-
-// Fingered reports whether both views agree on the given node: the detector
-// flagged it and the trace ranks it first by scheduling records.
-func (r *TraceDetectionResult) Fingered(node string, idx int) bool {
-	flagged := false
-	for _, n := range r.Flagged {
-		if n == node {
-			flagged = true
-		}
-	}
-	return flagged && r.TopNode == idx
-}
-
-// RunTraceDetection plants the §5.1 OS-noise daemon on one node of a
-// monitored, traced Chiba run and reports how both views see it under the
-// given trace configuration (nil = full tracing). With the adaptive
-// configuration this is the end-to-end focus-loop check: the detector flags
-// the noisy node, the collector pushes it the full policy, and the trace
-// evidence sharpens on exactly the node that deserves it.
-func RunTraceDetection(ranks int, seed uint64, noisy int, tcfg *tracepipe.Config) *TraceDetectionResult {
-	spec := DefaultChiba(ranks, 1)
-	spec.Seed = seed
-	spec.Iters = 4
-	spec.TraceCapacity = 4096
-	if tcfg == nil {
-		tcfg = &tracepipe.Config{Interval: 25 * time.Millisecond}
-	}
-	live := RunChibaLive(spec, LiveOptions{
-		PerfMon:    perfmon.Config{Interval: 20 * time.Millisecond},
-		NoisyNodes: []int{noisy},
-		// The §5.1 anomaly, compressed so several bursts land within the
-		// short run (same timing the live-detector tests use).
-		Noisy: workload.DaemonSpec{
-			Name: "overhead", Period: 50 * time.Millisecond, Busy: 25 * time.Millisecond,
-		},
-		Trace: tcfg,
-	})
-	store := live.Trace.Store()
-	recs, _ := store.Totals()
-	out := &TraceDetectionResult{
-		Flagged:      live.Noise.Flagged,
-		SchedRecords: store.NodeEventCounts("schedule", "schedule_vol"),
-		TopNode:      -1,
-		Records:      recs,
-		SampledOut:   store.SampledOut(),
-	}
-	var best uint64
-	for i, n := range out.SchedRecords {
-		if n > best {
-			best, out.TopNode = n, i
-		}
-	}
-	return out
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"ktau/internal/experiments"
 )
 
 // TraceAxis is one value of the trace-mode axis: a pipeline mode plus its
@@ -34,7 +36,10 @@ func ParseTraceAxis(s string) (TraceAxis, error) {
 			return TraceAxis{}, fmt.Errorf("trace mode %q does not take a rate", mode)
 		}
 		rate, err := strconv.ParseFloat(rateStr, 64)
-		if err != nil || rate <= 0 || rate > 1 {
+		if err == nil {
+			err = experiments.CheckTraceRate(rate)
+		}
+		if err != nil {
 			return TraceAxis{}, fmt.Errorf("bad adaptive rate %q (want 0 < rate <= 1)", rateStr)
 		}
 		ax.Rate = rate

@@ -40,7 +40,7 @@ const (
 // parameter axis the grids sweep. Unused axes are left at their zero value
 // (e.g. Faults "" means "none", Trace "" means "off").
 type Params struct {
-	// Exp names the registered spec ("chiba", "faults", "serve", "trace",
+	// Exp names the registered spec ("chiba", "faults", "serve",
 	// "traceov", ...).
 	Exp string `json:"exp"`
 	// Ranks is the MPI rank count (= cluster nodes at one rank per node).

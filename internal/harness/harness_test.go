@@ -204,7 +204,7 @@ func TestParseTraceAxis(t *testing.T) {
 			t.Errorf("%q round-trips to %q", in, ax.String())
 		}
 	}
-	for _, in := range []string{"", "verbose", "full:0.5", "adaptive:0", "adaptive:2"} {
+	for _, in := range []string{"", "verbose", "full:0.5", "adaptive:0", "adaptive:2", "adaptive:NaN"} {
 		if _, err := ParseTraceAxis(in); err == nil {
 			t.Errorf("%q: expected error", in)
 		}

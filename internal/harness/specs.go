@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"ktau/internal/cluster"
 	"ktau/internal/experiments"
@@ -15,79 +14,35 @@ import (
 )
 
 // Built-in specs. "chiba" is the grid workhorse — one live-monitored Chiba
-// run parameterised by every sweep axis. The rest fold the ad-hoc ktau-exp
-// entry points (faults / serve / trace / traceov) into the harness so those
+// run parameterised by every sweep axis; ktau-exp's trace experiment is a
+// chiba cell under the degraded plan. The rest fold the ad-hoc ktau-exp
+// entry points (faults / serve / traceov) into the harness so those
 // commands become thin wrappers and their outputs gain cell metrics and
 // fingerprints for free.
 func init() {
 	Register("chiba", chibaCell)
 	Register("faults", faultsCell)
 	Register("serve", serveCell)
-	Register("trace", traceCell)
 	Register("traceov", traceovCell)
 }
 
-// adaptiveRate applies the default base sampling rate for adaptive cells.
-func adaptiveRate(p Params) float64 {
-	if p.Rate > 0 {
-		return p.Rate
-	}
-	return 0.25
-}
-
-// chibaCell runs one live-monitored Chiba LU job under the cell's fault
-// plan and trace mode. Its fingerprints are exactly the byte streams the
-// repo's determinism tests compare, so cells differing only in execution
-// mode (serial vs parallel) must carry identical digests — the baseline
-// gate turns that invariant into a standing check.
+// chibaCell runs one experiments.LiveChiba job under the cell's fault plan
+// and trace mode. Its fingerprints are exactly the byte streams the repo's
+// determinism tests compare, so cells differing only in execution mode
+// (serial vs parallel) must carry identical digests — the baseline gate
+// turns that invariant into a standing check.
 func chibaCell(ctx context.Context, p Params) *CellResult {
 	ranks := p.Ranks
 	if ranks <= 0 {
 		ranks = 8
 	}
-	spec := experiments.DefaultChiba(ranks, 1)
-	spec.Seed = p.Seed
-	spec.Iters = 4
+	spec, opts, err := experiments.LiveChiba(ranks, p.Seed, p.Faults, p.Trace, p.Rate)
+	if err != nil {
+		return &CellResult{Status: StatusError, Err: err.Error()}
+	}
 	spec.Racks = p.Racks
 	spec.Parallel = p.Parallel
 	spec.Workers = p.Workers
-
-	opts := experiments.LiveOptions{
-		PerfMon: perfmon.Config{Interval: 20 * time.Millisecond},
-	}
-	switch p.Faults {
-	case "", "none":
-	case "degraded":
-		plan := experiments.DegradedPlan(ranks, p.Seed)
-		opts.Faults = &plan
-	case "crash":
-		plan := experiments.CrashPlan(p.Seed)
-		opts.Faults = &plan
-		// The crash leaves surviving ranks blocked on the dead peer; bound
-		// the job and the pipeline the way RunFaultStudy does.
-		opts.JobDeadline = 3 * time.Second
-		opts.PerfMon.Rounds = 25
-	default:
-		return &CellResult{Status: StatusError,
-			Err: fmt.Sprintf("unknown fault plan %q (none|degraded|crash)", p.Faults)}
-	}
-	switch p.Trace {
-	case "", "off":
-	case "full":
-		spec.TraceCapacity = 4096
-		opts.Trace = &tracepipe.Config{Interval: 25 * time.Millisecond}
-	case "adaptive":
-		spec.TraceCapacity = 4096
-		cfg := experiments.AdaptiveTraceConfig(adaptiveRate(p))
-		// Tightened thresholds so fault plans actually drive the throttle
-		// state machine (same values as AdaptiveChibaSpec).
-		cfg.Adaptive.ThrottleHigh = 512
-		cfg.Adaptive.ThrottleLow = 128
-		opts.Trace = cfg
-	default:
-		return &CellResult{Status: StatusError,
-			Err: fmt.Sprintf("unknown trace mode %q (off|full|adaptive)", p.Trace)}
-	}
 
 	// Packed /proc/ktau profiles are only reachable while the cluster is
 	// alive; the Observe hook runs before shutdown.
@@ -159,6 +114,7 @@ func chibaCell(ctx context.Context, p Params) *CellResult {
 	fmt.Fprintf(&text, "chiba cell %s: completed=%v exec=%.3fs frames=%d drops=%d failovers=%d\n",
 		p.Name(), live.Completed, live.Exec.Seconds(), live.Store.Frames(),
 		live.Store.Drops(), live.Failovers)
+	live.RenderTrace(&text)
 
 	return &CellResult{Metrics: metrics, Fingerprints: fps, Text: text.String(), Raw: live}
 }
@@ -256,33 +212,6 @@ func serveCell(ctx context.Context, p Params) *CellResult {
 	fps := map[string]string{
 		"hist":  histFP.sum(),
 		"store": perfmonStoreDigest(res.Store),
-	}
-	var text bytes.Buffer
-	res.Render(&text)
-	return &CellResult{Metrics: metrics, Fingerprints: fps, Text: text.String(), Raw: res}
-}
-
-// traceCell wraps the standard traced cluster run (full or adaptive
-// pipeline), fingerprinting the merged Chrome trace and both stores.
-func traceCell(ctx context.Context, p Params) *CellResult {
-	var res *experiments.ClusterTraceResult
-	if p.Trace == "adaptive" {
-		res = experiments.RunClusterTraceAdaptive(p.Ranks, p.Seed, adaptiveRate(p))
-	} else {
-		res = experiments.RunClusterTrace(p.Ranks, p.Seed)
-	}
-	metrics := map[string]float64{
-		"completed":     b2f(res.Live.Completed),
-		"trace_drained": b2f(res.TraceDrainedOK()),
-		"records":       float64(res.Records),
-		"msg_events":    float64(res.MsgEvents),
-		"flows":         float64(len(res.Flows)),
-		"sampled_out":   float64(res.SampledOut),
-		"failovers":     float64(res.Live.Trace.Failovers()),
-	}
-	fps := map[string]string{
-		"trace": traceStoreDigest(res.Live.Trace.Store()),
-		"store": perfmonStoreDigest(res.Live.Store),
 	}
 	var text bytes.Buffer
 	res.Render(&text)

@@ -3,8 +3,12 @@ package harness
 import (
 	"bytes"
 	"context"
+	"math"
+	"strings"
 	"testing"
 	"time"
+
+	"ktau/internal/experiments"
 )
 
 // TestChibaCellDeterminism re-runs a real cell and demands byte-identical
@@ -84,6 +88,42 @@ func TestSerialParallelFingerprints(t *testing.T) {
 		}
 		if !bytes.Equal(ja, jb) {
 			t.Errorf("cell %d differs between Jobs=1 and Jobs=2 sweeps:\n%s\nvs\n%s", i, ja, jb)
+		}
+	}
+}
+
+// TestChibaCellRejectsBadSettings: an unknown fault plan or trace mode, or
+// an adaptive rate outside (0, 1], fails experiments.LiveChiba with an
+// error naming the bad value, and a chiba cell naming it fails as an error
+// cell before any simulation runs — no metrics, no fingerprints, no raw
+// result.
+func TestChibaCellRejectsBadSettings(t *testing.T) {
+	cases := []struct {
+		faults, trace string
+		rate          float64
+		bad           string
+	}{
+		{"flood", "full", 0, `"flood"`},
+		{"none", "verbose", 0, `"verbose"`},
+		{"", "adaptive:0.25", 0, `"adaptive:0.25"`},
+		{"crash", "adaptive", 1.5, "1.5"},
+		{"degraded", "adaptive", -0.5, "-0.5"},
+		{"degraded", "adaptive", math.NaN(), "NaN"},
+	}
+	for _, tc := range cases {
+		_, _, err := experiments.LiveChiba(8, 1, tc.faults, tc.trace, tc.rate)
+		if err == nil || !strings.Contains(err.Error(), tc.bad) {
+			t.Errorf("LiveChiba(faults=%q, trace=%q, rate=%v) = %v, want an error naming %s",
+				tc.faults, tc.trace, tc.rate, err, tc.bad)
+		}
+		p := Params{Exp: "chiba", Ranks: 8, Faults: tc.faults, Trace: tc.trace, Rate: tc.rate, Seed: 1}
+		c := RunCell(context.Background(), p)
+		if c.Status != StatusError || !strings.Contains(c.Err, tc.bad) {
+			t.Errorf("%s: status %q err %q, want an error naming %s", c.Name, c.Status, c.Err, tc.bad)
+		}
+		if c.Raw != nil || len(c.Metrics) != 0 || len(c.Fingerprints) != 0 {
+			t.Errorf("%s: a rejected cell carries results: raw=%T metrics=%d fingerprints=%d",
+				c.Name, c.Raw, len(c.Metrics), len(c.Fingerprints))
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"ktau/internal/experiments"
 	"ktau/internal/perfmon"
-	"ktau/internal/tracepipe"
 )
 
 // BuildLive renders one live-monitored Chiba run as the paper's integrated
@@ -274,26 +273,21 @@ func hotTable(s *Section, st *perfmon.Store, k int) {
 // traceSection renders the streaming trace pipeline's self-metrics for a
 // live run that deployed it.
 func traceSection(s *Section, res *experiments.LiveResult) {
-	st := res.Trace.Store()
-	recs, msgs := st.Totals()
+	store := res.Trace.Store()
+	recs, msgs := store.Totals()
 	s.AddFactf("records", "%d ingested, %d MPI endpoint events, %d flows correlated, %d sampled out",
-		recs, msgs, len(st.Flows()), st.SampledOut())
+		recs, msgs, len(store.Flows()), store.SampledOut())
 	s.AddFactf("collector node", "%d (failovers %d, drained %v)",
 		res.Trace.CollectorNode(), res.Trace.Failovers(), res.TraceDrained)
-	traceStatsTable(s, st.Stats())
-}
-
-// traceStatsTable is the shared per-node trace agent self-metrics table:
-// exact loss accounting (produced = ingested + ring lost + sampled out)
-// plus throttle depth and backlog peaks.
-func traceStatsTable(s *Section, stats []tracepipe.NodeStats) {
+	// Exact loss accounting (produced = ingested + ring lost + sampled out)
+	// plus throttle depth and backlog peaks.
 	t := &Table{
 		Caption: "Per-node trace agent self-metrics",
 		Head: []string{"node", "frames", "kern recs", "user recs", "ring lost",
 			"sampled out", "throttle pk", "read errs", "drops a/s", "backlog pk",
 			"wire bytes", "down"},
 	}
-	for _, st := range stats {
+	for _, st := range store.Stats() {
 		t.Rows = append(t.Rows, []string{
 			st.Node, FmtCount(st.Frames), FmtCount(st.KernRecords), FmtCount(st.UserRecords),
 			FmtCount(st.KernRingLost + st.UserRingLost),

@@ -11,9 +11,9 @@ import (
 
 // BuildCell renders one harness cell as a full cross-layer report: the
 // cell's identity, metrics and fingerprints, then the richest view the
-// cell's experiment type supports (live breakdown, fault comparison, serve
-// tail attribution, trace self-metrics, perturbation rows). Cells whose Raw
-// payload is absent (e.g. reloaded from JSON) fall back to the metric
+// cell's experiment type supports (live breakdown with trace self-metrics,
+// fault comparison, serve tail attribution, perturbation rows). Cells whose
+// Raw payload is absent (e.g. reloaded from JSON) fall back to the metric
 // tables plus the captured text render.
 func BuildCell(c *harness.CellResult) *Report {
 	r := &Report{Title: "KTAU cell report: " + c.Name}
@@ -40,8 +40,6 @@ func BuildCell(c *harness.CellResult) *Report {
 		appendReport(r, BuildFaults(raw))
 	case *experiments.ServeResult:
 		appendReport(r, BuildServe(raw))
-	case *experiments.ClusterTraceResult:
-		appendReport(r, BuildTrace(raw))
 	case *experiments.TraceOverheadResult:
 		appendReport(r, BuildTraceOverhead(raw))
 	default:
@@ -233,25 +231,6 @@ func topDaemon(a *servesim.Attribution) *servesim.DaemonShare {
 		return nil
 	}
 	return &a.Daemons[0]
-}
-
-// BuildTrace renders a traced cluster run: collection volume, flow
-// correlation, and per-node self-metrics, plus the underlying live view.
-func BuildTrace(res *experiments.ClusterTraceResult) *Report {
-	r := &Report{
-		Title: "KTAU cluster trace report",
-		Subtitle: fmt.Sprintf("%s, %d ranks, seed %d",
-			res.Live.Spec.Name(), res.Live.Spec.Ranks, res.Live.Spec.Seed),
-	}
-	s := r.AddSection("Trace collection")
-	s.AddFactf("volume", "%d records, %d MPI endpoint events, %d correlated flows, %d sampled out",
-		res.Records, res.MsgEvents, len(res.Flows), res.SampledOut)
-	s.AddFactf("collector node", "%d (failovers %d, drained %v)",
-		res.Live.Trace.CollectorNode(), res.Live.Trace.Failovers(), res.TraceDrainedOK())
-	traceStatsTable(s, res.Stats)
-	noiseOverlay(r.AddSection("OS-noise overlay"), res.Live.Noise)
-	pipelineHealth(r.AddSection("Profile collection pipeline"), res.Live.Store)
-	return r
 }
 
 // BuildTraceOverhead renders the pipeline-perturbation sweep: per

@@ -55,12 +55,6 @@ func DefaultLUConfig(ranks int) LUConfig {
 	}
 }
 
-// TotalComputePerRank estimates the pure-compute time one rank performs.
-func (cfg LUConfig) TotalComputePerRank() time.Duration {
-	perIter := cfg.RhsCompute + 2*time.Duration(cfg.WavefrontSteps)*cfg.StageCompute
-	return time.Duration(cfg.Iters) * perIter
-}
-
 // LU returns the rank body implementing the workload. Use with
 // World.Launch("lu", workload.LU(cfg)).
 func LU(cfg LUConfig) func(*mpisim.Rank) {

@@ -41,12 +41,6 @@ func DefaultSweepConfig(ranks int) SweepConfig {
 	}
 }
 
-// TotalComputePerRank estimates the pure-compute time one rank performs.
-func (cfg SweepConfig) TotalComputePerRank() time.Duration {
-	perIter := 8*time.Duration(cfg.WavefrontSteps)*cfg.StageCompute + cfg.FixupCompute
-	return time.Duration(cfg.Iters) * perIter
-}
-
 // octant directions: (dx, dy) of the wavefront propagation; each appears
 // twice per iteration (two z-directions of the real 3-D sweep).
 var octantDirs = [4][2]int{{1, 1}, {-1, 1}, {1, -1}, {-1, -1}}
