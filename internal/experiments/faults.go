@@ -91,8 +91,8 @@ func RunFaultStudy(ranks int, seed uint64) *FaultStudy {
 	nodes := ranks / spec.PerNode
 	study := &FaultStudy{
 		Ranks:        ranks,
-		DegradedPlan: DegradedPlan(nodes, seed),
-		CrashPlan:    CrashPlan(seed),
+		DegradedPlan: DegradedPlan(nodes, seed).WithDefaults(),
+		CrashPlan:    CrashPlan(seed).WithDefaults(),
 	}
 
 	study.Clean = RunChibaLive(spec, LiveOptions{})

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"ktau/internal/faultsim"
 )
 
 // TestFaultStudySmallScale runs the full "Chiba with faults" comparison at a
@@ -57,6 +59,20 @@ func TestFaultStudySmallScale(t *testing.T) {
 	crash := study.Crash
 	if crash.Failovers != 1 {
 		t.Fatalf("crash run performed %d failovers, want 1", crash.Failovers)
+	}
+
+	// The study's plans are the applied ones, defaults filled in.
+	if got := study.CrashPlan.RedeliverAfter; got != faultsim.DefaultRedeliverAfter {
+		t.Errorf("CrashPlan.RedeliverAfter = %v, want the default %v", got, faultsim.DefaultRedeliverAfter)
+	}
+	for _, c := range []struct {
+		name    string
+		stored  faultsim.Plan
+		applied *faultsim.Injector
+	}{{"degraded", study.DegradedPlan, deg.Injector}, {"crash", study.CrashPlan, crash.Injector}} {
+		if got, ran := c.stored.RedeliverAfter, c.applied.Plan().RedeliverAfter; got != ran {
+			t.Errorf("%s plan stores RedeliverAfter %v, the run used %v", c.name, got, ran)
+		}
 	}
 	if crash.Injector == nil || crash.Injector.Stats.Crashes != 1 {
 		t.Fatal("crash plan did not crash exactly one node")

@@ -151,6 +151,15 @@ type Plan struct {
 // not set one.
 const DefaultRedeliverAfter = 200 * time.Millisecond
 
+// WithDefaults returns the plan as Apply runs it: a RedeliverAfter left at
+// zero or below reads DefaultRedeliverAfter.
+func (p Plan) WithDefaults() Plan {
+	if p.RedeliverAfter <= 0 {
+		p.RedeliverAfter = DefaultRedeliverAfter
+	}
+	return p
+}
+
 // Validate checks the plan against a cluster.
 func (p Plan) Validate(c *cluster.Cluster) error {
 	for i, f := range p.Faults {
@@ -239,9 +248,7 @@ func Apply(c *cluster.Cluster, p Plan) (*Injector, error) {
 	if err := p.Validate(c); err != nil {
 		return nil, err
 	}
-	if p.RedeliverAfter <= 0 {
-		p.RedeliverAfter = DefaultRedeliverAfter
-	}
+	p = p.WithDefaults()
 	rng := sim.NewRNG(p.Seed)
 	inj := &Injector{
 		c:      c,

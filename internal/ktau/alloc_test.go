@@ -42,21 +42,27 @@ func TestAtomicZeroAllocs(t *testing.T) {
 }
 
 // TestSnapshotDeltaRoundZeroAllocs pins the whole per-round collection step —
-// instrument 40 events, take a snapshot into a reused buffer, delta it
-// against the previous round's reused buffer — at zero steady-state
-// allocations, the KTAUD agent loop's ideal.
+// instrument 40 events under four user contexts, take a snapshot (mapped
+// records included) into a reused buffer, delta it against the previous
+// round's reused buffer — at zero steady-state allocations, the KTAUD agent
+// loop's ideal.
 func TestSnapshotDeltaRoundZeroAllocs(t *testing.T) {
-	m, env := newTestM(Options{})
+	m, env := newTestM(Options{Mapping: true})
 	td := m.CreateTask(1, "p")
 	evs := make([]EventID, 40)
 	for i := range evs {
 		evs[i] = m.Event("event_"+string(rune('a'+i%26))+string(rune('0'+i/26)), GroupSyscall)
 	}
+	var ctxs [4]int32
+	for i := range ctxs {
+		ctxs[i] = m.RegisterContext("routine_" + string(rune('a'+i)))
+	}
 
 	var prev, cur Snapshot
 	var d SnapshotDelta
 	round := func() {
-		for _, ev := range evs {
+		for i, ev := range evs {
+			m.SetUserCtx(td, ctxs[i%len(ctxs)])
 			m.Entry(td, ev)
 			env.advance(10)
 			m.Exit(td, ev)
@@ -68,6 +74,9 @@ func TestSnapshotDeltaRoundZeroAllocs(t *testing.T) {
 	// Warm twice so every reused buffer reaches its steady-state capacity.
 	round()
 	round()
+	if len(cur.Mapped) != len(evs) {
+		t.Fatalf("snapshot holds %d mapped records, want %d", len(cur.Mapped), len(evs))
+	}
 
 	allocs := testing.AllocsPerRun(200, round)
 	if allocs != 0 {

@@ -1,8 +1,9 @@
 package ktau
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Env is what the measurement system needs from its host: a per-CPU cycle
@@ -75,6 +76,8 @@ type Measurement struct {
 	// EventID and reused across rounds.
 	kwEv []EventSnap
 	kwAt []AtomicSnap
+	// mapKeys is sortedMappedKeys' scratch, refilled for every snapshot.
+	mapKeys []MapKey
 
 	ctxNames []string // user-context id -> name; index 0 unused
 
@@ -200,8 +203,8 @@ func (m *Measurement) restoreLiveOrder() {
 	if !m.liveDirty {
 		return
 	}
-	sort.Slice(m.liveOrder, func(i, j int) bool {
-		return m.liveOrder[i].createSeq < m.liveOrder[j].createSeq
+	slices.SortFunc(m.liveOrder, func(a, b *TaskData) int {
+		return cmp.Compare(a.createSeq, b.createSeq)
 	})
 	for i, t := range m.liveOrder {
 		t.liveIdx = i
@@ -223,11 +226,19 @@ func (m *Measurement) LiveTasks() []*TaskData {
 // AllTasks returns live tasks (creation order) followed by retained exited
 // tasks (exit order).
 func (m *Measurement) AllTasks() []*TaskData {
+	live, retired := m.TaskLists()
+	out := make([]*TaskData, 0, len(live)+len(retired))
+	out = append(out, live...)
+	return append(out, retired...)
+}
+
+// TaskLists returns the live tasks (creation order) and the retained exited
+// tasks (exit order) without copying them: AllTasks is their concatenation.
+// The slices are the measurement's own, to be read only, and only until the
+// next task is created or exits.
+func (m *Measurement) TaskLists() (live, retired []*TaskData) {
 	m.restoreLiveOrder()
-	out := make([]*TaskData, 0, len(m.liveOrder)+len(m.retired))
-	out = append(out, m.liveOrder...)
-	out = append(out, m.retired...)
-	return out
+	return m.liveOrder, m.retired
 }
 
 // RegisterContext names a user-level mapping context (a TAU routine). It
@@ -448,23 +459,19 @@ func (m *Measurement) Reset(td *TaskData) {
 	td.trace.Clear()
 }
 
-// sortedMappedKeys returns td's mapped keys in deterministic order.
-func sortedMappedKeys(td *TaskData) []MapKey {
-	if len(td.mapped) == 0 {
-		// Skip the sort.Slice call entirely: its interface conversion and
-		// closure would allocate even for an empty key set, and most tasks
-		// never record mapped data.
-		return nil
-	}
-	keys := make([]MapKey, 0, len(td.mapped))
+// sortedMappedKeys returns td's mapped keys in deterministic order, in the
+// measurement's scratch: the result is valid until the next call.
+func (m *Measurement) sortedMappedKeys(td *TaskData) []MapKey {
+	keys := m.mapKeys[:0]
 	for k := range td.mapped {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Ctx != keys[j].Ctx {
-			return keys[i].Ctx < keys[j].Ctx
+	slices.SortFunc(keys, func(a, b MapKey) int {
+		if c := cmp.Compare(a.Ctx, b.Ctx); c != 0 {
+			return c
 		}
-		return keys[i].Ev < keys[j].Ev
+		return cmp.Compare(a.Ev, b.Ev)
 	})
+	m.mapKeys = keys
 	return keys
 }

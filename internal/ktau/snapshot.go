@@ -118,7 +118,7 @@ func (m *Measurement) SnapshotTaskInto(td *TaskData, s *Snapshot) {
 			Mean: mean, Std: math.Sqrt(varr),
 		})
 	}
-	for _, k := range sortedMappedKeys(td) {
+	for _, k := range m.sortedMappedKeys(td) {
 		d := td.mapped[k]
 		s.Mapped = append(s.Mapped, MappedSnap{
 			Ctx: k.Ctx, CtxName: m.CtxName(k.Ctx),

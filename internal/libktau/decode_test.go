@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"ktau/internal/ktau"
@@ -141,8 +143,64 @@ func TestDecodeIsExact(t *testing.T) {
 	}
 }
 
+// richProfiles is a profile blob richer than any seed: exited tasks with
+// lost trace records, every counter, atomics, mapped records and long
+// names. Decoding it first leaves every field of the storage dirty.
+func richProfiles() []byte {
+	long := strings.Repeat("stale_", 40)
+	ctrs := make([]string, ktau.MaxCounters)
+	for i := range ctrs {
+		ctrs[i] = long + "ctr"
+	}
+	var all [ktau.MaxCounters]int64
+	for i := range all {
+		all[i] = int64(1000 + i)
+	}
+	snaps := make([]ktau.Snapshot, 6)
+	for i := range snaps {
+		s := &snaps[i]
+		*s = ktau.Snapshot{PID: 100 + i, Name: long, TSC: 9e9, Created: 7, ExitedAt: 8e9,
+			Exited: true, TraceLost: 77, CounterNames: ctrs}
+		for id := 1; id <= 12; id++ {
+			s.Events = append(s.Events, ktau.EventSnap{ID: ktau.EventID(id), Name: long,
+				Group: ktau.GroupAll, Calls: 5, Subrs: 6, Incl: 70, Excl: 60, Ctr: all})
+			s.Atomics = append(s.Atomics, ktau.AtomicSnap{ID: ktau.EventID(id), Name: long,
+				Group: ktau.GroupTCP, Count: 3, Sum: 4, Min: 1, Max: 2, Mean: 1.5, Std: 0.5})
+			s.Mapped = append(s.Mapped, ktau.MappedSnap{Ctx: int32(id), CtxName: long,
+				Ev: ktau.EventID(id), EvName: long, Group: ktau.GroupSched, Calls: 9, Incl: 8, Excl: 7})
+		}
+	}
+	return procfs.AppendProfiles(nil, snaps)
+}
+
+// normSnaps copies snaps with every empty slice made nil, so decodes into
+// fresh and reused storage print alike.
+func normSnaps(snaps []ktau.Snapshot) []ktau.Snapshot {
+	if len(snaps) == 0 {
+		return nil
+	}
+	out := append([]ktau.Snapshot(nil), snaps...)
+	for i := range out {
+		s := &out[i]
+		if len(s.CounterNames) == 0 {
+			s.CounterNames = nil
+		}
+		if len(s.Events) == 0 {
+			s.Events = nil
+		}
+		if len(s.Atomics) == 0 {
+			s.Atomics = nil
+		}
+		if len(s.Mapped) == 0 {
+			s.Mapped = nil
+		}
+	}
+	return out
+}
+
 // FuzzDecodeProfiles: DecodeProfiles never panics, and anything it decodes
-// re-packs through procfs to the same bytes.
+// re-packs through procfs to the same bytes. Decoding into storage dirtied
+// by a richer decode gives the same result as decoding into fresh storage.
 func FuzzDecodeProfiles(f *testing.F) {
 	profiles, _ := realBlobs(f)
 	for _, b := range profiles {
@@ -152,10 +210,24 @@ func FuzzDecodeProfiles(f *testing.F) {
 	}
 	f.Add(hugeProfileCount())
 	f.Add(hugeTraceCount())
+	rich := richProfiles()
 	f.Fuzz(func(t *testing.T, b []byte) {
 		snaps, err := DecodeProfiles(b)
+		dirty, errRich := DecodeProfilesInto(nil, rich)
+		if errRich != nil {
+			t.Fatalf("rich blob: %v", errRich)
+		}
+		reused, errReused := DecodeProfilesInto(dirty, b)
+		if (err == nil) != (errReused == nil) {
+			t.Fatalf("fresh decode: %v; decode into reused storage: %v", err, errReused)
+		}
 		if err != nil {
 			return
+		}
+		// Compared as Go syntax rather than with reflect.DeepEqual, for which
+		// a decoded NaN statistic never equals itself.
+		if got, want := fmt.Sprintf("%#v", normSnaps(reused)), fmt.Sprintf("%#v", normSnaps(snaps)); got != want {
+			t.Fatalf("decode into reused storage differs:\n got %s\nwant %s", got, want)
 		}
 		if again := procfs.AppendProfiles(nil, snaps); !bytes.Equal(again, b) {
 			t.Fatalf("decoded blob re-packs differently:\n in: %x\nout: %x", b, again)

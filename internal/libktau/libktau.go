@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"ktau/internal/ktau"
 	"ktau/internal/procfs"
@@ -57,6 +58,14 @@ func (h *Handle) read(size func() (int, error), read func([]byte) (int, error)) 
 // GetProfiles retrieves profiles per the scope through the two-call
 // protocol.
 func (h *Handle) GetProfiles(scope Scope, pid int) ([]ktau.Snapshot, error) {
+	return h.GetProfilesInto(nil, scope, pid)
+}
+
+// GetProfilesInto is GetProfiles decoding into dst's storage, as
+// DecodeProfilesInto does: a collection loop that passes each result back
+// in reads without allocating once its storage has reached the working
+// size.
+func (h *Handle) GetProfilesInto(dst []ktau.Snapshot, scope Scope, pid int) ([]ktau.Snapshot, error) {
 	target := pid
 	switch scope {
 	case ScopeAll:
@@ -68,9 +77,9 @@ func (h *Handle) GetProfiles(scope Scope, pid int) ([]ktau.Snapshot, error) {
 		func() (int, error) { return h.fs.ProfileSize(target) },
 		func(buf []byte) (int, error) { return h.fs.ProfileRead(target, buf) })
 	if err != nil {
-		return nil, err
+		return dst[:0], err
 	}
-	return DecodeProfiles(blob)
+	return DecodeProfilesInto(dst, blob)
 }
 
 // GetProfile retrieves a single profile (self/other/kernel-wide scopes).
@@ -216,14 +225,21 @@ func (r *reader) u64() uint64 {
 func (r *reader) i32() int32   { return int32(r.u32()) }
 func (r *reader) i64() int64   { return int64(r.u64()) }
 func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-func (r *reader) str() string {
+
+// str reads a length-prefixed string. It returns old when the bytes equal
+// it (the comparison does not allocate), so a decode into reused storage
+// allocates only for the names that changed.
+func (r *reader) str(old string) string {
 	n := int(r.u16())
 	if !r.need(n) {
 		return ""
 	}
-	v := string(r.b[r.off : r.off+n])
+	b := r.b[r.off : r.off+n]
 	r.off += n
-	return v
+	if string(b) == old {
+		return old
+	}
+	return string(b)
 }
 
 // header checks the magic and version every blob starts with.
@@ -254,21 +270,37 @@ func (r *reader) end() error {
 
 // DecodeProfiles parses a binary profile blob from /proc/ktau/profile.
 // Slices are sized from the blob's counts, which are bounded by the bytes
-// left before anything is allocated.
+// left before anything is allocated. The result aliases nothing.
 func DecodeProfiles(blob []byte) ([]ktau.Snapshot, error) {
-	r := &reader{b: blob}
-	if err := r.header(); err != nil {
+	snaps, err := DecodeProfilesInto(nil, blob)
+	if err != nil {
 		return nil, err
 	}
+	return snaps, nil
+}
+
+// DecodeProfilesInto is DecodeProfiles decoding into dst's storage: every
+// field of each reused snapshot, event, atomic and mapped record is reset,
+// a slice grows only when its capacity is short, and a name equal to the
+// one already in its slot is kept rather than copied again. dst must be
+// storage only the caller holds, such as an earlier result (which this
+// decode overwrites); nil decodes into fresh storage. On an error the
+// result is empty but keeps the storage for the next call.
+func DecodeProfilesInto(dst []ktau.Snapshot, blob []byte) ([]ktau.Snapshot, error) {
+	r := &reader{b: blob}
+	if err := r.header(); err != nil {
+		return dst[:0], err
+	}
 	count := r.count(r.u32(), minSnapBytes)
-	out := make([]ktau.Snapshot, count)
-	for i := 0; i < count && r.err == nil; i++ {
+	out := slices.Grow(dst[:0], count)[:count]
+	for i := 0; i < len(out) && r.err == nil; i++ {
 		s := &out[i]
 		s.PID = int(r.i64())
-		s.Name = r.str()
+		s.Name = r.str(s.Name)
 		s.TSC = r.i64()
 		s.Created = r.i64()
 		s.ExitedAt = r.i64()
+		s.Exited = false
 		switch r.u8() {
 		case 0:
 		case 1:
@@ -282,18 +314,15 @@ func DecodeProfiles(blob []byte) ([]ktau.Snapshot, error) {
 			r.err = errCounters
 		}
 		nctr = r.count(uint32(nctr), minCtrNameBytes)
-		if nctr > 0 {
-			s.CounterNames = make([]string, nctr)
-		}
+		s.CounterNames = slices.Grow(s.CounterNames[:0], nctr)[:nctr]
 		for j := 0; j < nctr && r.err == nil; j++ {
-			s.CounterNames[j] = r.str()
+			s.CounterNames[j] = r.str(s.CounterNames[j])
 		}
 		nev := r.u32()
 		nat := r.u32()
 		nmap := r.u32()
-		if n := r.count(nev, minEventBytes+8*nctr); n > 0 {
-			s.Events = make([]ktau.EventSnap, n)
-		}
+		n := r.count(nev, minEventBytes+8*nctr)
+		s.Events = slices.Grow(s.Events[:0], n)[:n]
 		for j := 0; j < len(s.Events) && r.err == nil; j++ {
 			e := &s.Events[j]
 			e.ID = ktau.EventID(r.i32())
@@ -302,14 +331,14 @@ func DecodeProfiles(blob []byte) ([]ktau.Snapshot, error) {
 			e.Subrs = r.u64()
 			e.Incl = r.i64()
 			e.Excl = r.i64()
+			e.Ctr = [ktau.MaxCounters]int64{}
 			for ci := 0; ci < nctr; ci++ {
 				e.Ctr[ci] = r.i64()
 			}
-			e.Name = r.str()
+			e.Name = r.str(e.Name)
 		}
-		if n := r.count(nat, minAtomicBytes); n > 0 {
-			s.Atomics = make([]ktau.AtomicSnap, n)
-		}
+		n = r.count(nat, minAtomicBytes)
+		s.Atomics = slices.Grow(s.Atomics[:0], n)[:n]
 		for j := 0; j < len(s.Atomics) && r.err == nil; j++ {
 			a := &s.Atomics[j]
 			a.ID = ktau.EventID(r.i32())
@@ -320,17 +349,16 @@ func DecodeProfiles(blob []byte) ([]ktau.Snapshot, error) {
 			a.Max = r.f64()
 			a.Mean = r.f64()
 			a.Std = r.f64()
-			a.Name = r.str()
+			a.Name = r.str(a.Name)
 		}
-		if n := r.count(nmap, minMappedBytes); n > 0 {
-			s.Mapped = make([]ktau.MappedSnap, n)
-		}
+		n = r.count(nmap, minMappedBytes)
+		s.Mapped = slices.Grow(s.Mapped[:0], n)[:n]
 		for j := 0; j < len(s.Mapped) && r.err == nil; j++ {
 			m := &s.Mapped[j]
 			m.Ctx = r.i32()
-			m.CtxName = r.str()
+			m.CtxName = r.str(m.CtxName)
 			m.Ev = ktau.EventID(r.i32())
-			m.EvName = r.str()
+			m.EvName = r.str(m.EvName)
 			m.Group = ktau.Group(r.u32())
 			m.Calls = r.u64()
 			m.Incl = r.i64()
@@ -338,7 +366,7 @@ func DecodeProfiles(blob []byte) ([]ktau.Snapshot, error) {
 		}
 	}
 	if err := r.end(); err != nil {
-		return nil, err
+		return out[:0], err
 	}
 	return out, nil
 }

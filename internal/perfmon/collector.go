@@ -26,6 +26,7 @@
 package perfmon
 
 import (
+	"fmt"
 	"time"
 
 	"ktau/internal/cluster"
@@ -84,7 +85,7 @@ func Deploy(c *cluster.Cluster, cfg Config) (*PerfMon, error) {
 		Interval: cfg.Interval, Rounds: cfg.Rounds,
 	}, func() (ship.Hooks[Frame], error) {
 		return ship.Hooks[Frame]{
-			Decode:   DecodeFrame,
+			Decode:   DecodeFrameInto,
 			Last:     func(f Frame) bool { return f.Last },
 			Ingest:   pm.store.Ingest,
 			Drop:     func(i int) { pm.store.Drop(name(i)) },
@@ -119,23 +120,56 @@ func groupExcl(evs []ktau.EventDelta, g ktau.Group) int64 {
 // agentState is the delta-encoding baseline one agent carries between
 // rounds. It is split out of the agent loop so the round logic is testable
 // without a cluster.
+//
+// Every steady-state round reuses its storage: the agent holds two snapshot
+// sets, the baseline (the last successful read) and a spare (the storage of
+// the baseline before last). A round decodes into the spare, and buildFrame
+// makes that read the baseline and hands the old baseline's storage back as
+// the spare. A gap round leaves both sets where they are.
 type agentState struct {
-	prevKW   ktau.Snapshot
-	prevProc map[int]ktau.Snapshot
-	// pd is scratch for the per-process deltas, which are reduced to a
-	// ProcDelta and dropped: one SnapshotDelta is refilled for each.
-	pd ktau.SnapshotDelta
+	prevKW    ktau.Snapshot
+	prevProcs []ktau.Snapshot
+	// prevIdx maps each PID in prevProcs to its index; it is cleared and
+	// refilled every round.
+	prevIdx map[int]int
+	// spareKW and spareProcs are the spare set, the kernel-wide read as a
+	// one-element slice (the shape GetProfilesInto decodes into).
+	spareKW    []ktau.Snapshot
+	spareProcs []ktau.Snapshot
+	// kd and pd are scratch for the kernel-wide and per-process deltas, and
+	// procs for the frame's process summaries. A frame's slices alias them
+	// until the next round: the transport copies the encoded payload, and a
+	// local ingest keeps only strings.
+	kd, pd ktau.SnapshotDelta
+	procs  []ProcDelta
 }
 
 func newAgentState() *agentState {
-	return &agentState{prevProc: make(map[int]ktau.Snapshot)}
+	return &agentState{prevIdx: make(map[int]int), spareKW: make([]ktau.Snapshot, 1)}
+}
+
+// read decodes one round's kernel-wide and all-process profiles into the
+// spare set. Both reads are made even when the first fails, so every
+// attempt makes the same procfs calls.
+func (a *agentState) read(h *libktau.Handle) error {
+	var errKW, errAll error
+	a.spareKW, errKW = h.GetProfilesInto(a.spareKW, libktau.ScopeKernelWide, 0)
+	a.spareProcs, errAll = h.GetProfilesInto(a.spareProcs, libktau.ScopeAll, 0)
+	if errKW == nil && len(a.spareKW) != 1 {
+		errKW = fmt.Errorf("perfmon: kernel-wide read returned %d profiles, want 1", len(a.spareKW))
+	}
+	if errKW != nil {
+		return errKW
+	}
+	return errAll
 }
 
 // buildFrame delta-encodes one successfully read round against the baseline
-// and advances it. PIDs absent from the current read are evicted from the
-// baseline: once a process is gone from procfs it can never produce another
-// delta, and keeping its snapshot would grow the map without bound under
-// process churn.
+// and advances it: kw and procs become the baseline, and the storage of the
+// old one becomes the spare the next read decodes into. PIDs absent from
+// the current read drop out of the baseline: once a process is gone from
+// procfs it can never produce another delta, and keeping its snapshot would
+// grow the baseline without bound under process churn.
 func (a *agentState) buildFrame(node string, idx, round, cpus int, last bool,
 	kw ktau.Snapshot, procs []ktau.Snapshot) Frame {
 	f := Frame{
@@ -147,13 +181,16 @@ func (a *agentState) buildFrame(node string, idx, round, cpus int, last bool,
 		ToTSC:   kw.TSC,
 		Last:    last,
 	}
-	f.Kernel = ktau.DeltaSnapshot(a.prevKW, kw).Events
-	a.prevKW = kw
-	next := make(map[int]ktau.Snapshot, len(procs))
+	ktau.DeltaSnapshotInto(a.prevKW, kw, &a.kd)
+	f.Kernel = a.kd.Events
 	pd := &a.pd
+	a.procs = a.procs[:0]
 	for _, ps := range procs {
-		ktau.DeltaSnapshotInto(a.prevProc[ps.PID], ps, pd)
-		next[ps.PID] = ps
+		var prev ktau.Snapshot
+		if j, ok := a.prevIdx[ps.PID]; ok {
+			prev = a.prevProcs[j]
+		}
+		ktau.DeltaSnapshotInto(prev, ps, pd)
 		if pd.Empty() {
 			continue
 		}
@@ -161,7 +198,7 @@ func (a *agentState) buildFrame(node string, idx, round, cpus int, last bool,
 		if te := pd.FindDelta(TimerTickEvent); te != nil {
 			ticks = te.DCalls
 		}
-		f.Procs = append(f.Procs, ProcDelta{
+		a.procs = append(a.procs, ProcDelta{
 			PID:    ps.PID,
 			Name:   ps.Name,
 			DTotal: pd.TotalDExcl(),
@@ -172,7 +209,13 @@ func (a *agentState) buildFrame(node string, idx, round, cpus int, last bool,
 			DTicks: ticks,
 		})
 	}
-	a.prevProc = next
+	f.Procs = a.procs
+	clear(a.prevIdx)
+	for i := range procs {
+		a.prevIdx[procs[i].PID] = i
+	}
+	a.prevKW, a.spareKW[0] = kw, a.prevKW
+	a.prevProcs, a.spareProcs = procs, a.prevProcs
 	return f
 }
 
@@ -210,20 +253,10 @@ func (pm *PerfMon) newAgent(idx int, n *cluster.Node) ship.Agent[Frame] {
 }
 
 func (a *agent) Round(u *kernel.UCtx, round int, last bool) (Frame, []byte) {
-	var kw ktau.Snapshot
-	var procs []ktau.Snapshot
-	readOK := ship.Read(u, a.interval, func() error {
-		var errKW, errAll error
-		kw, errKW = a.h.GetProfile(libktau.ScopeKernelWide, 0)
-		procs, errAll = a.h.GetProfiles(libktau.ScopeAll, 0)
-		if errKW != nil {
-			return errKW
-		}
-		return errAll
-	})
+	readOK := ship.Read(u, a.interval, func() error { return a.read(a.h) })
 	var f Frame
 	if readOK {
-		f = a.buildFrame(a.n.Name, a.idx, round, u.Kernel().NumCPUs(), last, kw, procs)
+		f = a.buildFrame(a.n.Name, a.idx, round, u.Kernel().NumCPUs(), last, a.spareKW[0], a.spareProcs)
 	} else {
 		f = a.gapFrame(a.n.Name, a.idx, round, u.Kernel().NumCPUs(), last)
 	}
@@ -231,7 +264,7 @@ func (a *agent) Round(u *kernel.UCtx, round int, last bool) (Frame, []byte) {
 	if readOK {
 		// User-space processing: snapshot walk + delta encode.
 		readBytes := 0
-		for _, s := range procs {
+		for _, s := range a.prevProcs { // this round's read, now the baseline
 			readBytes += 64 + 48*len(s.Events) + 64*len(s.Atomics) + 64*len(s.Mapped)
 		}
 		ship.Charge(u, readBytes)

@@ -25,8 +25,8 @@ func TestAgentStateEvictsDeadPIDs(t *testing.T) {
 
 	f := a.buildFrame("n", 0, 0, 2, false, kw,
 		[]ktau.Snapshot{procSnap(1, "one", 100, 2), procSnap(2, "two", 100, 3)})
-	if len(f.Procs) != 2 || len(a.prevProc) != 2 {
-		t.Fatalf("round 0: %d proc deltas, %d baselines", len(f.Procs), len(a.prevProc))
+	if len(f.Procs) != 2 || len(a.prevIdx) != 2 {
+		t.Fatalf("round 0: %d proc deltas, %d baselines", len(f.Procs), len(a.prevIdx))
 	}
 
 	// PID 1 exits between rounds: its baseline must be evicted, not retained
@@ -34,10 +34,10 @@ func TestAgentStateEvictsDeadPIDs(t *testing.T) {
 	kw = procSnap(ktau.KernelWidePID, "kernel", 200, 8)
 	f = a.buildFrame("n", 0, 1, 2, false, kw,
 		[]ktau.Snapshot{procSnap(2, "two", 200, 5)})
-	if len(a.prevProc) != 1 {
-		t.Fatalf("round 1: baseline kept %d entries, want 1", len(a.prevProc))
+	if len(a.prevIdx) != 1 {
+		t.Fatalf("round 1: baseline kept %d entries, want 1", len(a.prevIdx))
 	}
-	if _, stale := a.prevProc[1]; stale {
+	if _, stale := a.prevIdx[1]; stale {
 		t.Fatal("round 1: exited PID 1 still in the baseline")
 	}
 	if len(f.Procs) != 1 || f.Procs[0].PID != 2 || f.Procs[0].DTotal != 20 {
@@ -48,8 +48,8 @@ func TestAgentStateEvictsDeadPIDs(t *testing.T) {
 	kw = procSnap(ktau.KernelWidePID, "kernel", 300, 12)
 	f = a.buildFrame("n", 0, 2, 2, false, kw,
 		[]ktau.Snapshot{procSnap(1, "reborn", 300, 4), procSnap(2, "two", 300, 5)})
-	if len(a.prevProc) != 2 {
-		t.Fatalf("round 2: baseline has %d entries, want 2", len(a.prevProc))
+	if len(a.prevIdx) != 2 {
+		t.Fatalf("round 2: baseline has %d entries, want 2", len(a.prevIdx))
 	}
 	if len(f.Procs) != 1 || f.Procs[0].PID != 1 || f.Procs[0].DTotal != 40 {
 		t.Fatalf("round 2 deltas = %+v (want full values for reborn PID 1 only)", f.Procs)

@@ -3,6 +3,7 @@ package perfmon
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"ktau/internal/ktau"
 	"ktau/internal/ship"
@@ -114,17 +115,35 @@ func AppendFrame(dst []byte, f Frame) []byte {
 	return w.B
 }
 
-// DecodeFrame parses a frame payload produced by EncodeFrame.
+// Smallest wire size of each frame element (all strings empty): a decoded
+// count of such elements is bounded by the bytes left divided by it.
+const (
+	minKernelBytes = 2 + 4 + 1 + 8 + 8 + 8 // name, group, absolute, dcalls, dincl, dexcl
+	minProcBytes   = 8 + 2 + 6*8           // pid, name, six deltas
+)
+
+// DecodeFrame parses a frame payload produced by EncodeFrame. The result
+// aliases nothing.
 func DecodeFrame(blob []byte) (Frame, error) {
-	r := ship.NewReader(blob)
 	var f Frame
+	err := DecodeFrameInto(&f, blob)
+	return f, err
+}
+
+// DecodeFrameInto is DecodeFrame decoding into *f, reusing the storage of
+// its Kernel and Procs slices and each name equal to the one already in its
+// slot: a sink that decodes every frame into one Frame allocates only for
+// names it has not seen in that position. Every field is reset, including
+// those the wire does not carry.
+func DecodeFrameInto(f *Frame, blob []byte) error {
+	r := ship.NewReader(blob)
 	if r.U32() != FrameMagic {
-		return f, errors.New("perfmon: bad frame magic")
+		return errors.New("perfmon: bad frame magic")
 	}
 	if v := r.U32(); v != FrameVersion {
-		return f, fmt.Errorf("perfmon: unsupported frame version %d", v)
+		return fmt.Errorf("perfmon: unsupported frame version %d", v)
 	}
-	f.Node = r.Str()
+	f.Node = r.StrReuse(f.Node)
 	f.NodeIdx = int(r.U32())
 	f.Round = int(r.U32())
 	f.CPUs = int(r.U32())
@@ -132,32 +151,32 @@ func DecodeFrame(blob []byte) (Frame, error) {
 	f.ToTSC = r.I64()
 	f.Last = r.U8() == 1
 	f.Gap = r.U8() == 1
-	nev := r.Count(uint64(r.U32()))
-	for i := 0; i < nev && r.Err() == nil; i++ {
-		var e ktau.EventDelta
-		e.Name = r.Str()
+	n := r.CountOf(uint64(r.U32()), minKernelBytes)
+	f.Kernel = slices.Grow(f.Kernel[:0], n)[:n]
+	for i := 0; i < len(f.Kernel) && r.Err() == nil; i++ {
+		e := &f.Kernel[i]
+		*e = ktau.EventDelta{Name: r.StrReuse(e.Name)}
 		e.Group = ktau.Group(r.U32())
 		e.Absolute = r.U8() == 1
 		e.DCalls = r.U64()
 		e.DIncl = r.I64()
 		e.DExcl = r.I64()
-		f.Kernel = append(f.Kernel, e)
 	}
-	np := r.Count(uint64(r.U32()))
-	for i := 0; i < np && r.Err() == nil; i++ {
-		var p ProcDelta
+	n = r.CountOf(uint64(r.U32()), minProcBytes)
+	f.Procs = slices.Grow(f.Procs[:0], n)[:n]
+	for i := 0; i < len(f.Procs) && r.Err() == nil; i++ {
+		p := &f.Procs[i]
 		p.PID = int(r.I64())
-		p.Name = r.Str()
+		p.Name = r.StrReuse(p.Name)
 		p.DTotal = r.I64()
 		p.DIRQ = r.I64()
 		p.DBH = r.I64()
 		p.DSched = r.I64()
 		p.DTCP = r.I64()
 		p.DTicks = r.U64()
-		f.Procs = append(f.Procs, p)
 	}
 	if err := r.Err(); err != nil {
-		return f, fmt.Errorf("perfmon: %w", err)
+		return fmt.Errorf("perfmon: %w", err)
 	}
-	return f, nil
+	return nil
 }

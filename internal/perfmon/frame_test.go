@@ -3,6 +3,7 @@ package perfmon
 import (
 	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ktau/internal/ktau"
@@ -91,8 +92,38 @@ func hugeCount() []byte {
 	return b
 }
 
+// richFrame is a frame richer than any seed: more kernel events and
+// processes, longer names and every flag set. Decoding it, then setting the
+// event fields the wire does not carry, leaves every field of the storage
+// dirty.
+func richFrame() []byte {
+	long := strings.Repeat("stale_", 40)
+	f := Frame{Node: long, NodeIdx: 9, Round: 99, CPUs: 8, FromTSC: 5, ToTSC: 6, Last: true, Gap: true}
+	for i := 0; i < 12; i++ {
+		f.Kernel = append(f.Kernel, ktau.EventDelta{Name: long, Group: ktau.GroupAll,
+			Absolute: true, DCalls: 1, DIncl: 2, DExcl: 3})
+		f.Procs = append(f.Procs, ProcDelta{PID: 1000 + i, Name: long,
+			DTotal: 1, DIRQ: 2, DBH: 3, DSched: 4, DTCP: 5, DTicks: 6})
+	}
+	return EncodeFrame(f)
+}
+
+// normFrame makes fr's empty slices nil, so decodes into fresh and reused
+// storage compare equal under reflect.DeepEqual.
+func normFrame(fr Frame) Frame {
+	if len(fr.Kernel) == 0 {
+		fr.Kernel = nil
+	}
+	if len(fr.Procs) == 0 {
+		fr.Procs = nil
+	}
+	return fr
+}
+
 // FuzzDecodeFrame: decoding never panics, and any input that decodes
-// survives an encode/decode round trip unchanged.
+// survives an encode/decode round trip unchanged. Decoding into a frame
+// dirtied by a richer decode gives the same result as decoding into a
+// fresh one.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, fr := range []Frame{sampleFrame(), {Node: "n"}} {
 		blob := EncodeFrame(fr)
@@ -102,10 +133,26 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add(hugeCount())
 	f.Add(traceHugeNameCount)
+	rich := richFrame()
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fr, err := DecodeFrame(b)
+		var dirty Frame
+		if err := DecodeFrameInto(&dirty, rich); err != nil {
+			t.Fatalf("rich frame: %v", err)
+		}
+		for i := range dirty.Kernel {
+			e := &dirty.Kernel[i]
+			e.ID, e.DSubrs, e.DCtr = 7, 8, [ktau.MaxCounters]int64{1, 2, 3, 4}
+		}
+		errReused := DecodeFrameInto(&dirty, b)
+		if (err == nil) != (errReused == nil) {
+			t.Fatalf("fresh decode: %v; decode into a reused frame: %v", err, errReused)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(normFrame(dirty), normFrame(fr)) {
+			t.Fatalf("decode into a reused frame differs:\n got %+v\nwant %+v", dirty, fr)
 		}
 		again, err := DecodeFrame(EncodeFrame(fr))
 		if err != nil {

@@ -93,25 +93,19 @@ func (fs *FS) snapshots(pid int) ([]ktau.Snapshot, error) {
 		fs.m.KernelWideInto(&fs.snapBuf[0])
 		return fs.snapBuf[:1], nil
 	case PIDAll:
-		tasks := fs.m.AllTasks()
-		fs.growSnapBuf(len(tasks))
-		for i, td := range tasks {
+		live, retired := fs.m.TaskLists()
+		fs.growSnapBuf(len(live) + len(retired))
+		for i, td := range live {
 			fs.m.SnapshotTaskInto(td, &fs.snapBuf[i])
 		}
-		return fs.snapBuf[:len(tasks)], nil
+		for i, td := range retired {
+			fs.m.SnapshotTaskInto(td, &fs.snapBuf[len(live)+i])
+		}
+		return fs.snapBuf[:len(live)+len(retired)], nil
 	default:
-		td := fs.m.Task(pid)
-		if td == nil {
-			// Retained exited tasks are still readable.
-			for _, t := range fs.m.AllTasks() {
-				if t.PID == pid {
-					td = t
-					break
-				}
-			}
-			if td == nil {
-				return nil, ErrNoSuchPID
-			}
+		td, err := fs.taskData(pid)
+		if err != nil {
+			return nil, err
 		}
 		fs.growSnapBuf(1)
 		fs.m.SnapshotTaskInto(td, &fs.snapBuf[0])
@@ -195,11 +189,15 @@ func (fs *FS) TraceRead(pid int, buf []byte) (int, error) {
 	return n, nil
 }
 
+// taskData finds pid's task data: a live task, or else a retained exited
+// one (those are still readable). Live PIDs are unique, so only the
+// retired list needs a walk.
 func (fs *FS) taskData(pid int) (*ktau.TaskData, error) {
 	if td := fs.m.Task(pid); td != nil {
 		return td, nil
 	}
-	for _, t := range fs.m.AllTasks() {
+	_, retired := fs.m.TaskLists()
+	for _, t := range retired {
 		if t.PID == pid {
 			return t, nil
 		}

@@ -3,6 +3,7 @@ package procfs
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // DefaultReadAttempts is the bounded retry count clients use for the
@@ -23,10 +24,11 @@ func (e ErrRetryExhausted) Error() string {
 // failed read reported, up to attempts times (<= 0 selects
 // DefaultReadAttempts). It returns the bytes actually read.
 //
-// Every attempt reads into scratch, grown when it is too small, so a caller
-// that passes the previous result back in reads without allocating once its
-// buffer has reached the working size. The result aliases that buffer and
-// is valid until the caller's next ReadRetry with it.
+// Every attempt reads into scratch, grown geometrically when it is too
+// small, so a caller that passes the previous result back in reads without
+// allocating once its buffer has reached the working size, even while the
+// data keeps growing by a few bytes a round. The result aliases that buffer
+// and is valid until the caller's next ReadRetry with it.
 //
 // The dance exists because the interface keeps no state between calls by
 // design (§4.3): a process can be created, or its profile grow, between Size
@@ -40,9 +42,7 @@ func ReadRetry(scratch []byte, size func() (int, error), read func(buf []byte) (
 		return nil, err
 	}
 	for i := 0; i < attempts; i++ {
-		if cap(scratch) < n {
-			scratch = make([]byte, n)
-		}
+		scratch = slices.Grow(scratch[:0], n)
 		buf := scratch[:n]
 		got, err := read(buf)
 		if err == nil {

@@ -124,7 +124,11 @@ type Agent[F any] interface {
 // Hooks is what a pipeline plugs into the transport: its frame codec, its
 // store (addressed by node index) and its per-node agents.
 type Hooks[F any] struct {
-	Decode   func([]byte) (F, error)
+	// Decode parses a payload into *dst. Each sink loop owns one F and
+	// decodes every frame into it, so a decoder may reuse the storage of the
+	// frame before; the payload is recycled once Decode returns, so the
+	// frame must not alias it.
+	Decode   func(dst *F, b []byte) error
 	Last     func(F) bool
 	Ingest   func(f F, wireBytes int) // wireBytes is 0 for local ingest
 	Drop     func(node int)           // a damaged or desynced frame
@@ -381,6 +385,9 @@ func (t *Transport[F]) spawnSink(l *link) *kernel.Task {
 		idx := l.nodeIdx
 		node := t.c.Node(idx)
 		timeouts := 0
+		// f is this sink's own: a sink yields in Charge between decode and
+		// ingest, so sinks cannot share a frame.
+		var f F
 		for {
 			if !l.sinkConn.RecvTimeout(u, HeaderBytes, t.timeout) {
 				timeouts++
@@ -420,7 +427,9 @@ func (t *Transport[F]) spawnSink(l *link) *kernel.Task {
 			}
 			l.popFront()
 			corrupt := l.sinkConn.TakeCorrupt()
-			f, err := t.h.Decode(payload)
+			n := len(payload)
+			err := t.h.Decode(&f, payload)
+			l.recycle(payload)
 			if corrupt || err != nil {
 				// Damaged in flight or undecodable: count and drop. The hole
 				// shows up in the store as a missing round.
@@ -428,8 +437,8 @@ func (t *Transport[F]) spawnSink(l *link) *kernel.Task {
 				continue
 			}
 			// User-space decode + store update cost.
-			Charge(u, len(payload))
-			t.h.Ingest(f, HeaderBytes+len(payload))
+			Charge(u, n)
+			t.h.Ingest(f, HeaderBytes+n)
 			if t.h.Last(f) {
 				return
 			}
@@ -444,12 +453,14 @@ func (t *Transport[F]) spawnSink(l *link) *kernel.Task {
 //
 // The pending queue is pushed from the agent's node window and popped from
 // the collector's, which can overlap under parallel execution — hence the
-// lock. The popped values are still deterministic: a payload is pushed at
-// send time, at least one wire latency (= one window barrier) before the
-// sink can have received the matching preamble bytes. replaced is set and
-// read only in the sink node's engine context (the agent retires a link by
-// posting the flip through the runner), so the sink's exit decision cannot
-// depend on worker interleaving.
+// lock, which also guards the free list of decoded payloads the sink hands
+// back for pushes to refill. The popped values are still deterministic: a
+// payload is pushed at send time, at least one wire latency (= one window
+// barrier) before the sink can have received the matching preamble bytes.
+// Which buffer a payload lands in never shows in the simulation. replaced
+// is set and read only in the sink node's engine context (the agent retires
+// a link by posting the flip through the runner), so the sink's exit
+// decision cannot depend on worker interleaving.
 type link struct {
 	nodeIdx   int          // monitored node this link carries
 	sinkNode  int          // collector node the sink runs on
@@ -458,15 +469,38 @@ type link struct {
 
 	mu       sync.Mutex
 	pending  [][]byte // encoded frames in flight, FIFO
+	free     [][]byte // payloads the sink has decoded, for push to refill
 	replaced bool     // the agent abandoned this link (failover/reconnect)
 }
 
+// maxFree bounds a link's free list. A link rarely has more than a frame or
+// two in flight, so a few spare payloads serve every push.
+const maxFree = 4
+
 // push enqueues one encoded frame. The queue owns its payloads — p is copied
 // out, so callers may pass a scratch buffer they will overwrite next round.
+// The copy lands in a payload the sink recycled after decoding it, when the
+// free list has one; it grows only when that payload is too short.
 func (l *link) push(p []byte) {
-	cp := append(make([]byte, 0, len(p)), p...)
 	l.mu.Lock()
-	l.pending = append(l.pending, cp)
+	var cp []byte
+	if n := len(l.free); n > 0 {
+		cp = l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+	}
+	l.pending = append(l.pending, append(cp[:0], p...))
+	l.mu.Unlock()
+}
+
+// recycle hands a decoded payload back for a later push to fill. The sink
+// calls it once nothing references the payload any more: it has been popped
+// and the decoded frame does not alias it.
+func (l *link) recycle(p []byte) {
+	l.mu.Lock()
+	if len(l.free) < maxFree {
+		l.free = append(l.free, p)
+	}
 	l.mu.Unlock()
 }
 
@@ -479,10 +513,14 @@ func (l *link) peek() ([]byte, bool) {
 	return l.pending[0], true
 }
 
+// popFront drops the oldest payload. The rest shift down in place, so the
+// queue keeps its backing array (a FIFO rarely holds more than two).
 func (l *link) popFront() {
 	l.mu.Lock()
-	if len(l.pending) > 0 {
-		l.pending = l.pending[1:]
+	if n := len(l.pending); n > 0 {
+		copy(l.pending, l.pending[1:])
+		l.pending[n-1] = nil
+		l.pending = l.pending[:n-1]
 	}
 	l.mu.Unlock()
 }

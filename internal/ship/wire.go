@@ -136,7 +136,12 @@ func (r *Reader) ZZ() int64 {
 	return v
 }
 
-func (r *Reader) Str() string {
+func (r *Reader) Str() string { return r.StrReuse("") }
+
+// StrReuse reads a string like Str, but returns old when the bytes equal it
+// (the comparison does not allocate), so a decoder refilling reused storage
+// allocates only for the strings that changed.
+func (r *Reader) StrReuse(old string) string {
 	if !r.need(2) {
 		return ""
 	}
@@ -145,20 +150,27 @@ func (r *Reader) Str() string {
 	if !r.need(n) {
 		return ""
 	}
-	v := string(r.b[r.off : r.off+n])
+	b := r.b[r.off : r.off+n]
 	r.off += n
-	return v
+	if string(b) == old {
+		return old
+	}
+	return string(b)
 }
 
 // Count validates a decoded element count before it becomes an int. Every
 // element takes at least one byte, so a count larger than the bytes left is
 // damage; it is rejected while still unsigned, so a huge value can neither
 // wrap negative nor size an allocation.
-func (r *Reader) Count(n uint64) int {
+func (r *Reader) Count(n uint64) int { return r.CountOf(n, 1) }
+
+// CountOf is Count for elements that each take at least width bytes on the
+// wire: a count the bytes left cannot hold is damage.
+func (r *Reader) CountOf(n uint64, width int) int {
 	if r.err != nil {
 		return 0
 	}
-	if n > uint64(len(r.b)-r.off) {
+	if n > uint64((len(r.b)-r.off)/width) {
 		r.err = ErrCount
 		return 0
 	}

@@ -155,7 +155,12 @@ func (tp *Pipeline) setup() (ship.Hooks[Frame], error) {
 		tp.col.SetNodeName(i, n.Name)
 	}
 	return ship.Hooks[Frame]{
-		Decode:   DecodeFrame,
+		// The collector keeps each frame's record slices, so every frame
+		// decodes into fresh storage.
+		Decode: func(dst *Frame, b []byte) (err error) {
+			*dst, err = DecodeFrame(b)
+			return err
+		},
 		Last:     func(f Frame) bool { return f.Last },
 		Ingest:   tp.col.Ingest,
 		Drop:     tp.col.DropFrame,

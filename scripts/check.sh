@@ -76,7 +76,10 @@ echo "== go test -race (kernel coroutines + partitioned runner + cluster + seria
 # quiescent, the serial/parallel identity and lowest-engine-panic tests hand
 # groups to worker goroutines, one kernel test resumes its tasks from a new
 # goroutine at every engine step, and two check that Shutdown has unwound
-# every task (also after a task's panic) before it returns.
+# every task (also after a task's panic) before it returns. So does the
+# transport's payload recycling: one goroutine pushes onto a link while
+# another pops, decodes and recycles, as an agent and a sink on different
+# workers do, and every payload must arrive byte for byte.
 # The experiments cross-checks pin byte identity of the full monitored,
 # fault-injected workloads against serial on both the flat topology (one
 # group per node, 4 workers) and a racked one with a group per rack, at
@@ -87,6 +90,7 @@ go test -race -count=10 ./internal/sim/ \
     -run 'TestRunnerMergeOrderProperty|SerialParallelIdentical|PanicLowestEngineWins'
 go test -race -count=10 ./internal/kernel/ \
     -run 'TestEngineStepsOnFreshGoroutines|TestShutdownReleasesGoroutines|TestTaskPanicLeavesThroughDeferredShutdown'
+go test -race -count=10 ./internal/ship/ -run 'TestLinkRecycleConcurrent'
 go test -race ./internal/experiments/ -run TestParallelMatchesSerialByteForByte
 
 echo "== go test -race (trace pipeline + cluster-trace determinism) =="
@@ -100,7 +104,11 @@ echo "== fuzz decoders (never panic; anything that decodes round-trips) and the 
 # The libktau decoders read the blobs /proc/ktau hands out; their seeds are
 # blobs procfs packed from a real measurement, every truncation of them and
 # the two huge-count blobs that once exhausted memory, and anything that
-# decodes must re-pack through procfs to the same bytes. The ASCII reader
+# decodes must re-pack through procfs to the same bytes. The perfmon frame
+# and libktau profile decoders also decode every input into storage left
+# dirty by a richer decode (more and longer records, every flag and counter
+# set), as the agent and the sinks reuse theirs; the result must equal the
+# decode into fresh storage. The ASCII reader
 # behind kprof is seeded with WriteASCII output of a real measurement,
 # every truncation of it and the inputs that once crashed or stalled it;
 # anything it parses must re-write and re-parse to equal snapshots.
