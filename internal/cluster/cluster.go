@@ -195,8 +195,8 @@ func New(cfg Config) *Cluster {
 		}
 	}
 	c.Runner = sim.NewPartitionedRunner(engines, matrix, workers)
-	c.Net.SetCrossDeliver(func(src, dst *netsim.NIC, at sim.Time, fn func()) {
-		c.Runner.Post(src.Idx(), dst.Idx(), at, fn)
+	c.Net.SetCrossDeliver(func(src, dst *netsim.NIC, at sim.Time, fn func(any), arg any) {
+		c.Runner.PostCall(src.Idx(), dst.Idx(), at, fn, arg)
 	})
 	c.Net.SetPairLatency(func(srcIdx, dstIdx int) time.Duration {
 		// The wire latency of a pair IS its lookahead: NIC arrivals are

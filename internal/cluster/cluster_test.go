@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -244,4 +246,87 @@ func TestInterRackLatencyBelowLinkPanics(t *testing.T) {
 		}
 	}()
 	New(cfg)
+}
+
+// rackedFlows runs request/response TCP flows on a six-node cluster in two
+// racks of three, at the given worker count: flows inside each rack and
+// across the racks, requests going both ways between the racks, and each
+// flow with its own message size so the traffic between any two nodes is
+// uneven. Every delivery carrier is owned by its sending NIC, so under the
+// parallel runner most carriers go home from another worker's goroutine.
+// It fails the test unless every byte arrives, and returns a fingerprint of
+// the run.
+func rackedFlows(t *testing.T, workers int) string {
+	t.Helper()
+	cfg := testConfig(6)
+	cfg.Topology = Topology{RackSize: 3}
+	if workers > 1 {
+		cfg.Parallel = true
+		cfg.Workers = workers
+	}
+	c := New(cfg)
+	defer c.Shutdown()
+	const msgs = 12
+	flows := []struct{ from, to, req, resp int }{
+		{0, 1, 9000, 64}, // inside rack 0
+		{2, 0, 3000, 700},
+		{4, 5, 16384, 128}, // inside rack 1
+		{0, 3, 5000, 256},  // rack 0 -> rack 1
+		{4, 1, 12000, 32},  // rack 1 -> rack 0
+		{5, 2, 1500, 1500},
+	}
+	type end struct{ a, b *tcpsim.Conn }
+	ends := make([]end, len(flows))
+	var tasks []*kernel.Task
+	for i, f := range flows {
+		a, b := tcpsim.Connect(c.Node(f.from).Stack, c.Node(f.to).Stack)
+		ends[i] = end{a, b}
+		tasks = append(tasks,
+			c.Node(f.from).K.Spawn(fmt.Sprintf("req%d", i), func(u *kernel.UCtx) {
+				for m := 0; m < msgs; m++ {
+					a.Send(u, f.req)
+					a.Recv(u, f.resp)
+				}
+			}, kernel.SpawnOpts{}),
+			c.Node(f.to).K.Spawn(fmt.Sprintf("resp%d", i), func(u *kernel.UCtx) {
+				for m := 0; m < msgs; m++ {
+					b.Recv(u, f.req)
+					b.Send(u, f.resp)
+				}
+			}, kernel.SpawnOpts{}))
+	}
+	if !c.RunUntilDone(tasks, 5*time.Second) {
+		t.Fatalf("workers=%d: flows did not finish", workers)
+	}
+	c.Settle(10 * time.Millisecond) // let trailing acks land
+	var b strings.Builder
+	for i, f := range flows {
+		e := ends[i]
+		if got, want := e.b.Stats.BytesRcvd, uint64(msgs*f.req); got != want {
+			t.Errorf("workers=%d: flow %d delivered %d request bytes, want %d", workers, i, got, want)
+		}
+		if got, want := e.a.Stats.BytesRcvd, uint64(msgs*f.resp); got != want {
+			t.Errorf("workers=%d: flow %d delivered %d response bytes, want %d", workers, i, got, want)
+		}
+		fmt.Fprintf(&b, "flow %d: window %d/%d\n", i, e.a.Window(), e.b.Window())
+	}
+	for _, task := range tasks {
+		fmt.Fprintf(&b, "%s: end %v user %v kern %v vol %d invol %d\n",
+			task.Name(), task.EndAt, task.UserTime, task.KernTime, task.VolSwitches, task.InvolSwitches)
+	}
+	for _, n := range c.Nodes {
+		fmt.Fprintf(&b, "%s: nic %+v tcp %+v kernel %+v now %v\n", n.Name, n.NIC.Stats, n.Stack.Stats, n.K.Stats, n.Eng.Now())
+	}
+	fmt.Fprintf(&b, "net %+v\n", c.Net.Stats)
+	return b.String()
+}
+
+// TestRackedFlowsParallelMatchSerial: TCP flows inside and across racks, in
+// both directions, deliver every byte at 2 workers, and the run is
+// identical to the 1-worker run.
+func TestRackedFlowsParallelMatchSerial(t *testing.T) {
+	serial := rackedFlows(t, 1)
+	if par := rackedFlows(t, 2); par != serial {
+		t.Fatalf("2-worker run differs from serial:\n--- serial\n%s--- 2 workers\n%s", serial, par)
+	}
 }

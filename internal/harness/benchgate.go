@@ -32,6 +32,10 @@ var benchGates = map[string][]BenchCheck{
 	"BENCH_core.json": {
 		{Key: "chiba32_serial.chiba_speedup_x", Op: ">=", Limit: 1.25,
 			Why: "serial Chiba must stay well ahead of the recorded seed baseline"},
+		{Key: "chiba32_serial.after_allocs", Op: "<=", Limit: 50000,
+			Why: "the serial 32-node Chiba run's packet path allocates nothing in steady state " +
+				"(about 23 k allocations per run, against 1.47 M when every frame allocated); " +
+				"the count depends on the code and the Go version, not on host load"},
 	},
 	// BENCH_parallel.json has a rows-based schema with conditional gating
 	// (speedup thresholds only make sense on multi-core hosts) and is

@@ -14,7 +14,7 @@ func goodBench(t *testing.T, dir string) {
 	t.Helper()
 	files := map[string]string{
 		"BENCH_core.json": `{
-  "chiba32_serial": {"chiba_speedup_x": 1.8, "alloc_reduction_x": "inf"}
+  "chiba32_serial": {"chiba_speedup_x": 1.8, "after_allocs": 23000, "alloc_reduction_x": "inf"}
 }`,
 		"BENCH_parallel.json": goodParallelJSON,
 	}
@@ -49,13 +49,18 @@ func TestGateBenchFilesMissingFile(t *testing.T) {
 }
 
 func TestGateBenchFilesMissingKey(t *testing.T) {
-	dir := t.TempDir()
-	goodBench(t, dir)
-	blob := `{"chiba32_serial": {"alloc_reduction_x": "inf"}}` // chiba_speedup_x gone
-	os.WriteFile(filepath.Join(dir, "BENCH_core.json"), []byte(blob), 0o644)
-	v := strings.Join(GateBenchFiles(dir, nil), "\n")
-	if !strings.Contains(v, `"chiba32_serial.chiba_speedup_x" missing`) {
-		t.Fatalf("missing key not flagged: %v", v)
+	blobs := map[string]string{
+		"chiba32_serial.chiba_speedup_x": `{"chiba32_serial": {"after_allocs": 23000, "alloc_reduction_x": "inf"}}`,
+		"chiba32_serial.after_allocs":    `{"chiba32_serial": {"chiba_speedup_x": 1.8, "alloc_reduction_x": "inf"}}`,
+	}
+	for key, blob := range blobs {
+		dir := t.TempDir()
+		goodBench(t, dir)
+		os.WriteFile(filepath.Join(dir, "BENCH_core.json"), []byte(blob), 0o644)
+		v := GateBenchFiles(dir, nil)
+		if len(v) != 1 || !strings.Contains(v[0], `"`+key+`" missing`) {
+			t.Fatalf("missing %s not flagged alone: %v", key, v)
+		}
 	}
 }
 
@@ -73,16 +78,24 @@ func TestGateBenchFilesDuplicateKey(t *testing.T) {
 func TestGateBenchFilesThreshold(t *testing.T) {
 	dir := t.TempDir()
 	goodBench(t, dir)
-	blob := `{"chiba32_serial": {"chiba_speedup_x": 1.1}}` // under the 1.25x floor
+	blob := `{"chiba32_serial": {"chiba_speedup_x": 1.1, "after_allocs": 23000}}` // under the 1.25x floor
 	os.WriteFile(filepath.Join(dir, "BENCH_core.json"), []byte(blob), 0o644)
 	v := strings.Join(GateBenchFiles(dir, nil), "\n")
 	if !strings.Contains(v, "chiba_speedup_x") || !strings.Contains(v, "violates") {
 		t.Fatalf("threshold violation not flagged: %v", v)
 	}
+	// The allocation budget: a serial Chiba run that allocates per frame
+	// again (the 1.47 M of an allocating packet path) fails the gate.
+	blob = `{"chiba32_serial": {"chiba_speedup_x": 1.8, "after_allocs": 1472669}}`
+	os.WriteFile(filepath.Join(dir, "BENCH_core.json"), []byte(blob), 0o644)
+	v = strings.Join(GateBenchFiles(dir, nil), "\n")
+	if !strings.Contains(v, "after_allocs") || !strings.Contains(v, "violates") {
+		t.Fatalf("allocation budget violation not flagged: %v", v)
+	}
 }
 
 func TestCheckBenchPayload(t *testing.T) {
-	ok := []byte(`{"chiba32_serial": {"chiba_speedup_x": 1.8}}`)
+	ok := []byte(`{"chiba32_serial": {"chiba_speedup_x": 1.8, "after_allocs": 23000}}`)
 	if err := CheckBenchPayload("BENCH_core.json", ok); err != nil {
 		t.Fatal(err)
 	}

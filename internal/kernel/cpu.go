@@ -268,9 +268,13 @@ func (k *Kernel) irqBHEnd(c *CPU) {
 	k.m.Exit(b.td, k.evSoftirq)
 	c.IRQTime += k.eng.Now().Sub(c.irqStart)
 	defs := b.defers
-	for i, fn := range defs {
-		defs[i] = nil
-		fn()
+	for i, d := range defs {
+		defs[i] = deferred{}
+		if d.wq != nil {
+			d.wq.WakeAllFrom(k, c.ID)
+		} else {
+			d.fn()
+		}
 	}
 	c.irqCur = irqReq{}
 	k.serviceNextIRQ(c)
@@ -305,13 +309,22 @@ func (k *Kernel) irqReturn(c *CPU) {
 // BHCtx is the execution context handed to bottom-half (softirq) handlers,
 // e.g. the TCP receive path. Handlers declare their processing cost with
 // Span/Charge (time then elapses in virtual time) and defer their wakeups to
-// the end of the softirq.
+// the end of the softirq, with Defer or, closure-free, DeferWakeAll. One
+// BHCtx per CPU is reused by every softirq that CPU services, so a handler
+// must not keep it past its return.
 type BHCtx struct {
 	k      *Kernel
 	c      *CPU
 	td     *ktau.TaskData
 	cost   time.Duration
-	defers []func()
+	defers []deferred
+}
+
+// deferred is one action a softirq defers to its end: a wake of every
+// waiter on wq from the softirq's CPU, or fn when wq is nil.
+type deferred struct {
+	fn func()
+	wq *WaitQueue
 }
 
 // Kernel returns the owning kernel.
@@ -340,6 +353,12 @@ func (b *BHCtx) Atomic(ev ktau.EventID, v float64) {
 }
 
 // Defer schedules fn to run when the softirq's cost has elapsed; wakeups
-// must go through Defer so woken tasks cannot run before the softirq
-// finishes.
-func (b *BHCtx) Defer(fn func()) { b.defers = append(b.defers, fn) }
+// must go through Defer or DeferWakeAll so woken tasks cannot run before
+// the softirq finishes. Deferred actions run in the order they were
+// deferred.
+func (b *BHCtx) Defer(fn func()) { b.defers = append(b.defers, deferred{fn: fn}) }
+
+// DeferWakeAll defers wq.WakeAllFrom(kernel, softirq CPU) to the end of the
+// softirq, in order with the Defer'red funcs. It is the closure-free form
+// of the receive path's reader and sender wakeups.
+func (b *BHCtx) DeferWakeAll(wq *WaitQueue) { b.defers = append(b.defers, deferred{wq: wq}) }

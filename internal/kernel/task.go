@@ -122,6 +122,7 @@ type Task struct {
 	affin   uint64 // 0 = any CPU
 	program Program
 	uctx    *UCtx
+	kctx    KCtx // every system call's kernel context: it only names t and k
 
 	timesliceLeft time.Duration
 	work          *workSeg
@@ -309,6 +310,7 @@ func (k *Kernel) Spawn(name string, program Program, opts SpawnOpts) *Task {
 	t.activateFn = func() { k.activate(t) }
 	t.kd = k.m.CreateTask(pid, name)
 	t.uctx = &UCtx{t: t, k: k}
+	t.kctx = KCtx{t: t, k: k}
 	k.tasks[pid] = t
 	k.order = append(k.order, t)
 	t.next, t.stop = iter.Pull(t.body)

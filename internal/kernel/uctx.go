@@ -74,7 +74,7 @@ func (u *UCtx) Syscall(name string, body func(*KCtx)) {
 	t.call(request{kind: reqKCompute, d: k.jitter(k.params.SyscallEntryCost)})
 	k.m.Entry(t.kd, ev)
 	if body != nil {
-		body(&KCtx{t: t, k: k})
+		body(&t.kctx)
 	}
 	k.m.Exit(t.kd, ev)
 	t.call(request{kind: reqKCompute, d: k.jitter(k.params.SyscallExitCost)})
@@ -129,6 +129,12 @@ func (kc *KCtx) Atomic(ev ktau.EventID, v float64) { kc.k.m.Atomic(kc.t.kd, ev, 
 func (kc *KCtx) Wait(wq *WaitQueue) {
 	kc.t.call(request{kind: reqWait, wq: wq})
 }
+
+// WakeAt arms a timer that wakes the task at t, as a signal would: a
+// blocked Wait returns, and the caller's condition loop observes the time.
+// Cancel the returned handle once the wait is over, so the stale wake
+// cannot cut short a later sleep.
+func (kc *KCtx) WakeAt(t sim.Time) sim.Handle { return kc.k.eng.AtCall(t, taskWakeCB, kc.t) }
 
 // Sleep blocks for d in kernel mode.
 func (kc *KCtx) Sleep(d time.Duration) {

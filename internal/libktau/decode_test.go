@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -235,8 +236,19 @@ func FuzzDecodeProfiles(f *testing.F) {
 	})
 }
 
+// richTrace returns a valid trace blob of more records than any seed, with
+// every field of every record set, to dirty the storage a decode reuses.
+func richTrace() []byte {
+	recs := make([]ktau.Record, 300)
+	for i := range recs {
+		recs[i] = ktau.Record{TSC: 9e9 + int64(i), Ev: ktau.EventID(i + 1), Kind: ktau.KindAtomic, Val: -7 - int64(i)}
+	}
+	return procfs.AppendTrace(nil, 99, 12345, recs)
+}
+
 // FuzzDecodeTrace: DecodeTrace never panics, and anything it decodes
-// re-packs through procfs to the same bytes.
+// re-packs through procfs to the same bytes. Decoding into storage dirtied
+// by a longer decode gives the same result as decoding into fresh storage.
 func FuzzDecodeTrace(f *testing.F) {
 	_, traces := realBlobs(f)
 	for _, b := range traces {
@@ -246,15 +258,58 @@ func FuzzDecodeTrace(f *testing.F) {
 	}
 	f.Add(hugeProfileCount())
 	f.Add(hugeTraceCount())
+	rich := richTrace()
 	f.Fuzz(func(t *testing.T, b []byte) {
 		d, err := DecodeTrace(b)
+		dirty, errRich := DecodeTraceInto(nil, rich)
+		if errRich != nil {
+			t.Fatalf("rich blob: %v", errRich)
+		}
+		reused, errReused := DecodeTraceInto(dirty.Records, b)
+		if (err == nil) != (errReused == nil) {
+			t.Fatalf("fresh decode: %v; decode into reused storage: %v", err, errReused)
+		}
 		if err != nil {
+			if len(reused.Records) != 0 || reused.PID != 0 || reused.Lost != 0 {
+				t.Fatalf("failed decode into reused storage returned %+v", reused)
+			}
 			return
+		}
+		if reused.PID != d.PID || reused.Lost != d.Lost || !slices.Equal(reused.Records, d.Records) {
+			t.Fatalf("decode into reused storage differs:\n got %+v\nwant %+v", reused, d)
 		}
 		if again := procfs.AppendTrace(nil, d.PID, d.Lost, d.Records); !bytes.Equal(again, b) {
 			t.Fatalf("decoded blob re-packs differently:\n in: %x\nout: %x", b, again)
 		}
 	})
+}
+
+// TestGetTraceIntoAllocatesNothing pins a warmed drain loop: a Handle that
+// passes each result's Records back in reads a 1000-record ring without
+// allocating.
+func TestGetTraceIntoAllocatesNothing(t *testing.T) {
+	e := &env{}
+	m := ktau.NewMeasurement(e, ktau.Options{Compiled: ktau.GroupAll, Boot: ktau.GroupAll, TraceCapacity: 2048})
+	td := m.CreateTask(42, "p")
+	ev := m.Event("sys_read", ktau.GroupSyscall)
+	h := Open(procfs.New(m))
+	var scratch []ktau.Record
+	drain := func() {
+		for i := 0; i < 500; i++ {
+			m.Entry(td, ev)
+			e.c += 5
+			m.Exit(td, ev)
+		}
+		d, err := h.GetTraceInto(scratch, 42)
+		if err != nil || len(d.Records) != 1000 || d.PID != 42 {
+			t.Fatalf("GetTraceInto = pid %d, %d records, %v; want pid 42, 1000 records", d.PID, len(d.Records), err)
+		}
+		scratch = d.Records[:0]
+	}
+	drain() // warm the handle's blob and the record scratch
+	if allocs := testing.AllocsPerRun(50, drain); allocs != 0 {
+		t.Fatalf("warmed GetTraceInto of 1000 records allocated %.1f times, want 0", allocs)
+	}
 }
 
 // TestGetTraceAllocsIndependentOfRecords pins a warmed Handle's trace read:

@@ -96,13 +96,21 @@ func (h *Handle) GetProfile(scope Scope, pid int) (ktau.Snapshot, error) {
 
 // GetTrace drains and decodes a process's kernel trace buffer.
 func (h *Handle) GetTrace(pid int) (TraceDump, error) {
+	return h.GetTraceInto(nil, pid)
+}
+
+// GetTraceInto is GetTrace decoding the records into dst's storage, as
+// DecodeTraceInto does: a drain loop that passes each result's Records back
+// in reads without allocating once that storage has reached the working
+// size.
+func (h *Handle) GetTraceInto(dst []ktau.Record, pid int) (TraceDump, error) {
 	blob, err := h.read(
 		func() (int, error) { return h.fs.TraceSize(pid) },
 		func(buf []byte) (int, error) { return h.fs.TraceRead(pid, buf) })
 	if err != nil {
-		return TraceDump{}, err
+		return TraceDump{Records: dst[:0]}, err
 	}
-	return DecodeTrace(blob)
+	return DecodeTraceInto(dst, blob)
 }
 
 // EnableGroups turns instrumentation groups on at runtime.
@@ -372,18 +380,32 @@ func DecodeProfilesInto(dst []ktau.Snapshot, blob []byte) ([]ktau.Snapshot, erro
 }
 
 // DecodeTrace parses a binary trace blob from /proc/ktau/trace. The record
-// slice is sized from the blob's count, bounded by the bytes left.
+// slice is sized from the blob's count, bounded by the bytes left. The
+// result aliases nothing.
 func DecodeTrace(blob []byte) (TraceDump, error) {
+	d, err := DecodeTraceInto(nil, blob)
+	if err != nil {
+		return TraceDump{}, err
+	}
+	return d, nil
+}
+
+// DecodeTraceInto is DecodeTrace decoding the records into dst's storage:
+// every field of each record is overwritten, and the slice grows only when
+// its capacity is short. dst must be storage only the caller holds, such as
+// an earlier result's Records (which this decode overwrites); nil decodes
+// into fresh storage. On an error the result's Records are empty but keep
+// the storage for the next call.
+func DecodeTraceInto(dst []ktau.Record, blob []byte) (TraceDump, error) {
 	r := &reader{b: blob}
 	if err := r.header(); err != nil {
-		return TraceDump{}, err
+		return TraceDump{Records: dst[:0]}, err
 	}
 	var d TraceDump
 	d.PID = int(r.i64())
 	d.Lost = r.u64()
-	if n := r.count(r.u32(), procfs.TraceRecordBytes); n > 0 {
-		d.Records = make([]ktau.Record, n)
-	}
+	n := r.count(r.u32(), procfs.TraceRecordBytes)
+	d.Records = slices.Grow(dst[:0], n)[:n]
 	for i := 0; i < len(d.Records) && r.err == nil; i++ {
 		rec := &d.Records[i]
 		rec.TSC = r.i64()
@@ -392,7 +414,7 @@ func DecodeTrace(blob []byte) (TraceDump, error) {
 		rec.Val = r.i64()
 	}
 	if err := r.end(); err != nil {
-		return TraceDump{}, err
+		return TraceDump{Records: d.Records[:0]}, err
 	}
 	return d, nil
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"ktau/internal/kernel"
+	"ktau/internal/sim"
 	"ktau/internal/tau"
 	"ktau/internal/tcpsim"
 )
@@ -52,24 +53,19 @@ type msgMeta struct {
 // the FIFO was fixed before the receiver's span began.
 type metaQ struct {
 	mu sync.Mutex
-	q  []msgMeta
+	q  sim.Queue[msgMeta]
 }
 
 func (m *metaQ) push(v msgMeta) {
 	m.mu.Lock()
-	m.q = append(m.q, v)
+	m.q.Push(v)
 	m.mu.Unlock()
 }
 
 func (m *metaQ) pop() (msgMeta, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.q) == 0 {
-		return msgMeta{}, false
-	}
-	v := m.q[0]
-	m.q = m.q[1:]
-	return v, true
+	return m.q.Pop()
 }
 
 type flow struct {

@@ -7,6 +7,7 @@
 package netsim
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -43,12 +44,15 @@ func DefaultLinkSpec() LinkSpec {
 	}
 }
 
-// Frame is one on-wire unit. Payload is opaque to the network (the TCP layer
-// stores its segment descriptor there).
+// Frame is one on-wire unit. Payload and Count are opaque to the network.
+// The TCP layer describes a segment with them without boxing: Payload holds
+// the endpoint the segment is for, as a pointer whose type names the
+// segment kind, and Count its byte count.
 type Frame struct {
 	Src, Dst string // node names
 	Bytes    int    // wire size including overhead
 	Payload  any
+	Count    uint64
 	// Dup marks a duplicated copy injected by the fault layer. The receiving
 	// protocol charges receive-path cost for it but discards the payload
 	// (TCP's sequence-number check).
@@ -87,11 +91,14 @@ type Impairment struct {
 type ImpairFunc func(now sim.Time, f Frame) Impairment
 
 // CrossDeliverFunc hands a cross-node delivery to the execution layer: run
-// fn at virtual time at on the destination NIC's engine, on behalf of the
-// source NIC's engine. The cluster wires this to the windowed runner's
-// deterministic merge; when unset, deliveries are scheduled directly on the
-// destination engine (valid only when all NICs share one engine).
-type CrossDeliverFunc func(src, dst *NIC, at sim.Time, fn func())
+// fn(arg) at virtual time at on the destination NIC's engine, on behalf of
+// the source NIC's engine. fn is static and arg is the NIC's pooled
+// delivery carrier, so a hook that posts them as they are (the cluster
+// wires this to sim.Runner.PostCall, the runner's deterministic merge)
+// delivers without allocating. When unset, deliveries are scheduled
+// directly on the destination engine (valid only when all NICs share one
+// engine).
+type CrossDeliverFunc func(src, dst *NIC, at sim.Time, fn func(any), arg any)
 
 // PairLatencyFunc returns the one-way wire latency between two distinct
 // nodes, identified by their NIC engine indices. It lets a topology-aware
@@ -194,11 +201,16 @@ type NIC struct {
 	txFreeAt sim.Time
 	rxq      []Frame
 
-	// freeDel pools same-engine delivery carriers; drainBuf is the scratch
-	// slice Drain hands out (valid until the next Drain). Both are only
-	// touched from this NIC's engine goroutine.
+	// freeDel pools the delivery carriers this NIC allocated for its own
+	// sends; drainBuf is the scratch slice Drain hands out (valid until the
+	// next Drain). Both are only touched from this NIC's engine goroutine.
+	// A carrier that lands on another engine comes back through retDel,
+	// which other engines' goroutines append to under retMu; the NIC swaps
+	// it in when freeDel runs dry.
 	freeDel  []*delivery
 	drainBuf []Frame
+	retMu    sync.Mutex
+	retDel   []*delivery
 
 	// OnRx is invoked (in engine context) whenever a frame lands in the
 	// receive ring; the TCP layer uses it to raise the device IRQ.
@@ -216,41 +228,65 @@ func (n *Network) txTime(bytes int) time.Duration {
 	return time.Duration(int64(bytes) * 8 * int64(time.Second) / n.spec.BandwidthBps)
 }
 
-// delivery carries one in-flight frame to a same-engine destination. It is
-// pooled per destination NIC so the common paths (loopback, single-engine
-// clusters) schedule without allocating.
+// delivery carries one in-flight frame to its destination NIC. The sending
+// NIC owns the carrier: it takes one from its own pool for every scheduled
+// frame, and the carrier goes back to that pool when the frame lands, on
+// whichever engine that is. A steady flow in either direction therefore
+// schedules without allocating, however unevenly the traffic between two
+// nodes runs.
 type delivery struct {
-	nic *NIC
-	f   Frame
+	owner *NIC
+	dst   *NIC
+	f     Frame
 }
 
-// deliverCB lands a pooled delivery: the carrier is recycled first so the
-// receive path's own transmissions can reuse it.
+// carrier takes a delivery carrier from the NIC's pool, swapping in the
+// carriers returned from other engines when the pool is empty, and
+// allocates only when both are.
+func (nic *NIC) carrier() *delivery {
+	if len(nic.freeDel) == 0 {
+		nic.retMu.Lock()
+		nic.freeDel, nic.retDel = nic.retDel, nic.freeDel
+		nic.retMu.Unlock()
+	}
+	n := len(nic.freeDel)
+	if n == 0 {
+		return &delivery{owner: nic}
+	}
+	d := nic.freeDel[n-1]
+	nic.freeDel[n-1] = nil
+	nic.freeDel = nic.freeDel[:n-1]
+	return d
+}
+
+// deliverCB lands a pooled delivery. The carrier is emptied and handed back
+// to its owner first, so the receive path's own transmissions can reuse it:
+// straight onto the owner's pool when the owner runs on this engine, else
+// onto its return list.
 func deliverCB(arg any) {
 	d := arg.(*delivery)
-	nic, f := d.nic, d.f
-	d.f = Frame{}
-	nic.freeDel = append(nic.freeDel, d)
-	nic.deliver(f)
+	dst, f, owner := d.dst, d.f, d.owner
+	d.dst, d.f = nil, Frame{}
+	if owner.eng == dst.eng {
+		owner.freeDel = append(owner.freeDel, d)
+	} else {
+		owner.retMu.Lock()
+		owner.retDel = append(owner.retDel, d)
+		owner.retMu.Unlock()
+	}
+	dst.deliver(f)
 }
 
 // schedule routes one delivery to the destination, crossing engines through
 // the deterministic merge when one is installed.
 func (nic *NIC) schedule(dst *NIC, at sim.Time, f Frame) {
+	d := nic.carrier()
+	d.dst, d.f = dst, f
 	if dst == nic || nic.net.deliver == nil {
-		var d *delivery
-		if n := len(dst.freeDel); n > 0 {
-			d = dst.freeDel[n-1]
-			dst.freeDel[n-1] = nil
-			dst.freeDel = dst.freeDel[:n-1]
-		} else {
-			d = &delivery{nic: dst}
-		}
-		d.f = f
 		dst.eng.AtCall(at, deliverCB, d)
 		return
 	}
-	nic.net.deliver(nic, dst, at, func() { dst.deliver(f) })
+	nic.net.deliver(nic, dst, at, deliverCB, d)
 }
 
 // Send transmits a frame. Same-node frames take the loopback path; others

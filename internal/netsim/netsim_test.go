@@ -186,3 +186,48 @@ func TestFrameOrderPreservedPerFlow(t *testing.T) {
 		}
 	}
 }
+
+// TestCarriersGoHomeAcrossEngines: a delivery carrier belongs to the NIC
+// that sent it and returns to that NIC from the destination's engine, so
+// one-way traffic across engines reuses the sender's carriers and allocates
+// nothing once warm, while the receiver never holds a carrier.
+func TestCarriersGoHomeAcrossEngines(t *testing.T) {
+	ea, eb := sim.NewEngine(), sim.NewEngine()
+	n := New(nil, DefaultLinkSpec())
+	a, b := n.AttachOn("a", ea, 0), n.AttachOn("b", eb, 1)
+	// A stand-in for the runner's merge: run the delivery on the
+	// destination's engine.
+	n.SetCrossDeliver(func(src, dst *NIC, at sim.Time, fn func(any), arg any) {
+		dst.Engine().AtCall(at, fn, arg)
+	})
+	got := 0
+	b.OnRx = func() {
+		for _, f := range b.Drain(0) {
+			if f.Src != "a" || f.Bytes != 1000 || f.Count != uint64(got) {
+				t.Fatalf("frame %d arrived as %+v", got, f)
+			}
+			got++
+		}
+	}
+	sent := 0
+	send := func() {
+		for i := 0; i < 3; i++ {
+			a.Send(Frame{Dst: "b", Bytes: 1000, Count: uint64(sent)})
+			sent++
+		}
+		eb.Run()
+	}
+	send()
+	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+		t.Errorf("one-way cross-engine sends allocate %v per round, want 0", allocs)
+	}
+	if got != sent {
+		t.Errorf("%d of %d frames arrived", got, sent)
+	}
+	if pooled := len(a.freeDel) + len(a.retDel); pooled != 3 {
+		t.Errorf("sender holds %d carriers after its sends landed, want 3", pooled)
+	}
+	if held := len(b.freeDel) + len(b.retDel); held != 0 {
+		t.Errorf("receiver holds %d carriers, want 0", held)
+	}
+}

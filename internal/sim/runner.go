@@ -19,7 +19,8 @@ type xev struct {
 	dst int
 	src int
 	seq uint64
-	fn  func()
+	fn  func(any)
+	arg any
 }
 
 // compareXev is the runner's merge comparator and an explicit strict total
@@ -227,20 +228,36 @@ func (r *Runner) OnBarrier(fn func()) {
 }
 
 // Post schedules fn at virtual time at on engine dst, on behalf of engine
-// src. It is the only safe way to schedule across engines while an epoch
-// is running, and it panics if at arrives earlier than the pair lookahead
+// src. It is PostCall with fn riding in the argument slot: one delivery
+// path, with the same checks and the same order.
+func (r *Runner) Post(src, dst int, at Time, fn func()) {
+	if fn == nil {
+		panic("sim: nil cross-engine event callback")
+	}
+	r.PostCall(src, dst, at, callFunc, fn)
+}
+
+// callFunc runs a func() that rides in an event's argument slot.
+func callFunc(arg any) { arg.(func())() }
+
+// PostCall schedules fn(arg) at virtual time at on engine dst, on behalf of
+// engine src: the closure-free form of Post, as Engine.AtCall is of
+// Engine.At. A static fn and a pointer-typed arg post without allocating.
+// It is the only safe way to schedule across engines while an epoch is
+// running, and it panics if at arrives earlier than the pair lookahead
 // src→dst permits — such a post is a lookahead violation and would make
 // results depend on worker interleaving.
 //
-// Mid-epoch, Post runs on the goroutine that owns src's group (cross-engine
-// events always originate from the executing engine). A self-directed post
-// goes straight onto src's own calendar, which enforces at >= its clock. An
-// intra-group post waits in the group's pend buffer for the next
-// group-local window, lock-free. A cross-group post waits in the inbox for
-// the next rendezvous. Between epochs, posts may come from any goroutine
-// (hooks, boot wiring, tests) and all wait in the inbox, bounded only by
-// the runner clock. Every waiting post is delivered in compareXev order.
-func (r *Runner) Post(src, dst int, at Time, fn func()) {
+// Mid-epoch, PostCall runs on the goroutine that owns src's group
+// (cross-engine events always originate from the executing engine). A
+// self-directed post goes straight onto src's own calendar, which enforces
+// at >= its clock. An intra-group post waits in the group's pend buffer for
+// the next group-local window, lock-free. A cross-group post waits in the
+// inbox for the next rendezvous. Between epochs, posts may come from any
+// goroutine (hooks, boot wiring, tests) and all wait in the inbox, bounded
+// only by the runner clock. Every waiting post is delivered in compareXev
+// order.
+func (r *Runner) PostCall(src, dst int, at Time, fn func(any), arg any) {
 	if src < 0 || src >= len(r.engines) || dst < 0 || dst >= len(r.engines) {
 		panic(fmt.Sprintf("sim: post with engine out of range (src=%d dst=%d n=%d)", src, dst, len(r.engines)))
 	}
@@ -249,7 +266,7 @@ func (r *Runner) Post(src, dst int, at Time, fn func()) {
 	}
 	if r.inEpoch {
 		if src == dst {
-			r.engines[src].At(at, fn)
+			r.engines[src].AtCall(at, fn, arg)
 			return
 		}
 		g := r.groups[r.groupOf[src]]
@@ -259,7 +276,7 @@ func (r *Runner) Post(src, dst int, at Time, fn func()) {
 					src, dst, at, r.matrix.Pair(src, dst), g.idx, g.winEnd))
 			}
 			r.seqs[src]++
-			g.pend = append(g.pend, xev{at: at, dst: dst, src: src, seq: r.seqs[src], fn: fn})
+			g.pend = append(g.pend, xev{at: at, dst: dst, src: src, seq: r.seqs[src], fn: fn, arg: arg})
 			return
 		}
 		if at < r.epochEnd {
@@ -271,21 +288,23 @@ func (r *Runner) Post(src, dst int, at Time, fn func()) {
 	}
 	r.mu.Lock()
 	r.seqs[src]++
-	r.inbox = append(r.inbox, xev{at: at, dst: dst, src: src, seq: r.seqs[src], fn: fn})
+	r.inbox = append(r.inbox, xev{at: at, dst: dst, src: src, seq: r.seqs[src], fn: fn, arg: arg})
 	r.mu.Unlock()
 }
 
 // deliver sorts buf in compareXev order, schedules every event on its
-// destination engine and returns buf emptied, callbacks released, for
-// reuse. Only the goroutine that owns the destination engines calls it.
+// destination engine and returns buf emptied, callbacks and arguments
+// released, for reuse. Only the goroutine that owns the destination engines
+// calls it.
 func (r *Runner) deliver(buf []xev) []xev {
 	if len(buf) == 0 {
 		return buf
 	}
 	slices.SortFunc(buf, compareXev)
 	for i := range buf {
-		r.engines[buf[i].dst].At(buf[i].at, buf[i].fn)
-		buf[i].fn = nil
+		x := &buf[i]
+		r.engines[x.dst].AtCall(x.at, x.fn, x.arg)
+		x.fn, x.arg = nil, nil
 	}
 	return buf[:0]
 }
@@ -305,7 +324,7 @@ func (r *Runner) deliverPending() {
 	for i := range in {
 		g := r.groups[r.groupOf[in[i].dst]]
 		g.xbuf = append(g.xbuf, in[i])
-		in[i].fn = nil
+		in[i].fn, in[i].arg = nil, nil
 	}
 	r.spare = in[:0]
 	for _, g := range r.groups {

@@ -177,3 +177,61 @@ func TestRunnerPostFromOutsideWindow(t *testing.T) {
 		t.Error("boot-time post was not delivered")
 	}
 }
+
+// TestPostCallStepAllocatesNothing pins the closure-free cross-engine post:
+// once the inbox, the group buffers and the engines' pools have reached
+// their working size, PostCall with a static callback and a pointer
+// argument, followed by the Step that delivers and fires it, allocates
+// nothing.
+func TestPostCallStepAllocatesNothing(t *testing.T) {
+	engines := []*Engine{NewEngine(), NewEngine()}
+	r := NewRunner(engines, time.Millisecond, 1)
+	fired := 0
+	count := func(arg any) { *arg.(*int)++ }
+	cycle := func() {
+		r.PostCall(0, 1, r.Now().Add(r.Lookahead()), count, &fired)
+		if !r.Step(r.Now().Add(time.Second)) {
+			t.Fatal("Step found nothing to run")
+		}
+	}
+	for i := 0; i < 10; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("PostCall+Step allocates %v/op, want 0", allocs)
+	}
+	if fired != 10+101 {
+		t.Errorf("fired %d posts, want %d", fired, 10+101)
+	}
+}
+
+// TestPostAndPostCallMergeInOneOrder: Post is PostCall with the func in the
+// argument slot, so posts of both forms at one instant merge into the single
+// (at, src, seq) order, and every drained buffer releases what it carried.
+func TestPostAndPostCallMergeInOneOrder(t *testing.T) {
+	engines := []*Engine{NewEngine(), NewEngine(), NewEngine()}
+	r := NewRunner(engines, time.Millisecond, 1)
+	var got []string
+	logArg := func(arg any) { got = append(got, *arg.(*string)) }
+	at := Time(int64(2 * time.Millisecond))
+	names := []string{"2a", "0a", "2b", "1a", "0b"}
+	srcs := []int{2, 0, 2, 1, 0}
+	for i, name := range names {
+		if i%2 == 0 {
+			r.PostCall(srcs[i], 1, at, logArg, &names[i])
+		} else {
+			r.Post(srcs[i], 1, at, func() { got = append(got, name) })
+		}
+	}
+	r.RunUntil(at.Add(time.Millisecond))
+	if want := "0a 0b 1a 2a 2b"; strings.Join(got, " ") != want {
+		t.Errorf("delivery order %q, want %q", strings.Join(got, " "), want)
+	}
+	for _, buf := range [][]xev{r.inbox, r.spare, r.groups[1].xbuf, r.groups[1].pend} {
+		for _, x := range buf[:cap(buf)] {
+			if x.fn != nil || x.arg != nil {
+				t.Fatalf("drained buffer still holds a callback or argument: %+v", x)
+			}
+		}
+	}
+}

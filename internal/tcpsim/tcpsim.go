@@ -85,6 +85,10 @@ type Stack struct {
 	evPktSize     ktau.EventID
 
 	irqPending bool
+	// rxAction and raiseRx are netRxAction and rxInterrupt bound once, so
+	// raising the device IRQ and deferring a re-raise allocate nothing.
+	rxAction func(*kernel.BHCtx)
+	raiseRx  func()
 
 	// open is the number of this stack's endpoints not yet closed.
 	open int
@@ -130,7 +134,9 @@ func NewStack(k *kernel.Kernel, nic *netsim.NIC, p Params) *Stack {
 		evNetRxAction: m.Event("net_rx_action", ktau.GroupBH),
 		evPktSize:     m.Event("tcp_pkt_bytes", ktau.GroupTCP),
 	}
-	nic.OnRx = s.rxInterrupt
+	s.rxAction = s.netRxAction
+	s.raiseRx = s.rxInterrupt
+	nic.OnRx = s.raiseRx
 	return s
 }
 
@@ -145,26 +151,25 @@ func (s *Stack) OpenConns() int { return s.open }
 // Params returns the stack's cost model.
 func (s *Stack) Params() Params { return s.p }
 
-// seg is a data segment in flight; ackSeg is a window-credit ack.
-type seg struct {
-	dst *Conn // receiving side connection
-	n   int   // payload bytes
-}
-
-type ackSeg struct {
-	dst *Conn // sending side connection to credit
-	n   int
-}
-
-// finSeg is a teardown notice: the peer closed its end after sending `total`
-// payload bytes. The byte count is the stand-in for TCP's FIN sequence
-// number: readers only observe end-of-stream once every byte the peer sent
-// has been delivered, so a FIN that overtakes data in flight (fault-injected
-// latency jitter can reorder frames) does not truncate the stream.
-type finSeg struct {
-	dst   *Conn
-	total uint64
-}
+// A segment in flight is described by its frame's Payload, the endpoint it
+// is for as a pointer whose type names the segment kind, and its Count.
+// Converting a *Conn to one of these types and back copies the pointer, so
+// describing a segment allocates nothing.
+type (
+	// segFor marks a data segment for the receiving endpoint; Count is the
+	// payload bytes.
+	segFor Conn
+	// ackFor marks a window-credit ack for the sending endpoint; Count is
+	// the credited bytes.
+	ackFor Conn
+	// finFor marks a teardown notice: the peer closed its end after sending
+	// Count payload bytes. The byte count is the stand-in for TCP's FIN
+	// sequence number: readers only observe end-of-stream once every byte
+	// the peer sent has been delivered, so a FIN that overtakes data in
+	// flight (fault-injected latency jitter can reorder frames) does not
+	// truncate the stream.
+	finFor Conn
+)
 
 // Conn is one direction-agnostic endpoint of an established connection.
 type Conn struct {
@@ -253,7 +258,8 @@ func (c *Conn) Send(u *kernel.UCtx, n int) {
 			s.nic.Send(netsim.Frame{
 				Dst:     c.peer.stack.k.Node,
 				Bytes:   chunk + spec.FrameOverheadBytes,
-				Payload: seg{dst: c.peer, n: chunk},
+				Payload: (*segFor)(c.peer),
+				Count:   uint64(chunk),
 			})
 			s.Stats.SegsSent++
 			c.Stats.BytesSent += uint64(chunk)
@@ -345,12 +351,11 @@ func (c *Conn) RecvTimeout(u *kernel.UCtx, n int, d time.Duration) bool {
 		kc.Entry(s.evTcpRecvmsg)
 		kc.Use(s.p.RecvMsgCost)
 		deadline := kc.Now().Add(d)
-		t := kc.Task()
 		// The deadline is a timer wake: it releases the blocked reader like
 		// a signal would, and the condition re-check loop observes the time.
 		// It is cancelled on completion so the stale wake cannot cut short an
 		// unrelated later sleep.
-		ev := s.k.Engine().At(deadline, func() { s.k.Wake(t) })
+		ev := kc.WakeAt(deadline)
 		for c.rcvBytes < n {
 			if kc.Now() >= deadline || (c.eof() && c.rcvBytes < n) {
 				ok = false
@@ -395,8 +400,7 @@ func (c *Conn) SendTimeout(u *kernel.UCtx, n int, d time.Duration) bool {
 		kc.Use(s.p.SockSendCost)
 		kc.Entry(s.evTcpSendmsg)
 		deadline := kc.Now().Add(d)
-		t := kc.Task()
-		ev := s.k.Engine().At(deadline, func() { s.k.Wake(t) })
+		ev := kc.WakeAt(deadline)
 		defer s.k.Engine().Cancel(ev)
 		spec := s.netSpec()
 		remaining := n
@@ -420,7 +424,8 @@ func (c *Conn) SendTimeout(u *kernel.UCtx, n int, d time.Duration) bool {
 			s.nic.Send(netsim.Frame{
 				Dst:     c.peer.stack.k.Node,
 				Bytes:   chunk + spec.FrameOverheadBytes,
-				Payload: seg{dst: c.peer, n: chunk},
+				Payload: (*segFor)(c.peer),
+				Count:   uint64(chunk),
 			})
 			s.Stats.SegsSent++
 			c.Stats.BytesSent += uint64(chunk)
@@ -464,7 +469,8 @@ func (c *Conn) closeLocal(idle bool) {
 	s.nic.Send(netsim.Frame{
 		Dst:     c.peer.stack.k.Node,
 		Bytes:   spec.FrameOverheadBytes,
-		Payload: finSeg{dst: c.peer, total: c.sentTotal},
+		Payload: (*finFor)(c.peer),
+		Count:   c.sentTotal,
 	})
 	s.Stats.FinsSent++
 	if idle {
@@ -505,23 +511,27 @@ func (c *Conn) SetIdleTimeout(d time.Duration) {
 // endpoint could have been idle for the full timeout. Stale checks re-arm
 // rather than cancel, so no timer handles need tracking.
 func (c *Conn) armIdle() {
-	eng := c.stack.k.Engine()
-	eng.At(c.lastActive.Add(c.idleTO), func() {
-		if c.closed || c.idleTO <= 0 || c.stack.k.Crashed() {
+	c.stack.k.Engine().AtCall(c.lastActive.Add(c.idleTO), idleCheckCB, c)
+}
+
+// idleCheckCB is the idle watchdog's static timer callback (the endpoint
+// rides in the event's argument slot).
+func idleCheckCB(arg any) {
+	c := arg.(*Conn)
+	if c.closed || c.idleTO <= 0 || c.stack.k.Crashed() {
+		return
+	}
+	now := c.stack.k.Engine().Now()
+	if now >= c.lastActive.Add(c.idleTO) {
+		if c.rcvBytes == 0 {
+			c.closeLocal(true)
 			return
 		}
-		now := eng.Now()
-		if now >= c.lastActive.Add(c.idleTO) {
-			if c.rcvBytes == 0 {
-				c.closeLocal(true)
-				return
-			}
-			// Data is buffered but unread: treat the delivery as the last
-			// activity and give the reader one more full timeout.
-			c.lastActive = now
-		}
-		c.armIdle()
-	})
+		// Data is buffered but unread: treat the delivery as the last
+		// activity and give the reader one more full timeout.
+		c.lastActive = now
+	}
+	c.armIdle()
 }
 
 // rxInterrupt raises the device IRQ for pending frames, coalescing while an
@@ -531,7 +541,7 @@ func (s *Stack) rxInterrupt() {
 		return
 	}
 	s.irqPending = true
-	s.k.RaiseDevIRQ("eth0", s.netRxAction)
+	s.k.RaiseDevIRQ("eth0", s.rxAction)
 }
 
 // netRxAction is the NET_RX softirq handler: it drains the NIC ring within
@@ -546,14 +556,14 @@ func (s *Stack) netRxAction(b *kernel.BHCtx) {
 	spec := s.netSpec()
 	for _, f := range frames {
 		switch pl := f.Payload.(type) {
-		case seg:
-			c := pl.dst
-			cost := s.p.RcvPerPkt + time.Duration(pl.n)*s.p.RcvPerByte
+		case *segFor:
+			c, n := (*Conn)(pl), int(f.Count)
+			cost := s.p.RcvPerPkt + time.Duration(n)*s.p.RcvPerByte
 			if c.owner != nil && c.owner.LastCPU() != b.CPU().ID {
 				cost = time.Duration(float64(cost) * s.p.CacheMissFactor)
 			}
 			b.Span(s.evTcpV4Rcv, cost)
-			b.Atomic(s.evPktSize, float64(pl.n))
+			b.Atomic(s.evPktSize, float64(n))
 			if f.Dup {
 				// Sequence-number check: the duplicate burned wire bandwidth
 				// and receive-path CPU but contributes no payload or credit.
@@ -567,59 +577,52 @@ func (s *Stack) netRxAction(b *kernel.BHCtx) {
 				s.Stats.CorruptSegs++
 				c.corrupt = true
 			}
-			c.rcvBytes += pl.n
-			c.delivered += uint64(pl.n)
+			c.rcvBytes += n
+			c.delivered += uint64(n)
 			c.lastActive = s.k.Engine().Now()
 			s.Stats.SegsRcvd++
 			// Delayed acks: a window-credit ack returns once roughly two
 			// segments' worth of data has accumulated. (The residual below
 			// the threshold stays unacknowledged; it is bounded by 2*MTU per
 			// flow, far below the send window, so senders never stall on it.)
-			c.unackedRx += pl.n
+			c.unackedRx += n
 			if c.unackedRx >= 2*spec.MTU {
 				s.nic.Send(netsim.Frame{
 					Dst:     c.peer.stack.k.Node,
 					Bytes:   spec.FrameOverheadBytes,
-					Payload: ackSeg{dst: c.peer, n: c.unackedRx},
+					Payload: (*ackFor)(c.peer),
+					Count:   uint64(c.unackedRx),
 				})
 				c.unackedRx = 0
 				s.Stats.AcksSent++
 			}
-			cpu := b.CPU().ID
-			b.Defer(func() { c.rcvWQ.WakeAllFrom(s.k, cpu) })
-		case ackSeg:
+			b.DeferWakeAll(c.rcvWQ)
+		case *ackFor:
 			b.Span(s.evTcpV4Rcv, s.p.AckCost)
-			c := pl.dst
-			c.sndWnd += pl.n
+			c := (*Conn)(pl)
+			c.sndWnd += int(f.Count)
 			s.Stats.AcksRcvd++
-			cpu := b.CPU().ID
-			b.Defer(func() { c.sndWQ.WakeAllFrom(s.k, cpu) })
-		case finSeg:
+			b.DeferWakeAll(c.sndWQ)
+		case *finFor:
 			b.Span(s.evTcpV4Rcv, s.p.AckCost)
-			c := pl.dst
+			c := (*Conn)(pl)
 			if f.Dup {
 				s.Stats.DupSegs++
 				continue
 			}
 			if !c.peerClosed {
 				c.peerClosed = true
-				c.finTotal = pl.total
+				c.finTotal = f.Count
 				s.Stats.FinsRcvd++
 			}
 			// Wake blocked readers: if the stream is fully delivered they
 			// observe EOF; otherwise they go back to waiting for the tail.
-			cpu := b.CPU().ID
-			b.Defer(func() { c.rcvWQ.WakeAllFrom(s.k, cpu) })
+			b.DeferWakeAll(c.rcvWQ)
 		}
 	}
 	// Budget exhausted with frames remaining: re-raise the interrupt.
 	if s.nic.RxPending() > 0 {
-		b.Defer(func() {
-			if !s.irqPending {
-				s.irqPending = true
-				s.k.RaiseDevIRQ("eth0", s.netRxAction)
-			}
-		})
+		b.Defer(s.raiseRx)
 	}
 }
 

@@ -410,6 +410,36 @@ func TestRecvTimeoutSeesEOFBeforeDeadline(t *testing.T) {
 	}
 }
 
+// TestTimeoutsExpireAtDeadline: with a peer that neither sends nor returns
+// window credit, RecvTimeout and SendTimeout both give up once their
+// deadline passes, released by the deadline timer from their blocked wait.
+func TestTimeoutsExpireAtDeadline(t *testing.T) {
+	eng, a, b := rig(t, nil, nil)
+	ab, _ := Connect(a, b)
+	b.Kernel().Crash() // b's receive path is dead: nothing sent, nothing acked
+	const d = 5 * time.Millisecond
+	recvOK, sendOK := true, true
+	var start, recvAt, sendAt sim.Time
+	reader := a.Kernel().Spawn("reader", func(u *kernel.UCtx) {
+		start = u.Now()
+		recvOK = ab.RecvTimeout(u, 100, d)
+		recvAt = u.Now()
+	}, kernel.SpawnOpts{})
+	writer := a.Kernel().Spawn("writer", func(u *kernel.UCtx) {
+		sendOK = ab.SendTimeout(u, 4*a.Params().SndBuf, d)
+		sendAt = u.Now()
+	}, kernel.SpawnOpts{})
+	drive(t, eng, time.Second, reader, writer)
+	if recvOK || sendOK {
+		t.Fatalf("RecvTimeout = %v, SendTimeout = %v; want both to time out", recvOK, sendOK)
+	}
+	for name, at := range map[string]sim.Time{"RecvTimeout": recvAt, "SendTimeout": sendAt} {
+		if waited := at.Sub(start); waited < d || waited > d+time.Millisecond {
+			t.Errorf("%s returned after %v, want just past its %v deadline", name, waited, d)
+		}
+	}
+}
+
 func TestIdleTimeoutReapsAbandonedConn(t *testing.T) {
 	eng, a, b := rig(t, nil, nil)
 	ab, ba := Connect(a, b)

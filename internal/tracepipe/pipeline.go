@@ -225,6 +225,9 @@ type agent struct {
 	// every round: by the next round the frame has been encoded for the wire
 	// or ingested locally, and local ingest copies the records out.
 	recs []Rec
+	// ring is the scratch each kernel ring is decoded into before its
+	// records are copied into recs.
+	ring []ktau.Record
 }
 
 func (tp *Pipeline) newAgent(idx int, n *cluster.Node) ship.Agent[Frame] {
@@ -332,7 +335,8 @@ func (a *agent) drainRound(u *kernel.UCtx, round int, last bool, pol Policy) Fra
 		var dump libktau.TraceDump
 		readOK := ship.Read(u, cfg.Interval, func() error {
 			var err error
-			dump, err = a.h.GetTrace(t.PID())
+			dump, err = a.h.GetTraceInto(a.ring, t.PID())
+			a.ring = dump.Records[:0]
 			return err
 		})
 		if !readOK {

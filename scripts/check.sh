@@ -79,15 +79,20 @@ echo "== go test -race (kernel coroutines + partitioned runner + cluster + seria
 # every task (also after a task's panic) before it returns. So does the
 # transport's payload recycling: one goroutine pushes onto a link while
 # another pops, decodes and recycles, as an agent and a sink on different
-# workers do, and every payload must arrive byte for byte.
+# workers do, and every payload must arrive byte for byte. So does the
+# packet path's carrier handoff: a NIC's delivery carrier goes back to it
+# from whichever worker ran the landing engine, and TCP flows inside and
+# across racks, both ways, must deliver every byte at 2 workers exactly as
+# at 1.
 # The experiments cross-checks pin byte identity of the full monitored,
 # fault-injected workloads against serial on both the flat topology (one
 # group per node, 4 workers) and a racked one with a group per rack, at
 # workers {2, 3, 8} — more groups than workers, workers that don't divide
 # groups, and more workers than groups.
-go test -race ./internal/kernel/ ./internal/sim/ ./internal/cluster/
+go test -race ./internal/kernel/ ./internal/sim/ ./internal/cluster/ ./internal/netsim/
 go test -race -count=10 ./internal/sim/ \
     -run 'TestRunnerMergeOrderProperty|SerialParallelIdentical|PanicLowestEngineWins'
+go test -race -count=10 ./internal/cluster/ -run 'TestRackedFlowsParallelMatchSerial'
 go test -race -count=10 ./internal/kernel/ \
     -run 'TestEngineStepsOnFreshGoroutines|TestShutdownReleasesGoroutines|TestTaskPanicLeavesThroughDeferredShutdown'
 go test -race -count=10 ./internal/ship/ -run 'TestLinkRecycleConcurrent'
@@ -105,10 +110,10 @@ echo "== fuzz decoders (never panic; anything that decodes round-trips) and the 
 # blobs procfs packed from a real measurement, every truncation of them and
 # the two huge-count blobs that once exhausted memory, and anything that
 # decodes must re-pack through procfs to the same bytes. The perfmon frame
-# and libktau profile decoders also decode every input into storage left
-# dirty by a richer decode (more and longer records, every flag and counter
-# set), as the agent and the sinks reuse theirs; the result must equal the
-# decode into fresh storage. The ASCII reader
+# and the libktau profile and trace decoders also decode every input into
+# storage left dirty by a richer decode (more and longer records, every
+# flag and counter set), as the agents and the sinks reuse theirs; the
+# result must equal the decode into fresh storage. The ASCII reader
 # behind kprof is seeded with WriteASCII output of a real measurement,
 # every truncation of it and the inputs that once crashed or stalled it;
 # anything it parses must re-write and re-parse to equal snapshots.
@@ -248,7 +253,8 @@ go test -run '^$' -bench BenchmarkCoreHotPath -benchtime=1x .
 
 echo "== bench gate (strict-parse + thresholds on all BENCH_*.json) =="
 # Replaces the old sed/awk scraping: every gated file must exist, parse with
-# no duplicate keys, and hold its thresholds (Chiba speedup >= 1.25x).
+# no duplicate keys, and hold its thresholds (Chiba speedup >= 1.25x, and at
+# most 50 000 allocations in the serial 32-node Chiba run).
 # Missing or renamed keys fail loudly instead of producing an empty capture.
 #
 # BENCH_parallel.json gets the conditional multi-core speedup gate: every
