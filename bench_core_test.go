@@ -14,9 +14,10 @@ import (
 	"testing"
 	"time"
 
-	"ktau"
+	"ktau/internal/experiments"
 	iktau "ktau/internal/ktau"
 	"ktau/internal/perfmon"
+	"ktau/internal/sim"
 	"ktau/internal/tracepipe"
 )
 
@@ -39,7 +40,7 @@ const (
 // BenchmarkEngineThroughput measures the pooled closure-free scheduling path:
 // one AfterCall + Step per op against a warm free list.
 func BenchmarkEngineThroughput(b *testing.B) {
-	eng := ktau.NewEngine()
+	eng := sim.NewEngine()
 	count := 0
 	var fire func(any)
 	fire = func(arg any) {
@@ -130,9 +131,9 @@ func runChiba32(b *testing.B) (wall time.Duration, allocs, bytes uint64) {
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
 	t0 := time.Now()
-	spec := ktau.DefaultChiba(32, 1)
+	spec := experiments.DefaultChiba(32, 1)
 	spec.Seed = 7
-	res := ktau.RunChiba(spec)
+	res := experiments.RunChiba(spec)
 	wall = time.Since(t0)
 	runtime.ReadMemStats(&m1)
 	if !res.Completed {
@@ -170,7 +171,7 @@ type micro struct {
 }
 
 func measureEngineMicro() micro {
-	eng := ktau.NewEngine()
+	eng := sim.NewEngine()
 	const n = 2_000_000
 	count := 0
 	var fire func(any)

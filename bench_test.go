@@ -21,8 +21,11 @@ import (
 
 	"ktau"
 	"ktau/internal/experiments"
+	"ktau/internal/kernel"
 	iktau "ktau/internal/ktau"
 	"ktau/internal/procfs"
+	"ktau/internal/sim"
+	"ktau/internal/workload"
 )
 
 // benchRanks is the Chiba-City scale of the paper's §5.2 experiments.
@@ -40,7 +43,7 @@ func printOnce(key string, render func()) {
 
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := ktau.RunTable2(benchRanks, 1)
+		res := experiments.RunTable2(benchRanks, 1)
 		printOnce("table2", func() {
 			fmt.Println()
 			res.Render(os.Stdout)
@@ -53,7 +56,7 @@ func BenchmarkTable2(b *testing.B) {
 
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := ktau.RunTable3(16, 5, 2)
+		res := experiments.RunTable3(16, 5, 2)
 		printOnce("table3", func() {
 			fmt.Println()
 			res.Render(os.Stdout)
@@ -74,7 +77,7 @@ func BenchmarkTable3(b *testing.B) {
 func BenchmarkTable4(b *testing.B) {
 	// The modelled distribution (what the simulator injects) plus the real
 	// cost of this implementation's own Entry/Exit fast path.
-	res := ktau.RunTable4(100_000)
+	res := experiments.RunTable4(100_000)
 	res.GoImplStartCycles, res.GoImplStopCycles = measureGoFastPath()
 	printOnce("table4", func() {
 		fmt.Println()
@@ -99,7 +102,7 @@ func BenchmarkTable4(b *testing.B) {
 
 func BenchmarkFig2A(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := ktau.RunFig2AB(1)
+		res := experiments.RunFig2AB(1)
 		printOnce("fig2ab", func() {
 			fmt.Println()
 			res.Render(os.Stdout)
@@ -118,7 +121,7 @@ func BenchmarkFig2A(b *testing.B) {
 
 func BenchmarkFig2B(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := ktau.RunFig2AB(1)
+		res := experiments.RunFig2AB(1)
 		var overhead float64
 		for _, p := range res.Node8Procs {
 			if p.Name == "overhead" {
@@ -131,7 +134,7 @@ func BenchmarkFig2B(b *testing.B) {
 
 func BenchmarkFig2C(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := ktau.RunFig2C(1)
+		res := experiments.RunFig2C(1)
 		printOnce("fig2c", func() {
 			fmt.Println()
 			res.Render(os.Stdout)
@@ -143,7 +146,7 @@ func BenchmarkFig2C(b *testing.B) {
 
 func BenchmarkFig2D(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := ktau.RunFig2AB(1)
+		res := experiments.RunFig2AB(1)
 		mr := res.Merged.Find("MPI_Recv()", false)
 		if mr == nil {
 			b.Fatal("no MPI_Recv in merged profile")
@@ -156,7 +159,7 @@ func BenchmarkFig2D(b *testing.B) {
 
 func BenchmarkFig2E(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := ktau.RunFig2E(1)
+		res := experiments.RunFig2E(1)
 		printOnce("fig2e", func() {
 			fmt.Println()
 			res.Render(os.Stdout)
@@ -167,7 +170,7 @@ func BenchmarkFig2E(b *testing.B) {
 
 func BenchmarkFig3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := ktau.RunFig3(benchRanks)
+		res := experiments.RunFig3(benchRanks)
 		printOnce("fig3", func() {
 			fmt.Println()
 			res.Render(os.Stdout)
@@ -179,7 +182,7 @@ func BenchmarkFig3(b *testing.B) {
 
 func BenchmarkFig4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := ktau.RunFig4(benchRanks)
+		res := experiments.RunFig4(benchRanks)
 		printOnce("fig4", func() {
 			fmt.Println()
 			res.Render(os.Stdout)
@@ -191,7 +194,7 @@ func BenchmarkFig4(b *testing.B) {
 
 func BenchmarkFig5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := ktau.RunFig5(benchRanks)
+		res := experiments.RunFig5(benchRanks)
 		printOnce("fig5", func() {
 			fmt.Println()
 			res.Render(os.Stdout)
@@ -203,7 +206,7 @@ func BenchmarkFig5(b *testing.B) {
 
 func BenchmarkFig6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := ktau.RunFig6(benchRanks)
+		res := experiments.RunFig6(benchRanks)
 		printOnce("fig6", func() {
 			fmt.Println()
 			res.Render(os.Stdout)
@@ -221,7 +224,7 @@ func BenchmarkFig6(b *testing.B) {
 
 func BenchmarkFig7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := ktau.RunFig7(benchRanks)
+		res := experiments.RunFig7(benchRanks)
 		printOnce("fig7", func() {
 			fmt.Println()
 			res.Render(os.Stdout)
@@ -233,7 +236,7 @@ func BenchmarkFig7(b *testing.B) {
 
 func BenchmarkFig8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := ktau.RunFig8(benchRanks)
+		res := experiments.RunFig8(benchRanks)
 		printOnce("fig8", func() {
 			fmt.Println()
 			res.Render(os.Stdout)
@@ -245,7 +248,7 @@ func BenchmarkFig8(b *testing.B) {
 
 func BenchmarkFig9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := ktau.RunFig9(benchRanks)
+		res := experiments.RunFig9(benchRanks)
 		printOnce("fig9", func() {
 			fmt.Println()
 			res.Render(os.Stdout)
@@ -258,7 +261,7 @@ func BenchmarkFig9(b *testing.B) {
 
 func BenchmarkFig10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := ktau.RunFig10(benchRanks)
+		res := experiments.RunFig10(benchRanks)
 		printOnce("fig10", func() {
 			fmt.Println()
 			res.Render(os.Stdout)
@@ -359,7 +362,7 @@ func BenchmarkAblationIrqPolicy(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var exec time.Duration
 			for i := 0; i < b.N; i++ {
-				spec := ktau.DefaultChiba(16, 2)
+				spec := experiments.DefaultChiba(16, 2)
 				spec.Pinned = true
 				spec.IRQBalance = balance
 				res := experiments.Chiba(spec)
@@ -409,7 +412,7 @@ func BenchmarkAblationProcfs(b *testing.B) {
 
 // BenchmarkSimEngine measures raw event throughput of the DES engine.
 func BenchmarkSimEngine(b *testing.B) {
-	eng := ktau.NewEngine()
+	eng := sim.NewEngine()
 	var fire func()
 	count := 0
 	fire = func() {
@@ -434,8 +437,8 @@ func BenchmarkContextSwitch(b *testing.B) {
 	})
 	defer c.Shutdown()
 	k := c.Node(0).K
-	wqA := ktau.NewWaitQueueNamed("a")
-	wqB := ktau.NewWaitQueueNamed("b")
+	wqA := kernel.NewWaitQueue("a")
+	wqB := kernel.NewWaitQueue("b")
 	turnA := true
 	n := b.N
 	ta := k.Spawn("a", func(u *ktau.UCtx) {
@@ -490,21 +493,21 @@ func BenchmarkAblationWorkloadSpectrum(b *testing.B) {
 		var body func(*ktau.Rank)
 		switch work {
 		case "EP":
-			cfg := ktau.DefaultEPConfig(ranks)
+			cfg := workload.DefaultEPConfig(ranks)
 			cfg.Compute = 400 * time.Millisecond
-			body = ktau.EP(cfg)
+			body = workload.EP(cfg)
 		case "CG":
-			cfg := ktau.DefaultCGConfig(ranks)
+			cfg := workload.DefaultCGConfig(ranks)
 			cfg.Iters = 2
-			body = ktau.CG(cfg)
+			body = workload.CG(cfg)
 		case "Sweep3D":
-			cfg := ktau.DefaultSweepConfig(ranks)
+			cfg := workload.DefaultSweepConfig(ranks)
 			cfg.Iters = 3
-			body = ktau.Sweep3D(cfg)
+			body = workload.Sweep3D(cfg)
 		default:
-			cfg := ktau.DefaultLUConfig(ranks)
+			cfg := workload.DefaultLUConfig(ranks)
 			cfg.Iters = 4
-			body = ktau.LU(cfg)
+			body = workload.LU(cfg)
 		}
 		tasks := w.Launch(work, body)
 		if !c.RunUntilDone(tasks, 20*time.Minute) {
@@ -553,13 +556,13 @@ func BenchmarkParallelChiba(b *testing.B) {
 		fp   string
 	}
 	run := func(workers int) result {
-		spec := ktau.DefaultChiba(benchRanks, 1)
+		spec := experiments.DefaultChiba(benchRanks, 1)
 		spec.Seed = 7
 		spec.Racks = benchRacks
 		spec.Parallel = workers > 1
 		spec.Workers = workers
 		t0 := time.Now()
-		res := ktau.RunChiba(spec)
+		res := experiments.RunChiba(spec)
 		if !res.Completed {
 			b.Fatal("chiba run did not complete")
 		}
@@ -615,7 +618,7 @@ func BenchmarkParallelChiba(b *testing.B) {
 // configurations, decomposed by KTAU's kernel-wide view.
 func BenchmarkIONode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := ktau.RunIONodeStudy(1)
+		s := experiments.RunIONodeStudy(1)
 		printOnce("ionode", func() {
 			fmt.Println()
 			s.Render(os.Stdout)

@@ -5,7 +5,7 @@ import (
 	"os"
 	"testing"
 
-	"ktau"
+	"ktau/internal/harness"
 )
 
 // writeBench validates and writes one BENCH_*.json payload. Validation uses
@@ -20,7 +20,7 @@ func writeBench(b *testing.B, path string, payload any) {
 		b.Fatal(err)
 	}
 	data = append(data, '\n')
-	if err := ktau.CheckBenchPayload(path, data); err != nil {
+	if err := harness.CheckBenchPayload(path, data); err != nil {
 		b.Fatalf("refusing to write %s: %v", path, err)
 	}
 	if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -67,7 +67,7 @@ func parallelBenchDoc(mutate func(doc map[string]any, rows []map[string]any)) []
 // unknown or renamed fields, missing rows, a row whose results diverged
 // from serial — is rejected before the file is written.
 func TestParallelBenchSchema(t *testing.T) {
-	if err := ktau.CheckBenchPayload("BENCH_parallel.json", parallelBenchDoc(nil)); err != nil {
+	if err := harness.CheckBenchPayload("BENCH_parallel.json", parallelBenchDoc(nil)); err != nil {
 		t.Fatalf("canonical payload rejected: %v", err)
 	}
 
@@ -98,14 +98,14 @@ func TestParallelBenchSchema(t *testing.T) {
 		},
 	}
 	for name, mutate := range reject {
-		if err := ktau.CheckBenchPayload("BENCH_parallel.json", parallelBenchDoc(mutate)); err == nil {
+		if err := harness.CheckBenchPayload("BENCH_parallel.json", parallelBenchDoc(mutate)); err == nil {
 			t.Errorf("%s: payload accepted", name)
 		}
 	}
 
 	// Duplicate JSON keys can't be built through a map; check the raw form.
 	dup := []byte(`{"benchmark": "x", "host_cpus": 8, "host_cpus": 8}`)
-	if err := ktau.CheckBenchPayload("BENCH_parallel.json", dup); err == nil {
+	if err := harness.CheckBenchPayload("BENCH_parallel.json", dup); err == nil {
 		t.Error("duplicate key accepted")
 	}
 }
@@ -118,7 +118,7 @@ func TestCommittedParallelBenchParses(t *testing.T) {
 	if err != nil {
 		t.Fatalf("committed BENCH_parallel.json: %v", err)
 	}
-	if err := ktau.CheckBenchPayload("BENCH_parallel.json", blob); err != nil {
+	if err := harness.CheckBenchPayload("BENCH_parallel.json", blob); err != nil {
 		t.Fatalf("committed BENCH_parallel.json fails validation: %v", err)
 	}
 }

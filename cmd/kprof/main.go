@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -46,7 +47,7 @@ func main() {
 	for _, path := range args {
 		for _, snap := range loadAll(path) {
 			if *groups {
-				renderGroups(snap, *hz)
+				renderGroups(os.Stdout, snap, *hz)
 			} else {
 				libktau.FormatProfile(os.Stdout, snap, *hz)
 			}
@@ -82,7 +83,9 @@ func loadOne(path string) iktauSnap {
 	return snaps[0]
 }
 
-func renderGroups(s iktauSnap, hz int64) {
+// renderGroups charts a profile's exclusive time per instrumentation group,
+// largest first; groups with equal time appear in name order.
+func renderGroups(w io.Writer, s iktauSnap, hz int64) {
 	totals := map[string]int64{}
 	for _, e := range s.Events {
 		totals[e.Group.String()] += e.Excl
@@ -91,13 +94,18 @@ func renderGroups(s iktauSnap, hz int64) {
 	for g := range totals {
 		names = append(names, g)
 	}
-	sort.Slice(names, func(i, j int) bool { return totals[names[i]] > totals[names[j]] })
-	fmt.Printf("pid %d %s — exclusive time per instrumentation group\n", s.PID, s.Name)
+	sort.Slice(names, func(i, j int) bool {
+		if ti, tj := totals[names[i]], totals[names[j]]; ti != tj {
+			return ti > tj
+		}
+		return names[i] < names[j]
+	})
+	fmt.Fprintf(w, "pid %d %s — exclusive time per instrumentation group\n", s.PID, s.Name)
 	var labels []string
 	var values []float64
 	for _, g := range names {
 		labels = append(labels, g)
 		values = append(values, float64(totals[g])/float64(hz)*1e3)
 	}
-	ktau.BarChart(os.Stdout, "", labels, values, "ms", 44)
+	ktau.BarChart(w, "", labels, values, "ms", 44)
 }

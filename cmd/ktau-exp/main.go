@@ -14,7 +14,9 @@
 // The scenario experiments (faults, serve, trace, traceov) are thin wrappers
 // over the sweep-harness specs that cmd/ktau-sweep grids over; running them
 // here executes exactly one cell and prints its rendered report. trace is
-// the chiba spec under the degraded fault plan with a trace mode.
+// the chiba spec under the degraded fault plan with a trace mode. Only trace
+// and serve take -racks; -trace-out, -trace-rate and -trace-adaptive exit 2
+// on a run that does not include trace.
 package main
 
 import (
@@ -28,15 +30,19 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
-	"ktau"
 	"ktau/internal/experiments"
+	"ktau/internal/harness"
+	"ktau/internal/views"
 )
 
-type runner func(ranks int, out io.Writer) error
+// runner runs one experiment id at a rank count and rack count; racks is 0
+// for every id but those in readsRacks.
+type runner func(ranks, racks int, out io.Writer) error
 
 var experimentOrder = []string{
 	"table2", "table3", "table4",
@@ -57,6 +63,10 @@ var fixedScale = map[string]bool{
 	"ionode": true,
 }
 
+// readsRacks marks the experiments whose run takes a rack topology; -racks
+// does not apply to the rest.
+var readsRacks = map[string]bool{"trace": true, "serve": true}
+
 // traceOut is the -trace-out path; when set, the trace experiment writes
 // the merged cluster trace there and validates the emitted JSON.
 var traceOut string
@@ -70,13 +80,11 @@ var (
 	traceMode string
 )
 
-// expParallel / expWorkers / expRacks mirror -parallel / -workers / -racks
-// for the sweep-cell wrappers, whose specs take execution mode and topology
-// per cell rather than globally.
+// expParallel / expWorkers mirror -parallel / -workers for the sweep-cell
+// wrappers, whose specs take execution mode per cell rather than globally.
 var (
 	expParallel bool
 	expWorkers  int
-	expRacks    int
 )
 
 // reportOut is the -report path. Cell-backed experiments (faults, serve,
@@ -85,44 +93,44 @@ var (
 // as a report. lastCell carries the cell from the runner to the builder.
 var (
 	reportOut string
-	lastCell  *ktau.SweepCell
+	lastCell  *harness.CellResult
 )
 
 func render(fn func(ranks int) interface{ Render(io.Writer) }) runner {
-	return func(ranks int, out io.Writer) error {
+	return func(ranks, _ int, out io.Writer) error {
 		fn(ranks).Render(out)
 		return nil
 	}
 }
 
 var experimentRunners = map[string]runner{
-	"table2":  render(func(ranks int) interface{ Render(io.Writer) } { return ktau.RunTable2(ranks, 1) }),
-	"table3":  render(func(int) interface{ Render(io.Writer) } { return ktau.RunTable3(16, 5, 2) }),
-	"table4":  render(func(int) interface{ Render(io.Writer) } { return ktau.RunTable4(100_000) }),
-	"fig2a":   render(func(int) interface{ Render(io.Writer) } { return ktau.RunFig2AB(1) }), // includes 2-B and 2-D
-	"fig2c":   render(func(int) interface{ Render(io.Writer) } { return ktau.RunFig2C(1) }),
-	"fig2e":   render(func(int) interface{ Render(io.Writer) } { return ktau.RunFig2E(1) }),
-	"fig3":    render(func(ranks int) interface{ Render(io.Writer) } { return ktau.RunFig3(ranks) }),
-	"fig4":    render(func(ranks int) interface{ Render(io.Writer) } { return ktau.RunFig4(ranks) }),
-	"fig5":    render(func(ranks int) interface{ Render(io.Writer) } { return ktau.RunFig5(ranks) }),
-	"fig6":    render(func(ranks int) interface{ Render(io.Writer) } { return ktau.RunFig6(ranks) }),
-	"fig7":    render(func(ranks int) interface{ Render(io.Writer) } { return ktau.RunFig7(ranks) }),
-	"fig8":    render(func(ranks int) interface{ Render(io.Writer) } { return ktau.RunFig8(ranks) }),
-	"fig9":    render(func(ranks int) interface{ Render(io.Writer) } { return ktau.RunFig9(ranks) }),
-	"fig10":   render(func(ranks int) interface{ Render(io.Writer) } { return ktau.RunFig10(ranks) }),
-	"ionode":  render(func(int) interface{ Render(io.Writer) } { return ktau.RunIONodeStudy(1) }),
-	"faults":  cellRunner("faults", nil),
-	"serve":   cellRunner("serve", nil),
+	"table2":  render(func(ranks int) interface{ Render(io.Writer) } { return experiments.RunTable2(ranks, 1) }),
+	"table3":  render(func(int) interface{ Render(io.Writer) } { return experiments.RunTable3(16, 5, 2) }),
+	"table4":  render(func(int) interface{ Render(io.Writer) } { return experiments.RunTable4(100_000) }),
+	"fig2a":   render(func(int) interface{ Render(io.Writer) } { return experiments.RunFig2AB(1) }), // includes 2-B and 2-D
+	"fig2c":   render(func(int) interface{ Render(io.Writer) } { return experiments.RunFig2C(1) }),
+	"fig2e":   render(func(int) interface{ Render(io.Writer) } { return experiments.RunFig2E(1) }),
+	"fig3":    render(func(ranks int) interface{ Render(io.Writer) } { return experiments.RunFig3(ranks) }),
+	"fig4":    render(func(ranks int) interface{ Render(io.Writer) } { return experiments.RunFig4(ranks) }),
+	"fig5":    render(func(ranks int) interface{ Render(io.Writer) } { return experiments.RunFig5(ranks) }),
+	"fig6":    render(func(ranks int) interface{ Render(io.Writer) } { return experiments.RunFig6(ranks) }),
+	"fig7":    render(func(ranks int) interface{ Render(io.Writer) } { return experiments.RunFig7(ranks) }),
+	"fig8":    render(func(ranks int) interface{ Render(io.Writer) } { return experiments.RunFig8(ranks) }),
+	"fig9":    render(func(ranks int) interface{ Render(io.Writer) } { return experiments.RunFig9(ranks) }),
+	"fig10":   render(func(ranks int) interface{ Render(io.Writer) } { return experiments.RunFig10(ranks) }),
+	"ionode":  render(func(int) interface{ Render(io.Writer) } { return experiments.RunIONodeStudy(1) }),
+	"faults":  cellRunner("faults"),
+	"serve":   cellRunner("serve"),
 	"trace":   runTrace,
-	"traceov": cellRunner("traceov", nil),
+	"traceov": cellRunner("traceov"),
 }
 
 // cellRunner wraps one sweep-harness spec as a ktau-exp experiment: build
 // the cell parameters from the command-line flags, run the single cell, and
-// print its rendered report. mutate tweaks the parameters before the run.
-func cellRunner(exp string, mutate func(*ktau.SweepParams)) runner {
-	return func(ranks int, out io.Writer) error {
-		cell, err := runExpCell(exp, ranks, mutate)
+// print its rendered report.
+func cellRunner(exp string) runner {
+	return func(ranks, racks int, out io.Writer) error {
+		cell, err := runExpCell(exp, ranks, racks, nil)
 		if err != nil {
 			return err
 		}
@@ -133,20 +141,20 @@ func cellRunner(exp string, mutate func(*ktau.SweepParams)) runner {
 
 // runExpCell executes one harness cell for an experiment id, surfacing
 // non-ok statuses (panic, error) as errors.
-func runExpCell(exp string, ranks int, mutate func(*ktau.SweepParams)) (*ktau.SweepCell, error) {
-	p := ktau.SweepParams{
+func runExpCell(exp string, ranks, racks int, mutate func(*harness.Params)) (*harness.CellResult, error) {
+	p := harness.Params{
 		Exp:      exp,
 		Ranks:    ranks,
 		Seed:     1,
 		Parallel: expParallel,
 		Workers:  expWorkers,
-		Racks:    expRacks,
+		Racks:    racks,
 	}
 	if mutate != nil {
 		mutate(&p)
 	}
-	cell := ktau.RunSweepCell(context.Background(), p)
-	if cell.Status != ktau.SweepOK {
+	cell := harness.RunCell(context.Background(), p)
+	if cell.Status != harness.StatusOK {
 		return nil, fmt.Errorf("%s: cell %s: %s", exp, cell.Status, cell.Err)
 	}
 	lastCell = cell
@@ -166,11 +174,41 @@ func selectTraceMode(adaptive bool, rate float64) (string, error) {
 	return "full", nil
 }
 
+// checkTraceFlags refuses the trace experiment's flags (set holds the flags
+// given on the command line) when ids does not include trace: they would
+// otherwise do nothing, and -trace-out would write no file.
+func checkTraceFlags(ids []string, set map[string]bool) error {
+	for _, name := range []string{"trace-out", "trace-adaptive", "trace-rate"} {
+		if set[name] && !slices.Contains(ids, "trace") {
+			return fmt.Errorf("-%s applies only to the trace experiment, which this run does not include", name)
+		}
+	}
+	return nil
+}
+
+// flagsFor returns the rack count experiment id's run takes (0 outside
+// readsRacks) and a note for each flag given on the command line (set) that
+// the id does not read: -ranks on a fixed-scale id, -racks outside
+// readsRacks.
+func flagsFor(id string, set map[string]bool, ranks, racks int) (int, []string) {
+	var notes []string
+	if set["ranks"] && fixedScale[id] {
+		notes = append(notes, fmt.Sprintf("%s runs at a fixed scale; -ranks %d ignored", id, ranks))
+	}
+	if readsRacks[id] {
+		return racks, notes
+	}
+	if set["racks"] {
+		notes = append(notes, fmt.Sprintf("%s runs on a flat network; -racks %d ignored", id, racks))
+	}
+	return 0, notes
+}
+
 // runTrace executes the traced cluster run — a chiba cell under the
 // degraded fault plan — and, with -trace-out, writes the merged Chrome
 // trace and verifies it with checkTrace.
-func runTrace(ranks int, out io.Writer) error {
-	cell, err := runExpCell("chiba", ranks, func(p *ktau.SweepParams) {
+func runTrace(ranks, racks int, out io.Writer) error {
+	cell, err := runExpCell("chiba", ranks, racks, func(p *harness.Params) {
 		p.Faults = "degraded"
 		p.Trace = traceMode
 		if traceMode == "adaptive" {
@@ -190,7 +228,7 @@ func runTrace(ranks int, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	werr := cell.Raw.(*ktau.LiveResult).Trace.Store().WriteChromeTrace(f)
+	werr := cell.Raw.(*experiments.LiveResult).Trace.Store().WriteChromeTrace(f)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
@@ -253,7 +291,7 @@ func main() {
 	outDir := flag.String("out", "", "also write each experiment's output to <dir>/<id>.txt")
 	parallel := flag.Bool("parallel", false, "run node engines on multiple host CPUs (results are byte-identical to serial)")
 	workers := flag.Int("workers", 0, "host worker goroutines, implies -parallel when positive (0 = GOMAXPROCS)")
-	racksFlag := flag.Int("racks", 0, "split the cluster into this many racks with a higher cross-rack latency (changes results; partitions the runner; cell-backed experiments only)")
+	racksFlag := flag.Int("racks", 0, "split the cluster into this many racks with a higher cross-rack latency (changes results; partitions the runner; trace and serve only)")
 	flag.StringVar(&traceOut, "trace-out", "",
 		"write the merged cluster trace (Perfetto-loadable JSON) to this file (trace experiment)")
 	flag.Float64Var(&traceRate, "trace-rate", 1,
@@ -273,12 +311,8 @@ func main() {
 	}
 	traceMode = mode
 
-	ranksSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "ranks" {
-			ranksSet = true
-		}
-	})
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	// -workers only has an effect under -parallel; a positive count is an
 	// unambiguous request for parallel execution, so imply it instead of
@@ -288,11 +322,10 @@ func main() {
 		*parallel = true
 	}
 	if *parallel {
-		ktau.SetParallel(true, *workers)
+		experiments.SetParallel(true, *workers)
 	}
 	expParallel = *parallel
 	expWorkers = *workers
-	expRacks = *racksFlag
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -349,6 +382,10 @@ func main() {
 			*exp, strings.Join(known, ", "))
 		os.Exit(2)
 	}
+	if err := checkTraceFlags(ids, set); err != nil {
+		fmt.Fprintln(os.Stderr, "ktau-exp:", err)
+		os.Exit(2)
+	}
 	if reportOut != "" && len(ids) != 1 {
 		fmt.Fprintln(os.Stderr, `ktau-exp: -report covers a single experiment; pick one instead of "all"`)
 		os.Exit(2)
@@ -362,11 +399,11 @@ func main() {
 	}
 
 	for _, id := range ids {
-		if ranksSet && fixedScale[id] {
-			fmt.Fprintf(os.Stderr, "ktau-exp: note: %s runs at a fixed scale; -ranks %d ignored\n",
-				id, *ranks)
+		racks, notes := flagsFor(id, set, *ranks, *racksFlag)
+		for _, note := range notes {
+			fmt.Fprintln(os.Stderr, "ktau-exp: note:", note)
 		}
-		if err := runOne(id, *ranks, *outDir); err != nil {
+		if err := runOne(id, *ranks, racks, *outDir); err != nil {
 			fmt.Fprintf(os.Stderr, "ktau-exp: %s: %v\n", id, err)
 			os.Exit(1)
 		}
@@ -378,7 +415,7 @@ func main() {
 // surfaced) even when the runner fails. With -report, the cross-layer view
 // is written after the run: cell-backed experiments render the structured
 // cell report, everything else wraps the captured text.
-func runOne(id string, ranks int, outDir string) (err error) {
+func runOne(id string, ranks, racks int, outDir string) (err error) {
 	start := time.Now()
 	fmt.Printf("==== %s ====\n", id)
 	var out io.Writer = os.Stdout
@@ -398,17 +435,17 @@ func runOne(id string, ranks int, outDir string) (err error) {
 	if reportOut != "" {
 		out = io.MultiWriter(out, &captured)
 	}
-	if err := experimentRunners[id](ranks, out); err != nil {
+	if err := experimentRunners[id](ranks, racks, out); err != nil {
 		return err
 	}
 	if reportOut != "" {
-		var rep *ktau.Report
+		var rep *views.Report
 		if lastCell != nil {
-			rep = ktau.BuildCellReport(lastCell)
+			rep = views.BuildCell(lastCell)
 		} else {
-			rep = ktau.BuildTextReport("ktau-exp "+id, captured.String())
+			rep = views.BuildText("ktau-exp "+id, captured.String())
 		}
-		if err := ktau.WriteReportFile(reportOut, rep); err != nil {
+		if err := views.WriteFile(reportOut, rep); err != nil {
 			return err
 		}
 		fmt.Println("report written:", reportOut)

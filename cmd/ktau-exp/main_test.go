@@ -37,6 +37,57 @@ func TestSelectTraceMode(t *testing.T) {
 	}
 }
 
+// TestCheckTraceFlags pins the refusal of the trace flags on a run without
+// the trace experiment: "-exp table4 -trace-out x.json" once exited 0 and
+// wrote no file.
+func TestCheckTraceFlags(t *testing.T) {
+	for _, name := range []string{"trace-out", "trace-adaptive", "trace-rate"} {
+		set := map[string]bool{name: true, "ranks": true}
+		for _, ids := range [][]string{{"table4"}, {"faults"}, {"traceov"}, {"serve"}} {
+			err := checkTraceFlags(ids, set)
+			if err == nil || !strings.Contains(err.Error(), "-"+name) {
+				t.Errorf("checkTraceFlags(%v, -%s) = %v; want an error naming -%s", ids, name, err, name)
+			}
+		}
+		for _, ids := range [][]string{{"trace"}, experimentOrder} {
+			if err := checkTraceFlags(ids, set); err != nil {
+				t.Errorf("checkTraceFlags(%v, -%s) = %v; want nil", ids, name, err)
+			}
+		}
+	}
+	if err := checkTraceFlags([]string{"table4"}, map[string]bool{"ranks": true, "racks": true}); err != nil {
+		t.Errorf("checkTraceFlags without trace flags = %v; want nil", err)
+	}
+}
+
+// TestFlagsFor pins which ids take -racks and which note an explicitly set
+// -ranks or -racks they do not read. Only trace and serve take a rack
+// topology; the other cell-backed ids once got -racks passed to specs that
+// ran a flat network.
+func TestFlagsFor(t *testing.T) {
+	both := map[string]bool{"ranks": true, "racks": true}
+	for _, id := range experimentOrder {
+		readsRacks, wantRacks := id == "trace" || id == "serve", 0
+		if readsRacks {
+			wantRacks = 4
+		}
+		racks, notes := flagsFor(id, both, 8, 4)
+		joined := strings.Join(notes, "\n")
+		if racks != wantRacks {
+			t.Errorf("%s: runs with %d racks, want %d", id, racks, wantRacks)
+		}
+		if got := strings.Contains(joined, "-racks 4 ignored"); got == readsRacks {
+			t.Errorf("%s: notes %q; -racks note %v, want %v", id, joined, got, !readsRacks)
+		}
+		if got, want := strings.Contains(joined, "-ranks 8 ignored"), fixedScale[id]; got != want {
+			t.Errorf("%s: notes %q; -ranks note %v, want %v", id, joined, got, want)
+		}
+		if _, notes := flagsFor(id, map[string]bool{"exp": true}, 8, 4); len(notes) != 0 {
+			t.Errorf("%s: notes %q without -ranks or -racks; want none", id, notes)
+		}
+	}
+}
+
 // TestCheckTrace covers the streaming -trace-out check: it accepts a JSON
 // array of events holding a flow start and counts both, and rejects
 // everything that is not exactly that.

@@ -42,10 +42,10 @@ func main() {
 		gridName  = flag.String("grid", "", "named grid to run (see -list)")
 		exp       = flag.String("exp", "", "spec for an ad-hoc grid (chiba|faults|serve|traceov)")
 		ranks     = flag.String("ranks", "", "ranks axis, e.g. 8,16 (default 8)")
-		racks     = flag.String("racks", "", "racks axis: 0 = flat network, N > 1 = N racks (partitions the runner; default 0)")
+		racks     = flag.String("racks", "", "racks axis: 0 = flat network, N > 1 = N racks (partitions the runner; chiba and serve only; default 0)")
 		workers   = flag.String("workers", "", "workers axis: 0 = serial, N = parallel with N workers (default 0)")
-		faults    = flag.String("faults", "", "fault-plan axis: none,degraded,crash (default none)")
-		trace     = flag.String("trace", "", "trace axis: off,full,adaptive[:rate] (default off)")
+		faults    = flag.String("faults", "", "fault-plan axis: none,degraded,crash (chiba and serve only; default none)")
+		trace     = flag.String("trace", "", "trace axis: off,full,adaptive[:rate] (chiba only; default off)")
 		seeds     = flag.String("seeds", "", "seed axis, e.g. 1,42 (default 1)")
 		timeout   = flag.Duration("timeout", harness.DefaultCellTimeout, "mandatory per-cell wall-clock timeout")
 		jobs      = flag.Int("j", 1, "concurrently running cells")

@@ -21,11 +21,14 @@
 // measurement overhead feeds back into virtual time, so the perturbation
 // study (Table 3) is reproducible.
 //
-// This package is the public facade: it re-exports the simulation substrate
-// (Cluster, Kernel, Task), the measurement system (Measurement, Snapshot,
-// instrumentation groups), the user-level side (Tau profiler, merged
-// profiles), the clients (ProcFS, Handle, KTAUD, RunKtau), the workloads
-// and the experiment harness that regenerates every table and figure of the
-// paper's evaluation. See the examples/ directory for runnable programs and
-// bench_test.go for the per-table/per-figure benchmarks.
+// This package is the public facade, and holds what the programs under
+// examples/ and the client commands (kmon, kprof, ktaud, runktau) use: the
+// simulated cluster (Cluster, Kernel, Task), the measurement system
+// (Measurement, Snapshot, instrumentation groups), the clients
+// (ProcFS, Handle, KTAUD, RunKtau), the user-level side (Tau profiler,
+// merged profiles and timelines), the workloads, analysis helpers,
+// perfmon deployment and fault plans. The evaluation drivers — ktau-exp,
+// which regenerates every table and figure of the paper, ktau-sweep and
+// the benchmarks in bench_test.go — import the internal packages they
+// drive.
 package ktau

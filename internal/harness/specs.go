@@ -119,6 +119,33 @@ func chibaCell(ctx context.Context, p Params) *CellResult {
 	return &CellResult{Metrics: metrics, Fingerprints: fps, Text: text.String(), Raw: live}
 }
 
+// unreadAxis returns an error cell naming the first of the given axes that
+// p sets away from its neutral value (a flat network, no faults, no trace,
+// no rate), or nil. A spec passes the axes it does not read: it must not
+// report a cell named for a configuration it did not run.
+func unreadAxis(p Params, axes ...string) *CellResult {
+	set := map[string]any{}
+	if p.Racks > 1 {
+		set["racks"] = p.Racks
+	}
+	if p.Faults != "" && p.Faults != "none" {
+		set["faults"] = p.Faults
+	}
+	if p.Trace != "" && p.Trace != "off" {
+		set["trace"] = p.Trace
+	}
+	if p.Rate != 0 {
+		set["rate"] = p.Rate
+	}
+	for _, name := range axes {
+		if v, ok := set[name]; ok {
+			return &CellResult{Status: StatusError,
+				Err: fmt.Sprintf("%s spec does not read the %s axis (set to %v)", p.Exp, name, v)}
+		}
+	}
+	return nil
+}
+
 // perfmonStoreDigest fingerprints a perfmon collector store.
 func perfmonStoreDigest(st *perfmon.Store) string {
 	f := newFingerprinter()
@@ -138,8 +165,12 @@ func traceStoreDigest(st *tracepipe.Collector) string {
 }
 
 // faultsCell wraps the "Chiba with faults" study (clean / degraded /
-// collector-crash), fingerprinting all three collector stores.
+// collector-crash), fingerprinting all three collector stores. The study
+// runs its own three plans on a flat network, untraced.
 func faultsCell(ctx context.Context, p Params) *CellResult {
+	if bad := unreadAxis(p, "racks", "faults", "trace", "rate"); bad != nil {
+		return bad
+	}
 	res := experiments.RunFaultStudy(p.Ranks, p.Seed)
 	metrics := map[string]float64{
 		"clean_exec_s":        res.Clean.Exec.Seconds(),
@@ -168,8 +199,12 @@ func faultsCell(ctx context.Context, p Params) *CellResult {
 }
 
 // serveCell wraps the multi-tenant serving scenario, fingerprinting the
-// merged latency-histogram store (AppendBinary) and the kernel view.
+// merged latency-histogram store (AppendBinary) and the kernel view. The
+// scenario runs no trace pipeline.
 func serveCell(ctx context.Context, p Params) *CellResult {
+	if bad := unreadAxis(p, "trace", "rate"); bad != nil {
+		return bad
+	}
 	spec := experiments.DefaultServe(p.Ranks)
 	spec.Seed = p.Seed
 	spec.Racks = p.Racks
@@ -221,8 +256,12 @@ func serveCell(ctx context.Context, p Params) *CellResult {
 // traceovCell wraps the six-configuration trace-overhead sweep. Its three
 // headline slowdowns are what the perturb grid's budgets gate; the rows
 // fingerprint covers every configuration's rendered row, which pins each
-// slowdown to two decimals.
+// slowdown to two decimals. The study picks its own trace configurations
+// and runs them fault-free on a flat network.
 func traceovCell(ctx context.Context, p Params) *CellResult {
+	if bad := unreadAxis(p, "racks", "faults", "trace", "rate"); bad != nil {
+		return bad
+	}
 	res := experiments.RunTraceOverhead(p.Ranks, p.Seed)
 	metrics := map[string]float64{}
 	for _, row := range res.Rows {

@@ -127,3 +127,39 @@ func TestChibaCellRejectsBadSettings(t *testing.T) {
 		}
 	}
 }
+
+// TestCellsRejectUnreadAxes: the faults and traceov studies run their own
+// configurations on a flat network, and serve runs no trace pipeline, so a
+// cell that sets an axis its spec does not read fails as an error cell
+// naming that axis before any simulation runs. "-exp faults -racks 4
+// -faults degraded -trace full" once reported an ok cell named for that
+// configuration while it ran the flat three-plan study.
+func TestCellsRejectUnreadAxes(t *testing.T) {
+	cases := []struct {
+		p           Params
+		axis, value string
+	}{
+		{Params{Exp: "faults", Racks: 4, Faults: "degraded", Trace: "full"}, "racks", "4"},
+		{Params{Exp: "faults", Faults: "degraded"}, "faults", "degraded"},
+		{Params{Exp: "faults", Faults: "none", Trace: "full"}, "trace", "full"},
+		{Params{Exp: "faults", Rate: 0.25}, "rate", "0.25"},
+		{Params{Exp: "traceov", Racks: 2}, "racks", "2"},
+		{Params{Exp: "traceov", Faults: "crash"}, "faults", "crash"},
+		{Params{Exp: "traceov", Trace: "adaptive", Rate: 0.25}, "trace", "adaptive"},
+		{Params{Exp: "traceov", Trace: "off", Rate: math.NaN()}, "rate", "NaN"},
+		{Params{Exp: "serve", Racks: 4, Trace: "full"}, "trace", "full"},
+		{Params{Exp: "serve", Faults: "degraded", Rate: 0.5}, "rate", "0.5"},
+	}
+	for _, tc := range cases {
+		tc.p.Ranks, tc.p.Seed = 8, 1
+		c := RunCell(context.Background(), tc.p)
+		want := tc.p.Exp + " spec does not read the " + tc.axis + " axis (set to " + tc.value + ")"
+		if c.Status != StatusError || c.Err != want {
+			t.Errorf("%s: status %q err %q, want an error %q", c.Name, c.Status, c.Err, want)
+		}
+		if c.Raw != nil || len(c.Metrics) != 0 || len(c.Fingerprints) != 0 {
+			t.Errorf("%s: a rejected cell carries results: raw=%T metrics=%d fingerprints=%d",
+				c.Name, c.Raw, len(c.Metrics), len(c.Fingerprints))
+		}
+	}
+}

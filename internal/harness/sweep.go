@@ -39,12 +39,17 @@ type SweepResult struct {
 	Cells     []*CellResult `json:"cells"`
 }
 
-// Failed returns the names of cells whose status is not ok.
+// Failed describes each cell whose status is not ok: its name, status and
+// the first line of its error.
 func (s *SweepResult) Failed() []string {
 	var out []string
 	for _, c := range s.Cells {
 		if c.Status != StatusOK {
-			out = append(out, c.Name+": "+c.Status)
+			msg := c.Name + ": " + c.Status
+			if first, _, _ := strings.Cut(c.Err, "\n"); first != "" {
+				msg += ": " + first
+			}
+			out = append(out, msg)
 		}
 	}
 	return out

@@ -184,42 +184,3 @@ func TestChromeTraceAtomicInstant(t *testing.T) {
 		t.Errorf("atomic value = %v", args["value"])
 	}
 }
-
-func TestOpDurationsFromTrace(t *testing.T) {
-	recs := []ktau.Record{
-		{TSC: 10, Ev: 1, Kind: ktau.KindEntry},
-		{TSC: 20, Ev: 2, Kind: ktau.KindEntry},
-		{TSC: 50, Ev: 2, Kind: ktau.KindExit}, // 30
-		{TSC: 90, Ev: 1, Kind: ktau.KindExit}, // 80
-		{TSC: 100, Ev: 2, Kind: ktau.KindEntry},
-		{TSC: 110, Ev: 2, Kind: ktau.KindExit}, // 10
-		{TSC: 200, Ev: 2, Kind: ktau.KindExit}, // orphan: entry lost
-	}
-	durs := OpDurations(recs, nameOf)
-	if got := durs["sys_writev"]; len(got) != 1 || got[0] != 80 {
-		t.Errorf("sys_writev durations = %v", got)
-	}
-	if got := durs["tcp_sendmsg"]; len(got) != 2 || got[0] != 30 || got[1] != 10 {
-		t.Errorf("tcp_sendmsg durations = %v", got)
-	}
-	stats := SummariseDurations(durs)
-	if stats[0].Name != "tcp_sendmsg" || stats[0].Count != 2 {
-		t.Errorf("summary order wrong: %+v", stats[0])
-	}
-	if stats[0].Min != 10 || stats[0].Max != 30 || stats[0].Mean != 20 {
-		t.Errorf("tcp stats wrong: %+v", stats[0])
-	}
-}
-
-func TestOpDurationsNestedRecursion(t *testing.T) {
-	recs := []ktau.Record{
-		{TSC: 0, Ev: 1, Kind: ktau.KindEntry},
-		{TSC: 5, Ev: 1, Kind: ktau.KindEntry}, // recursive
-		{TSC: 8, Ev: 1, Kind: ktau.KindExit},  // inner: 3
-		{TSC: 20, Ev: 1, Kind: ktau.KindExit}, // outer: 20
-	}
-	durs := OpDurations(recs, nameOf)["sys_writev"]
-	if len(durs) != 2 || durs[0] != 3 || durs[1] != 20 {
-		t.Errorf("recursive durations = %v", durs)
-	}
-}

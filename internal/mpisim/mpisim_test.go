@@ -230,110 +230,6 @@ func TestDeterministicMPIRun(t *testing.T) {
 	}
 }
 
-func TestIrecvOverlapsWithCompute(t *testing.T) {
-	c, w := testWorld(t, 2, 2, 1)
-	var waitTime, recvTime time.Duration
-	tasks := w.Launch("nb", func(r *Rank) {
-		if r.ID() == 0 {
-			// Send early; rank 1 computes before waiting.
-			r.Send(1, 200_000, 1)
-		} else {
-			req := r.Irecv(0, 1)
-			r.U().Compute(200 * time.Millisecond) // transfer completes underneath
-			t0 := r.U().Now()
-			if got := r.Wait(req); got != 200_000 {
-				t.Errorf("wait returned %d bytes", got)
-			}
-			waitTime = r.U().Now().Sub(t0)
-		}
-	})
-	if !c.RunUntilDone(tasks, time.Minute) {
-		t.Fatal("deadlock")
-	}
-	// Reference: a blocking receive posted at the same point.
-	c2, w2 := testWorld(t, 2, 2, 1)
-	tasks2 := w2.Launch("bl", func(r *Rank) {
-		if r.ID() == 0 {
-			r.Send(1, 200_000, 1)
-		} else {
-			t0 := r.U().Now()
-			r.Recv(0, 1)
-			recvTime = r.U().Now().Sub(t0)
-		}
-	})
-	if !c2.RunUntilDone(tasks2, time.Minute) {
-		t.Fatal("deadlock")
-	}
-	// 200KB at 100Mb/s is ~16ms of wire; with overlap the Wait costs only
-	// the copy (~well under 5ms), while the cold blocking receive pays the
-	// full transfer.
-	if waitTime > 5*time.Millisecond {
-		t.Errorf("overlapped Wait took %v; data should already be local", waitTime)
-	}
-	if recvTime < 10*time.Millisecond {
-		t.Errorf("blocking receive took %v; expected full transfer wait", recvTime)
-	}
-}
-
-func TestSendrecvSymmetricExchange(t *testing.T) {
-	c, w := testWorld(t, 2, 2, 1)
-	tasks := w.Launch("sr", func(r *Rank) {
-		peer := 1 - r.ID()
-		for i := 0; i < 5; i++ {
-			if got := r.Sendrecv(peer, 3000, 7, peer, 7); got != 3000 {
-				t.Errorf("sendrecv got %d bytes", got)
-			}
-		}
-	})
-	if !c.RunUntilDone(tasks, time.Minute) {
-		t.Fatal("deadlock")
-	}
-	if w.Rank(0).Stats.BytesRcvd != 15000 || w.Rank(1).Stats.BytesRcvd != 15000 {
-		t.Error("sendrecv byte counts wrong")
-	}
-}
-
-func TestAlltoallAllSizes(t *testing.T) {
-	for _, n := range []int{2, 3, 4, 5, 8} {
-		n := n
-		t.Run(fmt.Sprintf("ranks=%d", n), func(t *testing.T) {
-			c, w := testWorld(t, n, n, 1)
-			tasks := w.Launch("a2a", func(r *Rank) {
-				r.Alltoall(1000)
-			})
-			if !c.RunUntilDone(tasks, time.Minute) {
-				t.Fatal("alltoall deadlocked")
-			}
-			for i := 0; i < n; i++ {
-				want := uint64((n - 1) * 1000)
-				if got := w.Rank(i).Stats.BytesRcvd; got != want {
-					t.Errorf("rank %d received %d, want %d", i, got, want)
-				}
-			}
-		})
-	}
-}
-
-func TestWaitOnForeignRequestPanics(t *testing.T) {
-	c, w := testWorld(t, 2, 2, 1)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	var req *Request
-	tasks := w.Launch("bad", func(r *Rank) {
-		if r.ID() == 0 {
-			req = r.Irecv(1, 1)
-			r.Send(1, 10, 2)
-		} else {
-			r.Recv(0, 2)
-			r.Wait(req) // foreign request: must panic
-		}
-	})
-	c.RunUntilDone(tasks, time.Minute)
-}
-
 func TestRandomCommunicationSchedulesComplete(t *testing.T) {
 	// Property-style: random rings of sends/recvs over random sizes never
 	// deadlock with eager semantics.

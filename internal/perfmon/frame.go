@@ -17,9 +17,6 @@ const (
 	FrameMagic = 0x4b4d4f4e
 	// FrameVersion is the wire format version (2 added the Gap flag).
 	FrameVersion = 2
-	// FrameHeaderBytes is the transport's fixed on-wire preamble preceding
-	// each frame's payload.
-	FrameHeaderBytes = ship.HeaderBytes
 )
 
 // TimerTickEvent is the kernel's periodic timer interrupt event. Its calls
@@ -74,7 +71,7 @@ type Frame struct {
 }
 
 // EncodeFrame serialises a frame payload (the bytes following the on-wire
-// preamble; FrameHeaderBytes models the preamble itself).
+// preamble, ship.HeaderBytes long).
 func EncodeFrame(f Frame) []byte { return AppendFrame(nil, f) }
 
 // AppendFrame serialises a frame payload, appending to dst and returning the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ktau/internal/ktau"
+	"ktau/internal/ship"
 )
 
 // TestAppendFrameAllocsAmortized pins the per-round trace-frame encode at ≤1
@@ -95,14 +96,14 @@ func TestIngestDecodedFrameAllocsIndependentOfRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := NewCollector(2, 450_000_000)
-		c.Ingest(decoded, TraceHeaderBytes+len(blob)) // create the stream states
+		c.Ingest(decoded, ship.HeaderBytes+len(blob)) // create the stream states
 		for _, s := range decoded.Streams {
 			st := c.streams[streamKey{NodeIdx: 1, PID: s.PID, Kernel: s.Kernel}]
 			if len(st.segs) != 1 || &st.segs[0][0] != &s.Recs[0] {
 				t.Fatalf("kernel=%v: the decoded records were not kept as the stream's segment", s.Kernel)
 			}
 		}
-		ingest := func() { c.Ingest(decoded, TraceHeaderBytes+len(blob)) }
+		ingest := func() { c.Ingest(decoded, ship.HeaderBytes+len(blob)) }
 		count = testing.AllocsPerRun(100, ingest)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -20,9 +20,6 @@ const (
 	// (timestamps as per-stream deltas, counters as uvarints) on top of the
 	// per-frame name dictionary. Other versions are rejected.
 	TraceVersion = 2
-	// TraceHeaderBytes is the transport's fixed on-wire preamble preceding
-	// each frame's payload.
-	TraceHeaderBytes = ship.HeaderBytes
 )
 
 // Rec is one resolved trace record: a virtual-TSC timestamp, the event name

@@ -8,20 +8,6 @@ import (
 	"ktau/internal/tcpsim"
 )
 
-// LMBenchResults are the micro-benchmark outcomes, in the spirit of the
-// LMBENCH suite the paper also exercised KTAU with (§5).
-type LMBenchResults struct {
-	// NullSyscall is the round-trip cost of a trivial system call.
-	NullSyscall time.Duration
-	// CtxSwitch is the one-way cost of a ping-pong context switch between
-	// two processes on one CPU (includes the wakeup path).
-	CtxSwitch time.Duration
-	// TCPLatency is the one-way small-message TCP latency between two nodes.
-	TCPLatency time.Duration
-	// TCPBandwidth is the achieved large-transfer TCP throughput in bytes/s.
-	TCPBandwidth float64
-}
-
 // LMBenchNullSyscall measures the null-syscall cost on a node by running a
 // task that performs iters getpid-style calls.
 func LMBenchNullSyscall(k *kernel.Kernel, iters int) time.Duration {
