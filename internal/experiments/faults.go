@@ -79,10 +79,13 @@ func CrashPlan(seed uint64) faultsim.Plan {
 	}
 }
 
-// RunFaultStudy executes the three configurations at one rank per node.
-func RunFaultStudy(ranks int, seed uint64) *FaultStudy {
+// RunFaultStudy executes the three configurations at one rank per node;
+// parallel and workers select how the runs execute on the host, as the
+// ChibaSpec fields of those names do.
+func RunFaultStudy(ranks int, seed uint64, parallel bool, workers int) *FaultStudy {
 	spec := DefaultChiba(ranks, 1)
 	spec.Seed = seed
+	spec.Parallel, spec.Workers = parallel, workers
 	// A small send window so a broken link backs up — and is detected —
 	// within a few collection rounds rather than tens.
 	spec.TCP = tcpsim.DefaultParams()

@@ -14,7 +14,7 @@ import (
 // and the collector crash forces exactly one re-election with the dead node
 // marked down.
 func TestFaultStudySmallScale(t *testing.T) {
-	study := RunFaultStudy(8, 1)
+	study := RunFaultStudy(8, 1, false, 0)
 
 	if !study.Clean.Completed || !study.Clean.Drained {
 		t.Fatal("clean baseline did not complete and drain")

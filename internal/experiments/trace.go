@@ -39,6 +39,8 @@ func wireTraceSources(cfg *tracepipe.Config, spec ChibaSpec, w *mpisim.World) {
 					if rk.Tau == nil {
 						return nil, 0
 					}
+					// The drained slice is the profiler's own buffer until
+					// the next drain, so it is converted at once.
 					recs := rk.Tau.DrainTrace()
 					conv := make([]tracepipe.Rec, 0, len(recs))
 					for _, t := range recs {
@@ -63,7 +65,7 @@ func wireTraceSources(cfg *tracepipe.Config, spec ChibaSpec, w *mpisim.World) {
 			rk := w.Rank(r)
 			out = append(out, tracepipe.MsgSource{
 				Drain: func() []tracepipe.Msg {
-					evs := rk.DrainMsgs()
+					evs := rk.DrainMsgs() // the rank's buffer: converted at once
 					conv := make([]tracepipe.Msg, 0, len(evs))
 					for _, e := range evs {
 						conv = append(conv, tracepipe.Msg{
@@ -190,11 +192,15 @@ func (t *TraceOverheadResult) Row(config string) *TraceOverheadRow {
 
 // RunTraceOverhead reruns one Chiba workload across the collection
 // configurations and reports the per-layer slowdown. The adaptive row is
-// the ROADMAP target: Profile+Trace(adaptive) must stay under 5%.
-func RunTraceOverhead(ranks int, seed uint64) *TraceOverheadResult {
+// the ROADMAP target: Profile+Trace(adaptive) must stay under 5%. parallel
+// and workers select how the runs execute on the host, as the ChibaSpec
+// fields of those names do.
+func RunTraceOverhead(ranks int, seed uint64, parallel bool, workers int) *TraceOverheadResult {
 	// Both runs are fault-free; the names are valid, so neither call errs.
 	base, profOpts, _ := LiveChiba(ranks, seed, "none", "off", 0)
 	traced, fullOpts, _ := LiveChiba(ranks, seed, "none", "full", 0)
+	base.Parallel, base.Workers = parallel, workers
+	traced.Parallel, traced.Workers = parallel, workers
 
 	res := &TraceOverheadResult{Ranks: ranks}
 

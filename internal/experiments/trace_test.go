@@ -295,7 +295,7 @@ func TestTraceDetectionUnderSampling(t *testing.T) {
 // for their losses, and the adaptive configuration must not cost more than
 // full tracing.
 func TestTraceOverhead(t *testing.T) {
-	res := RunTraceOverhead(8, 7)
+	res := RunTraceOverhead(8, 7, false, 0)
 	want := []string{
 		"Off", "Profile", "Profile+Trace",
 		"Profile+Trace(r=0.25)", "Profile+Trace(r=0.05)", "Profile+Trace(adaptive)",

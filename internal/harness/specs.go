@@ -171,7 +171,7 @@ func faultsCell(ctx context.Context, p Params) *CellResult {
 	if bad := unreadAxis(p, "racks", "faults", "trace", "rate"); bad != nil {
 		return bad
 	}
-	res := experiments.RunFaultStudy(p.Ranks, p.Seed)
+	res := experiments.RunFaultStudy(p.Ranks, p.Seed, p.Parallel, p.Workers)
 	metrics := map[string]float64{
 		"clean_exec_s":        res.Clean.Exec.Seconds(),
 		"degraded_exec_s":     res.Degraded.Exec.Seconds(),
@@ -262,7 +262,7 @@ func traceovCell(ctx context.Context, p Params) *CellResult {
 	if bad := unreadAxis(p, "racks", "faults", "trace", "rate"); bad != nil {
 		return bad
 	}
-	res := experiments.RunTraceOverhead(p.Ranks, p.Seed)
+	res := experiments.RunTraceOverhead(p.Ranks, p.Seed, p.Parallel, p.Workers)
 	metrics := map[string]float64{}
 	for _, row := range res.Rows {
 		switch row.Config {

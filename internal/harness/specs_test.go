@@ -92,6 +92,35 @@ func TestSerialParallelFingerprints(t *testing.T) {
 	}
 }
 
+// TestFaultsCellRunsOnItsWorkers: a faults cell at 2 workers runs its
+// three studies partitioned, as its name says (the studies' specs carry
+// the cell's Parallel and Workers, not the process-wide default), and
+// carries the serial cell's fingerprints.
+func TestFaultsCellRunsOnItsWorkers(t *testing.T) {
+	serial := RunCell(context.Background(), Params{Exp: "faults", Ranks: 8, Seed: 3})
+	par := RunCell(context.Background(), Params{Exp: "faults", Ranks: 8, Seed: 3, Parallel: true, Workers: 2})
+	for _, c := range []*CellResult{serial, par} {
+		if c.Status != StatusOK {
+			t.Fatalf("cell %s failed: %s %s", c.Params.Name(), c.Status, c.Err)
+		}
+	}
+	study := par.Raw.(*experiments.FaultStudy)
+	for name, r := range map[string]*experiments.LiveResult{"clean": study.Clean, "degraded": study.Degraded, "crash": study.Crash} {
+		if !r.Spec.Parallel || r.Spec.Workers != 2 {
+			t.Errorf("%s run of %s: Parallel=%v Workers=%d, want a partitioned run at 2 workers",
+				name, par.Params.Name(), r.Spec.Parallel, r.Spec.Workers)
+		}
+	}
+	if len(serial.Fingerprints) == 0 {
+		t.Fatal("serial faults cell carries no fingerprints")
+	}
+	for key, want := range serial.Fingerprints {
+		if got := par.Fingerprints[key]; got != want {
+			t.Errorf("fingerprint %q differs between the serial and 2-worker cells:\n%s\nvs\n%s", key, want, got)
+		}
+	}
+}
+
 // TestChibaCellRejectsBadSettings: an unknown fault plan or trace mode, or
 // an adaptive rate outside (0, 1], fails experiments.LiveChiba with an
 // error naming the bad value, and a chiba cell naming it fails as an error

@@ -181,10 +181,12 @@ func (k *Kernel) Tasks() []*Task {
 // AllTasks returns every task ever created in creation order, including
 // exited ones (excluding idle tasks).
 func (k *Kernel) AllTasks() []*Task {
-	out := make([]*Task, len(k.order))
-	copy(out, k.order)
-	return out
+	return k.AppendAllTasks(make([]*Task, 0, len(k.order)))
 }
+
+// AppendAllTasks appends every task ever created, in creation order, to dst
+// and returns the result: AllTasks into storage the caller reuses.
+func (k *Kernel) AppendAllTasks(dst []*Task) []*Task { return append(dst, k.order...) }
 
 // FindTask returns the live or exited task with the given pid, or nil.
 func (k *Kernel) FindTask(pid int) *Task { return k.tasks[pid] }

@@ -40,38 +40,65 @@ type Record struct {
 // When the writer outruns the reader, the oldest records are overwritten and
 // counted as lost — the paper notes "trace data may be lost if the buffer is
 // not read fast enough by user-space applications or daemons".
+//
+// The ring holds up to its configured capacity, but its storage is grown on
+// demand: none at creation, ringInitial records at the first Put, then
+// doubling up to the capacity. A ring that a reader keeps draining holds
+// host memory for the records it buffers, not for its capacity; which
+// records are kept and which are lost does not change.
 type Ring struct {
-	buf  []Record
-	head int // index of oldest record
-	size int // number of live records
-	lost uint64
-	seq  uint64 // total records ever written
+	// buf holds the live records: len(buf) is how many, cap(buf) the
+	// storage allocated so far. Until the ring is full they run from buf[0]
+	// in order; once len(buf) reaches capacity, head is the oldest and each
+	// Put overwrites it.
+	buf      []Record
+	head     int
+	capacity int
+	lost     uint64
+	cleared  uint64 // records emptied out by Clear
 }
 
+// ringInitial is the storage a ring allocates at its first Put.
+const ringInitial = 64
+
 // NewRing returns a ring holding up to capacity records. Capacity <= 0
-// returns a nil ring, meaning tracing is disabled for the task.
+// returns a nil ring, meaning tracing is disabled for the task. No storage
+// is allocated until the first Put.
 func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		return nil
 	}
-	return &Ring{buf: make([]Record, capacity)}
+	return &Ring{capacity: capacity}
 }
 
 // Put appends a record, overwriting the oldest when full.
 func (r *Ring) Put(rec Record) {
+	if r != nil && len(r.buf) < cap(r.buf) {
+		r.buf = append(r.buf, rec)
+	} else {
+		r.putSlow(rec)
+	}
+}
+
+// putSlow is Put into a ring whose storage has no free slot: a full ring
+// overwrites its oldest record, counting it lost; otherwise the storage
+// doubles, up to the capacity. It is kept out of Put so that Put stays
+// inlinable.
+//
+//go:noinline
+func (r *Ring) putSlow(rec Record) {
 	if r == nil {
 		return
 	}
-	r.seq++
-	if r.size < len(r.buf) {
-		r.buf[(r.head+r.size)%len(r.buf)] = rec
-		r.size++
+	if len(r.buf) == r.capacity {
+		r.buf[r.head] = rec
+		r.head = (r.head + 1) % len(r.buf)
+		r.lost++
 		return
 	}
-	// Full: overwrite oldest.
-	r.buf[r.head] = rec
-	r.head = (r.head + 1) % len(r.buf)
-	r.lost++
+	buf := make([]Record, len(r.buf), min(max(2*cap(r.buf), ringInitial), r.capacity))
+	copy(buf, r.buf)
+	r.buf = append(buf, rec)
 }
 
 // Len reports the number of records currently buffered.
@@ -79,15 +106,16 @@ func (r *Ring) Len() int {
 	if r == nil {
 		return 0
 	}
-	return r.size
+	return len(r.buf)
 }
 
-// Cap reports the buffer capacity.
+// Cap reports the buffer's configured capacity, however much of it is
+// allocated so far.
 func (r *Ring) Cap() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.buf)
+	return r.capacity
 }
 
 // Lost reports how many records were overwritten before being read.
@@ -98,12 +126,13 @@ func (r *Ring) Lost() uint64 {
 	return r.lost
 }
 
-// Total reports how many records were ever written.
+// Total reports how many records were ever written: each one is buffered,
+// was overwritten or was emptied out by Clear.
 func (r *Ring) Total() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.seq
+	return r.cleared + uint64(len(r.buf)) + r.lost
 }
 
 // Parts returns the buffered records in chronological order as two views
@@ -111,23 +140,23 @@ func (r *Ring) Total() uint64 {
 // wraps past the end of the buffer). Nothing is copied; the views alias the
 // ring and are valid until the next Put or Clear.
 func (r *Ring) Parts() (a, b []Record) {
-	if r == nil || r.size == 0 {
+	if r == nil || len(r.buf) == 0 {
 		return nil, nil
 	}
-	end := r.head + r.size
-	if end <= len(r.buf) {
-		return r.buf[r.head:end], nil
+	if r.head == 0 {
+		return r.buf, nil
 	}
-	return r.buf[r.head:], r.buf[:end-len(r.buf)]
+	return r.buf[r.head:], r.buf[:r.head]
 }
 
-// Clear empties the ring without copying its records; the lost and total
-// counters keep their values. Together with Parts this is what a read
-// through /proc/ktau/trace performs.
+// Clear empties the ring without copying its records and keeps its
+// storage; the lost and total counters keep their values. Together with
+// Parts this is what a read through /proc/ktau/trace performs.
 func (r *Ring) Clear() {
 	if r != nil {
+		r.cleared += uint64(len(r.buf))
+		r.buf = r.buf[:0]
 		r.head = 0
-		r.size = 0
 	}
 }
 

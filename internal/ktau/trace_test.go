@@ -1,6 +1,8 @@
 package ktau
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -125,6 +127,87 @@ func TestRingProperty(t *testing.T) {
 	}
 }
 
+// eagerRing is the ring as it was before its storage grew on demand: the
+// whole capacity allocated up front, records placed modulo the capacity.
+// TestRingGrowthMatchesEagerRing holds the grown ring to it.
+type eagerRing struct {
+	buf         []Record
+	head, size  int
+	lost, total uint64
+}
+
+func (r *eagerRing) put(rec Record) {
+	r.total++
+	if r.size < len(r.buf) {
+		r.buf[(r.head+r.size)%len(r.buf)] = rec
+		r.size++
+		return
+	}
+	r.buf[r.head] = rec
+	r.head = (r.head + 1) % len(r.buf)
+	r.lost++
+}
+
+func (r *eagerRing) parts() (a, b []Record) {
+	if r.size == 0 {
+		return nil, nil
+	}
+	end := r.head + r.size
+	if end <= len(r.buf) {
+		return r.buf[r.head:end], nil
+	}
+	return r.buf[r.head:], r.buf[:end-len(r.buf)]
+}
+
+// TestRingGrowthMatchesEagerRing drives rings whose storage grows on demand
+// and eagerly allocated reference rings through the same random puts, up to
+// three times the capacity, and Clears at random points, at capacities on
+// both sides of the first storage size (64) and at the traced runs' 4096.
+// After every put the two hold the same Len, Lost and Total, and at every
+// eighth of the capacity and after the last put the same Parts and
+// Snapshot; Cap is the configured capacity from the start, before any
+// storage exists; and the storage never exceeds the capacity.
+func TestRingGrowthMatchesEagerRing(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range []int{1, 63, 64, 65, 200, 4096} {
+		for trial := 0; trial < 8; trial++ {
+			r, ref := NewRing(c), &eagerRing{buf: make([]Record, c)}
+			if r.Cap() != c || cap(r.buf) != 0 {
+				t.Fatalf("cap %d: new ring reports Cap %d with %d records of storage, want %d and none", c, r.Cap(), cap(r.buf), c)
+			}
+			puts := rng.Intn(3*c + 1)
+			clearP := 1 / float64(1+rng.Intn(2*c))
+			for i := 1; i <= puts; i++ {
+				if rng.Float64() < clearP {
+					r.Clear()
+					ref.head, ref.size = 0, 0
+				}
+				rec := Record{TSC: int64(i), Ev: EventID(i % 7), Kind: RecordKind(1 + i%3), Val: int64(-i)}
+				r.Put(rec)
+				ref.put(rec)
+				if r.Len() != ref.size || r.Lost() != ref.lost || r.Total() != ref.total || r.Cap() != c {
+					t.Fatalf("cap %d, put %d: len/lost/total/cap = %d/%d/%d/%d, reference %d/%d/%d/%d",
+						c, i, r.Len(), r.Lost(), r.Total(), r.Cap(), ref.size, ref.lost, ref.total, c)
+				}
+				if cap(r.buf) > c {
+					t.Fatalf("cap %d, put %d: %d records of storage", c, i, cap(r.buf))
+				}
+				if i%max(1, c/8) != 0 && i != puts {
+					continue // compare the records at a sample of steps
+				}
+				a, b := r.Parts()
+				ra, rb := ref.parts()
+				if !slices.Equal(a, ra) || !slices.Equal(b, rb) {
+					t.Fatalf("cap %d, put %d: parts hold %d+%d records, reference %d+%d", c, i, len(a), len(b), len(ra), len(rb))
+				}
+				if want := append(append([]Record(nil), ra...), rb...); !slices.Equal(r.Snapshot(), want) {
+					t.Fatalf("cap %d, put %d: snapshot differs from the reference's", c, i)
+				}
+			}
+		}
+	}
+}
+
 // TestRingPartsAliasStorage pins the two-part view a trace read packs from:
 // for every capacity, fill level and head position, a then b is the
 // chronological record sequence, b is empty unless the live region wraps,
@@ -147,7 +230,7 @@ func TestRingPartsAliasStorage(t *testing.T) {
 					t.Fatalf("cap %d, %d puts: record %d = %v, want %v", c, n, i, rec, want[i])
 				}
 			}
-			if len(b) > 0 && r.head+r.size <= len(r.buf) {
+			if len(b) > 0 && r.head == 0 {
 				t.Fatalf("cap %d, %d puts: b is non-empty for an unwrapped ring", c, n)
 			}
 			if len(a) > 0 && &a[0] != &r.buf[r.head] {

@@ -210,15 +210,18 @@ type Rank struct {
 	// own task appends; the node's trace agent drains between appends — both
 	// run on the same node engine, so no locking is needed.
 	msgLog  []MsgEvent
+	msgPrev []MsgEvent // storage the previous DrainMsgs returned
 	sendSeq map[[2]int]uint64
 	recvSeq map[[2]int]uint64
 }
 
 // DrainMsgs returns and clears the rank's buffered message events. Empty
-// unless World.EnableMsgLog was called.
+// unless World.EnableMsgLog was called. The rank alternates between two
+// buffers of its own: the returned slice is valid until the next DrainMsgs,
+// after which new events are written into its storage.
 func (r *Rank) DrainMsgs() []MsgEvent {
 	out := r.msgLog
-	r.msgLog = nil
+	r.msgLog, r.msgPrev = r.msgPrev[:0], out
 	return out
 }
 

@@ -102,3 +102,42 @@ func TestMsgLogDisabledByDefault(t *testing.T) {
 		t.Fatalf("message log populated without EnableMsgLog: %d events", len(got))
 	}
 }
+
+// TestDrainMsgsZeroAllocs pins a warmed message-log cycle at zero
+// allocations: a send, its answer and a drain of the two logged endpoint
+// events, which the rank writes into the buffer the previous drain
+// returned.
+func TestDrainMsgsZeroAllocs(t *testing.T) {
+	c, w := testWorld(t, 2, 2, 1)
+	w.EnableMsgLog()
+	var allocs float64
+	tasks := w.Launch("ml", func(r *Rank) {
+		if r.ID() == 1 {
+			for i := 0; i < 60; i++ {
+				r.Recv(0, 7)
+				r.Send(0, 64, 8)
+			}
+			return
+		}
+		cycle := func() {
+			r.Send(1, 4096, 7)
+			r.Recv(1, 8)
+			if got := r.DrainMsgs(); len(got) != 2 || !got[0].Send || got[1].Send {
+				t.Errorf("drain = %+v, want one send and one receive", got)
+			}
+		}
+		for i := 0; i < 5; i++ { // warm both buffers and the sequence maps
+			cycle()
+		}
+		allocs = testing.AllocsPerRun(50, cycle)
+		for i := 0; i < 4; i++ {
+			cycle()
+		}
+	})
+	if !c.RunUntilDone(tasks, 10*time.Second) {
+		t.Fatal("ranks did not finish")
+	}
+	if allocs != 0 {
+		t.Fatalf("warmed send, receive and drain allocated %.2f times, want 0", allocs)
+	}
+}

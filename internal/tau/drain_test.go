@@ -51,3 +51,30 @@ func TestDrainTraceStreams(t *testing.T) {
 	}, kernel.SpawnOpts{})
 	runTask(t, eng, task)
 }
+
+// TestDrainTraceZeroAllocs pins a warmed drain cycle at zero allocations:
+// the profiler refills the buffer the previous drain returned, so a
+// consumer draining every round costs no buffer growth. The returned slice
+// holds the cycle's records until the next drain.
+func TestDrainTraceZeroAllocs(t *testing.T) {
+	eng, k := tauRig(t)
+	task := k.Spawn("app", func(u *kernel.UCtx) {
+		p := New(u, Options{Enabled: true, TraceCapacity: 64})
+		cycle := func() {
+			for i := 0; i < 8; i++ {
+				p.Start("a")
+				p.Stop("a")
+			}
+			if got := p.DrainTrace(); len(got) != 16 || got[0].Name != "a" || !got[0].Entry || got[15].Entry {
+				t.Errorf("drain = %d records, want 8 entry/exit pairs of a", len(got))
+			}
+		}
+		for i := 0; i < 3; i++ { // warm both buffers
+			cycle()
+		}
+		if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+			t.Errorf("warmed trace drain cycle allocated %.2f times, want 0", allocs)
+		}
+	}, kernel.SpawnOpts{})
+	runTask(t, eng, task)
+}

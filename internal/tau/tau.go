@@ -74,8 +74,11 @@ type Profiler struct {
 	stack   []uframe
 	ctxIDs  []int32 // per event: KTAU mapping context id
 
-	trace     []Record
-	traceLost uint64
+	// trace buffers the records since the last drain; traceSpare is the
+	// storage the previous drain returned, which the next drain refills.
+	trace      []Record
+	traceSpare []Record
+	traceLost  uint64
 
 	phases     []*PhaseProfile
 	phaseIdx   map[string]int
@@ -206,10 +209,13 @@ func (p *Profiler) Trace() []Record {
 
 // DrainTrace returns the buffered user-level records in order and clears the
 // buffer, so a streaming consumer (the tracepipe agent) sees each record
-// exactly once. The lost counter keeps accumulating across drains.
+// exactly once. The lost counter keeps accumulating across drains. The
+// profiler alternates between two buffers of its own: the returned slice
+// is valid until the next DrainTrace, after which new records are written
+// into its storage.
 func (p *Profiler) DrainTrace() []Record {
 	out := p.trace
-	p.trace = nil
+	p.trace, p.traceSpare = p.traceSpare[:0], out
 	return out
 }
 

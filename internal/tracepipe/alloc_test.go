@@ -4,7 +4,10 @@ import (
 	"io"
 	"runtime"
 	"testing"
+	"time"
 
+	"ktau/internal/cluster"
+	"ktau/internal/kernel"
 	"ktau/internal/ktau"
 	"ktau/internal/ship"
 )
@@ -74,51 +77,151 @@ func TestWriteChromeTraceAllocsIndependentOfRecords(t *testing.T) {
 	}
 }
 
-// TestIngestDecodedFrameAllocsIndependentOfRecords pins the collector's
-// ingest of a shipped frame: the decoded streams' records are kept where
-// they are, as one segment each, not copied into a growing per-stream
-// slice, so a frame of 10 000 records costs the same allocations as one of
-// 100 — and, since an amortized copy shows as zero allocations per run,
-// the same bytes too.
-func TestIngestDecodedFrameAllocsIndependentOfRecords(t *testing.T) {
-	allocs := func(records int) (count, bytes float64) {
+// TestShippedFrameIngestBytesPerRecord pins what a shipped frame costs
+// once the decoding frame is warm. Decoding into the reused frame allocates
+// nothing, and ingest allocates the records it keeps at 24 bytes each plus a
+// constant per stream: the rounding of the frame's one exact-size record
+// block to the allocator's size class or whole 8 KiB pages, and each
+// stream's segment-list growth. Both paths are held: the sink's, which reads
+// every record's name through the frame's decoded dictionary, and
+// DecodeFrameInto plus the exported Ingest.
+func TestShippedFrameIngestBytesPerRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under -race")
+	}
+	const streams, perStream = 16, 1024
+	names := []string{"sys_read", "sys_writev", "tcp_sendmsg", "schedule", "MPI_Send()"}
+	for _, records := range []int{100, 1_000, 10_000} {
 		f := Frame{Node: "n1", NodeIdx: 1}
-		for _, kernel := range []bool{false, true} {
-			s := Stream{PID: 7, Task: "lu.A", Kernel: kernel}
-			for i := 0; i < records/2; i++ {
-				s.Recs = append(s.Recs, Rec{TSC: int64(i), Name: "sys_read", Kind: ktau.KindEntry})
+		for i := 0; i < streams; i++ {
+			s := Stream{PID: 7 + i/2, Task: "lu.A", Kernel: i%2 == 1}
+			for j := 0; j < records/streams; j++ {
+				s.Recs = append(s.Recs, Rec{TSC: int64(j), Name: names[j%len(names)], Kind: ktau.KindEntry, Val: int64(j)})
 			}
 			f.Streams = append(f.Streams, s)
 		}
 		blob := EncodeFrame(f)
-		decoded, err := DecodeFrame(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
+		wire := ship.HeaderBytes + len(blob)
+		budget := float64(24*f.records() + perStream*streams)
+
 		c := NewCollector(2, 450_000_000)
-		c.Ingest(decoded, ship.HeaderBytes+len(blob)) // create the stream states
-		for _, s := range decoded.Streams {
-			st := c.streams[streamKey{NodeIdx: 1, PID: s.PID, Kernel: s.Kernel}]
-			if len(st.segs) != 1 || &st.segs[0][0] != &s.Recs[0] {
-				t.Fatalf("kernel=%v: the decoded records were not kept as the stream's segment", s.Kernel)
+		var sink shipment
+		sink.dict = &dict{}
+		decode := func() {
+			if err := decodeFrame(&sink.Frame, sink.dict, blob); err != nil {
+				t.Fatal(err)
 			}
 		}
-		ingest := func() { c.Ingest(decoded, ship.HeaderBytes+len(blob)) }
-		count = testing.AllocsPerRun(100, ingest)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < 100; i++ {
-			ingest()
+		var pub Frame
+		paths := []struct {
+			name string
+			run  func()
+		}{
+			{"sink", func() { decode(); c.ingest(&sink.Frame, sink.dict, wire) }},
+			{"DecodeFrameInto+Ingest", func() {
+				if err := DecodeFrameInto(&pub, blob); err != nil {
+					t.Fatal(err)
+				}
+				c.Ingest(pub, wire)
+			}},
 		}
-		runtime.ReadMemStats(&after)
-		return count, float64(after.TotalAlloc-before.TotalAlloc) / 100
+		for _, p := range paths {
+			for i := 0; i < 3; i++ { // warm the frame, the dictionaries and the stream states
+				p.run()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			const runs = 50
+			for i := 0; i < runs; i++ {
+				p.run()
+			}
+			runtime.ReadMemStats(&after)
+			if got := float64(after.TotalAlloc-before.TotalAlloc) / runs; got > budget {
+				t.Errorf("%s, %d records: %.0f bytes per frame, want at most %.0f (24 per record + %d per stream)",
+					p.name, f.records(), got, budget, perStream)
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, decode); allocs != 0 {
+			t.Errorf("%d records: decoding into the warmed sink frame allocated %.2f times, want 0", f.records(), allocs)
+		}
 	}
-	small, smallBytes := allocs(100)
-	large, largeBytes := allocs(10_000)
-	if large != small {
-		t.Fatalf("ingest allocated %.2f times for 10 000 records but %.2f for 100; want the same", large, small)
+}
+
+// TestAgentRoundZeroAllocs pins a warmed ktraced round at zero allocations:
+// draining every kernel ring through procfs into the reused record scratch,
+// draining user rings and a message log whose sources reuse their buffers
+// (as the TAU and message-log drains do), building the frame and its
+// dictionary in place, and encoding it.
+func TestAgentRoundZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under -race")
 	}
-	if !raceEnabled && largeBytes > smallBytes+64 {
-		t.Fatalf("ingest allocated %.0f bytes per frame of 10 000 records but %.0f for 100; want the same", largeBytes, smallBytes)
+	c := cluster.New(cluster.Config{
+		Nodes: cluster.UniformNodes("node", 1),
+		Ktau:  ktau.Options{Compiled: ktau.GroupAll, Boot: ktau.GroupAll, TraceCapacity: 1024},
+		Seed:  5,
+	})
+	t.Cleanup(c.Shutdown)
+	const interval = 10 * time.Millisecond
+	c.Node(0).K.Spawn("app", func(u *kernel.UCtx) {
+		for {
+			u.Compute(2 * time.Millisecond)
+			u.Sleep(time.Millisecond)
+		}
+	}, kernel.SpawnOpts{})
+
+	var user [2]Rec
+	var msg [1]Msg
+	drains := 0
+	users := []UserSource{{PID: 1000, Task: "user", Drain: func() ([]Rec, uint64) {
+		drains++
+		base := int64(drains) * 1000
+		user[0] = Rec{TSC: base, Name: "MPI_Recv()", Kind: ktau.KindEntry}
+		user[1] = Rec{TSC: base + 500, Name: "MPI_Recv()", Kind: ktau.KindExit}
+		return user[:], 0
+	}}}
+	msgs := []MsgSource{{Drain: func() []Msg {
+		msg[0] = Msg{Src: 0, Dst: 1, Seq: uint64(drains), Send: true, PID: 1000, EndTSC: int64(drains)}
+		return msg[:]
+	}}}
+	tp := &Pipeline{c: c, cfg: Config{
+		Interval:    interval,
+		UserSources: func(int) []UserSource { return users },
+		MsgSources:  func(int) []MsgSource { return msgs },
+	}}
+	if _, err := tp.setup(); err != nil {
+		t.Fatal(err)
+	}
+	a := tp.newAgent(0, c.Node(0)).(*agent)
+
+	var allocs float64
+	var kernRecs int
+	agentTask := c.Node(0).K.Spawn("ktraced", func(u *kernel.UCtx) {
+		round := 0
+		step := func() {
+			u.Sleep(interval)
+			s, _ := a.Round(u, round, false)
+			a.Shipped(s, true)
+			round++
+			for _, st := range s.Streams {
+				if st.Kernel {
+					kernRecs += len(st.Recs)
+				}
+			}
+		}
+		for i := 0; i < 5; i++ { // warm every reused buffer
+			step()
+		}
+		kernRecs = 0
+		allocs = testing.AllocsPerRun(20, step)
+	}, kernel.SpawnOpts{Kind: kernel.KindDaemon})
+	if !c.RunUntilDone([]*kernel.Task{agentTask}, time.Minute) {
+		t.Fatal("agent task did not finish")
+	}
+	if kernRecs == 0 {
+		t.Fatal("measured rounds drained no kernel records")
+	}
+	if allocs != 0 {
+		t.Fatalf("warmed agent round allocated %.2f times, want 0", allocs)
 	}
 }

@@ -4,10 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"sync"
 
+	"ktau/internal/ktau"
 	"ktau/internal/promfmt"
 )
 
@@ -23,7 +23,16 @@ type Collector struct {
 
 	nodes   []*nodeTraceState
 	streams map[streamKey]*streamState
-	msgs    []nodeMsg
+	// names is the one name table of every stored record; nameIdx maps each
+	// name to its index. Both only grow.
+	names   []string
+	nameIdx map[string]uint32
+	// msgs holds the MPI endpoint events: one exact-size segment per frame
+	// that carried any, in arrival order.
+	msgs []msgSeg
+	// remap is ingest's scratch: the name-table index of each entry of the
+	// frame's dictionary.
+	remap []uint32
 }
 
 // streamKey identifies one ring's record stream across frames.
@@ -40,12 +49,23 @@ type streamState struct {
 	// segs holds the stream's records as ingested: one segment per frame
 	// that carried any, in arrival order (chronological per stream). A
 	// segment is never appended to or written after it is stored.
-	segs [][]Rec
+	segs [][]rec
 }
 
-type nodeMsg struct {
-	nodeIdx int
-	m       Msg
+// rec is one stored trace record: a Rec whose name is an index into the
+// collector's name table. It holds no pointer, so the garbage collector
+// never scans the record segments, and it takes 24 bytes to Rec's 40.
+type rec struct {
+	tsc  int64
+	val  int64
+	name uint32
+	kind ktau.RecordKind
+}
+
+// msgSeg is one ingested frame's MPI endpoint events.
+type msgSeg struct {
+	node int
+	msgs []Msg
 }
 
 type nodeTraceState struct {
@@ -67,7 +87,7 @@ type nodeTraceState struct {
 // NewCollector creates an empty collector for a cluster of the given size;
 // hz converts virtual-TSC cycles to time in the exported views.
 func NewCollector(nodes int, hz int64) *Collector {
-	c := &Collector{hz: hz, streams: make(map[streamKey]*streamState)}
+	c := &Collector{hz: hz, streams: make(map[streamKey]*streamState), nameIdx: make(map[string]uint32)}
 	for i := 0; i < nodes; i++ {
 		c.nodes = append(c.nodes, &nodeTraceState{name: fmt.Sprintf("node%d", i)})
 	}
@@ -81,12 +101,22 @@ func (c *Collector) node(idx int) *nodeTraceState {
 	return c.nodes[idx]
 }
 
-// Ingest merges one decoded frame into the collector. wireBytes is the
-// on-wire size of the shipment, 0 for the collector's local loopback. A
-// shipped frame was decoded for this call alone, so its streams' records are
-// kept where they are; a loopback frame's records alias the agent's round
-// buffer, which the next round overwrites, so they are copied once.
+// Ingest merges one frame into the collector. wireBytes is the on-wire size
+// of the shipment, 0 for the collector's local loopback. The records and
+// message events are copied into the collector's own storage, so the
+// caller may reuse the frame once Ingest returns.
 func (c *Collector) Ingest(f Frame, wireBytes int) {
+	d := dictPool.Get().(*dict)
+	d.build(&f)
+	c.ingest(&f, d, wireBytes)
+	dictPool.Put(d)
+}
+
+// ingest is Ingest of a frame whose dictionary is d. Each dictionary name
+// is interned into the collector's name table once, and each record's name
+// is then read through its dictionary index. One exact-size block holds
+// the frame's records, each stream's segment a capacity-capped part of it.
+func (c *Collector) ingest(f *Frame, d *dict, wireBytes int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := c.node(f.NodeIdx)
@@ -104,6 +134,21 @@ func (c *Collector) Ingest(f Frame, wireBytes int) {
 	n.readErrs = maxU64(n.readErrs, f.ReadErrs)
 	n.agentDrops = maxU64(n.agentDrops, f.Dropped)
 	n.agentDropR = maxU64(n.agentDropR, f.DroppedRecs)
+	c.remap = c.remap[:0]
+	for _, name := range d.names {
+		i, ok := c.nameIdx[name]
+		if !ok {
+			i = uint32(len(c.names))
+			c.names = append(c.names, name)
+			c.nameIdx[name] = i
+		}
+		c.remap = append(c.remap, i)
+	}
+	var block []rec
+	if nrec := len(d.ids); nrec > 0 {
+		block = make([]rec, nrec)
+	}
+	ids := d.ids
 	for _, s := range f.Streams {
 		key := streamKey{NodeIdx: f.NodeIdx, PID: s.PID, Kernel: s.Kernel}
 		st := c.streams[key]
@@ -116,12 +161,13 @@ func (c *Collector) Ingest(f Frame, wireBytes int) {
 		}
 		st.lost = maxU64(st.lost, s.Lost)
 		st.sampled = maxU64(st.sampled, s.Sampled)
-		if len(s.Recs) > 0 {
-			seg := s.Recs
-			if wireBytes == 0 {
-				seg = slices.Clone(seg)
+		if nr := len(s.Recs); nr > 0 {
+			seg := block[:nr:nr]
+			for i, r := range s.Recs {
+				seg[i] = rec{tsc: r.TSC, val: r.Val, name: c.remap[ids[i]], kind: r.Kind}
 			}
 			st.segs = append(st.segs, seg)
+			block, ids = block[nr:], ids[nr:]
 		}
 		if s.Kernel {
 			n.kernRecs += uint64(len(s.Recs))
@@ -129,8 +175,8 @@ func (c *Collector) Ingest(f Frame, wireBytes int) {
 			n.userRecs += uint64(len(s.Recs))
 		}
 	}
-	for _, m := range f.Msgs {
-		c.msgs = append(c.msgs, nodeMsg{nodeIdx: f.NodeIdx, m: m})
+	if len(f.Msgs) > 0 {
+		c.msgs = append(c.msgs, msgSeg{node: f.NodeIdx, msgs: append([]Msg(nil), f.Msgs...)})
 	}
 	n.msgEvents += uint64(len(f.Msgs))
 }
@@ -257,12 +303,14 @@ func (c *Collector) SampledOut() uint64 {
 // check compares against the profile-side detectors (e.g. counting
 // "schedule"/"schedule_vol" records to finger the noisiest node).
 func (c *Collector) NodeEventCounts(names ...string) []uint64 {
-	want := make(map[string]bool, len(names))
-	for _, n := range names {
-		want[n] = true
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	want := make([]bool, len(c.names))
+	for _, n := range names {
+		if i, ok := c.nameIdx[n]; ok {
+			want[i] = true
+		}
+	}
 	out := make([]uint64, len(c.nodes))
 	for key, st := range c.streams {
 		if key.NodeIdx < 0 || key.NodeIdx >= len(out) {
@@ -270,7 +318,7 @@ func (c *Collector) NodeEventCounts(names ...string) []uint64 {
 		}
 		for _, seg := range st.segs {
 			for _, r := range seg {
-				if want[r.Name] {
+				if want[r.name] {
 					out[key.NodeIdx]++
 				}
 			}

@@ -3,6 +3,7 @@ package tracepipe
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"ktau/internal/ktau"
@@ -98,12 +99,21 @@ func (f Frame) records() int {
 	return n
 }
 
-// dict is the reusable per-frame name-interning state. Hot instrumentation
-// points produce the same handful of names every round, so the dictionary's
-// map buckets and name slice are pooled rather than rebuilt per frame.
+// dict is a frame's name dictionary: the names in first-appearance order
+// and each record's index into them, in stream order. The encoder builds it
+// from the records' names; the decoder reads it off the wire; the collector
+// interns each of its names once per frame and then reads every record's
+// name through ids. Hot instrumentation points produce the same handful of
+// names every round, so dictionaries are kept and reused: by each agent and
+// sink, and through dictPool by the stand-alone codec functions.
 type dict struct {
 	names []string
-	index map[string]uint32
+	index map[string]uint32 // nil in a dictionary that only decodes
+	ids   []uint32
+}
+
+func newDict() *dict {
+	return &dict{names: make([]string, 0, 16), index: make(map[string]uint32)}
 }
 
 func (d *dict) intern(s string) uint32 {
@@ -116,14 +126,19 @@ func (d *dict) intern(s string) uint32 {
 	return i
 }
 
-func (d *dict) reset() {
-	d.names = d.names[:0]
+// build makes d the dictionary of f's records (deterministic: streams and
+// records are already deterministically ordered).
+func (d *dict) build(f *Frame) {
+	d.names, d.ids = d.names[:0], slices.Grow(d.ids[:0], f.records())
 	clear(d.index)
+	for _, s := range f.Streams {
+		for _, r := range s.Recs {
+			d.ids = append(d.ids, d.intern(r.Name))
+		}
+	}
 }
 
-var dictPool = sync.Pool{New: func() any {
-	return &dict{names: make([]string, 0, 16), index: make(map[string]uint32, 16)}
-}}
+var dictPool = sync.Pool{New: func() any { return newDict() }}
 
 // EncodeFrame serialises a frame payload (the bytes following the on-wire
 // preamble). Event names are interned into a per-frame dictionary so hot
@@ -138,15 +153,15 @@ func EncodeFrame(f Frame) []byte { return AppendFrame(nil, f) }
 // eight. Callers on a hot path reuse dst's capacity across rounds; the
 // result aliases dst, so retainers (queues, sinks) must copy it out.
 func AppendFrame(dst []byte, f Frame) []byte {
-	// Build the name dictionary in first-appearance order (deterministic:
-	// streams and records are already deterministically ordered).
 	d := dictPool.Get().(*dict)
-	for _, s := range f.Streams {
-		for _, r := range s.Recs {
-			d.intern(r.Name)
-		}
-	}
+	d.build(&f)
+	dst = appendFrame(dst, &f, d)
+	dictPool.Put(d)
+	return dst
+}
 
+// appendFrame is AppendFrame with f's dictionary already built into d.
+func appendFrame(dst []byte, f *Frame, d *dict) []byte {
 	w := ship.Writer{B: dst}
 	w.U32(TraceMagic)
 	w.U32(TraceVersion)
@@ -164,6 +179,7 @@ func AppendFrame(dst []byte, f Frame) []byte {
 		w.Str(n)
 	}
 	w.UV(uint64(len(f.Streams)))
+	ids := d.ids
 	for _, s := range f.Streams {
 		w.ZZ(int64(s.PID))
 		w.Str(s.Task)
@@ -172,13 +188,14 @@ func AppendFrame(dst []byte, f Frame) []byte {
 		w.UV(s.Sampled)
 		w.UV(uint64(len(s.Recs)))
 		prev := int64(0)
-		for _, r := range s.Recs {
+		for i, r := range s.Recs {
 			w.ZZ(r.TSC - prev)
 			prev = r.TSC
-			w.UV(uint64(d.index[r.Name]))
+			w.UV(uint64(ids[i]))
 			w.U8(uint8(r.Kind))
 			w.ZZ(r.Val)
 		}
+		ids = ids[len(s.Recs):]
 	}
 	w.UV(uint64(len(f.Msgs)))
 	prevStart := int64(0)
@@ -194,26 +211,45 @@ func AppendFrame(dst []byte, f Frame) []byte {
 		prevStart = m.StartTSC
 		w.ZZ(m.EndTSC - m.StartTSC)
 	}
-	d.reset()
-	dictPool.Put(d)
 	return w.B
 }
 
 // DecodeFrame parses a frame payload produced by AppendFrame. Damaged,
-// truncated or foreign-version input is an error, never a panic.
+// truncated or foreign-version input is an error, never a panic. The result
+// aliases nothing.
 func DecodeFrame(blob []byte) (Frame, error) {
-	r := ship.NewReader(blob)
 	var f Frame
+	err := DecodeFrameInto(&f, blob)
+	return f, err
+}
+
+// DecodeFrameInto is DecodeFrame decoding into *f, reusing the storage of
+// its Streams, of each stream's Recs and of its Msgs, and each node and task
+// name equal to the one already in its slot. Every field is reset. A
+// reused frame's slices are emptied, not set to nil, where the payload has
+// no elements.
+func DecodeFrameInto(f *Frame, blob []byte) error {
+	d := dictPool.Get().(*dict)
+	err := decodeFrame(f, d, blob)
+	dictPool.Put(d)
+	return err
+}
+
+// decodeFrame is DecodeFrameInto that also leaves the frame's dictionary in
+// d: its names, each kept when equal to the name in the same slot of d's
+// previous dictionary, and every record's index into them.
+func decodeFrame(f *Frame, d *dict, blob []byte) error {
+	r := ship.NewReader(blob)
 	if r.U32() != TraceMagic {
-		return f, errors.New("tracepipe: bad frame magic")
+		return errors.New("tracepipe: bad frame magic")
 	}
 	if v := r.U32(); v != TraceVersion {
 		if r.Err() != nil {
-			return f, fmt.Errorf("tracepipe: %w", r.Err())
+			return fmt.Errorf("tracepipe: %w", r.Err())
 		}
-		return f, fmt.Errorf("tracepipe: unsupported frame version %d", v)
+		return fmt.Errorf("tracepipe: unsupported frame version %d", v)
 	}
-	f.Node = r.Str()
+	f.Node = r.StrReuse(f.Node)
 	f.NodeIdx = int(r.UV())
 	f.Round = int(r.UV())
 	f.Last = r.U8() == 1
@@ -223,49 +259,43 @@ func DecodeFrame(blob []byte) (Frame, error) {
 	f.Dropped = r.UV()
 	f.DroppedRecs = r.UV()
 	nn := r.Count(r.UV())
-	names := make([]string, 0, nn)
+	d.names = slices.Grow(d.names[:0], nn)[:nn]
 	for i := 0; i < nn && r.Err() == nil; i++ {
-		names = append(names, r.Str())
+		d.names[i] = r.StrReuse(d.names[i])
 	}
-	nameAt := func(i uint64) string {
-		if i >= uint64(len(names)) {
-			r.Fail(errNameIndex)
-			return ""
-		}
-		return names[i]
-	}
+	d.ids = d.ids[:0]
 	ns := r.Count(r.UV())
-	if ns > 0 {
-		f.Streams = make([]Stream, 0, ns)
-	}
+	f.Streams = slices.Grow(f.Streams[:0], ns)[:ns]
 	for i := 0; i < ns && r.Err() == nil; i++ {
-		var s Stream
+		s := &f.Streams[i]
 		s.PID = int(r.ZZ())
-		s.Task = r.Str()
+		s.Task = r.StrReuse(s.Task)
 		s.Kernel = r.U8() == 1
 		s.Lost = r.UV()
 		s.Sampled = r.UV()
-		if nr := r.Count(r.UV()); nr > 0 {
-			s.Recs = make([]Rec, nr)
-		}
+		nr := r.Count(r.UV())
+		s.Recs = slices.Grow(s.Recs[:0], nr)[:nr]
 		prev := int64(0)
-		for j := 0; j < len(s.Recs) && r.Err() == nil; j++ {
+		for j := 0; j < nr && r.Err() == nil; j++ {
 			rec := &s.Recs[j]
 			prev += r.ZZ()
 			rec.TSC = prev
-			rec.Name = nameAt(r.UV())
+			id := r.UV()
+			if id >= uint64(len(d.names)) {
+				r.Fail(errNameIndex)
+				break
+			}
+			rec.Name = d.names[id]
 			rec.Kind = ktau.RecordKind(r.U8())
 			rec.Val = r.ZZ()
+			d.ids = append(d.ids, uint32(id))
 		}
-		f.Streams = append(f.Streams, s)
 	}
 	nm := r.Count(r.UV())
-	if nm > 0 {
-		f.Msgs = make([]Msg, 0, nm)
-	}
+	f.Msgs = slices.Grow(f.Msgs[:0], nm)[:nm]
 	prevStart := int64(0)
 	for i := 0; i < nm && r.Err() == nil; i++ {
-		var m Msg
+		m := &f.Msgs[i]
 		m.Src = int(r.UV())
 		m.Dst = int(r.UV())
 		m.Tag = int(r.ZZ())
@@ -276,12 +306,11 @@ func DecodeFrame(blob []byte) (Frame, error) {
 		prevStart += r.ZZ()
 		m.StartTSC = prevStart
 		m.EndTSC = m.StartTSC + r.ZZ()
-		f.Msgs = append(f.Msgs, m)
 	}
 	if err := r.Err(); err != nil {
-		return f, fmt.Errorf("tracepipe: %w", err)
+		return fmt.Errorf("tracepipe: %w", err)
 	}
-	return f, nil
+	return nil
 }
 
 var errNameIndex = errors.New("name index out of range")

@@ -2,7 +2,9 @@ package tracepipe
 
 import (
 	"encoding/binary"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ktau/internal/ktau"
@@ -103,8 +105,48 @@ func hugeNameCount() []byte {
 	return binary.AppendUvarint(b, 1<<63)
 }
 
+// richFrame encodes a frame with more streams, records, names and messages
+// than the seeds, longer strings, and every flag and counter set: decoding
+// it first leaves a reused frame dirty in every field a smaller one skips.
+func richFrame() []byte {
+	long := strings.Repeat("stale_", 40)
+	f := Frame{Node: long, NodeIdx: 9, Round: 99, Last: true, Throttle: 3,
+		Backlog: 5, ReadErrs: 6, Dropped: 7, DroppedRecs: 8}
+	for i := 0; i < 6; i++ {
+		s := Stream{PID: 1000 + i, Task: long, Kernel: i%2 == 0, Lost: 11, Sampled: 12}
+		for j := 0; j < 20; j++ {
+			s.Recs = append(s.Recs, Rec{TSC: int64(j * 3), Name: fmt.Sprintf("%s%d", long, j%9),
+				Kind: ktau.KindAtomic, Val: int64(-j)})
+		}
+		f.Streams = append(f.Streams, s)
+		f.Msgs = append(f.Msgs, Msg{Src: i, Dst: i + 1, Tag: 4, Bytes: 99, Seq: 5,
+			Send: true, PID: 1000 + i, StartTSC: 7, EndTSC: 9})
+	}
+	return EncodeFrame(f)
+}
+
+// normFrame makes fr's empty slices nil, so decodes into fresh and reused
+// storage compare equal under reflect.DeepEqual.
+func normFrame(fr Frame) Frame {
+	if len(fr.Streams) == 0 {
+		fr.Streams = nil
+	}
+	for i := range fr.Streams {
+		if len(fr.Streams[i].Recs) == 0 {
+			fr.Streams[i].Recs = nil
+		}
+	}
+	if len(fr.Msgs) == 0 {
+		fr.Msgs = nil
+	}
+	return fr
+}
+
 // FuzzDecodeFrame: decoding never panics, and any input that decodes
-// survives an encode/decode round trip unchanged.
+// survives an encode/decode round trip unchanged. Decoding into a frame and
+// a sink dictionary dirtied by a richer decode gives the same result as
+// decoding into fresh ones, and the dictionary's record indices name each
+// record's name.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, fr := range []Frame{sampleFrame(), {Node: "n0"}} {
 		blob := EncodeFrame(fr)
@@ -113,10 +155,35 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 	}
 	f.Add(hugeNameCount())
+	rich := richFrame()
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fr, err := DecodeFrame(b)
+		var dirty Frame
+		d := &dict{}
+		if err := decodeFrame(&dirty, d, rich); err != nil {
+			t.Fatalf("rich frame: %v", err)
+		}
+		errReused := decodeFrame(&dirty, d, b)
+		if (err == nil) != (errReused == nil) {
+			t.Fatalf("fresh decode: %v; decode into a reused frame: %v", err, errReused)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(normFrame(dirty), normFrame(fr)) {
+			t.Fatalf("decode into a reused frame differs:\n got %+v\nwant %+v", dirty, fr)
+		}
+		if len(d.ids) != fr.records() {
+			t.Fatalf("dictionary holds %d record indices for %d records", len(d.ids), fr.records())
+		}
+		ids := d.ids
+		for _, s := range fr.Streams {
+			for i, r := range s.Recs {
+				if d.names[ids[i]] != r.Name {
+					t.Fatalf("dictionary names %q for a record named %q", d.names[ids[i]], r.Name)
+				}
+			}
+			ids = ids[len(s.Recs):]
 		}
 		again, err := DecodeFrame(EncodeFrame(fr))
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sort"
 
 	"ktau/internal/ktau"
 	"ktau/internal/ktrace"
@@ -37,48 +36,88 @@ func (c *Collector) Flows() []Flow {
 	return correlate(msgs)
 }
 
-func correlate(msgs []nodeMsg) []Flow {
-	type key struct {
-		src, dst, tag int
-		seq           uint64
-	}
-	sends := make(map[key]nodeMsg, len(msgs)/2)
-	recvs := make(map[key]nodeMsg, len(msgs)/2)
-	for _, nm := range msgs {
-		k := key{src: nm.m.Src, dst: nm.m.Dst, tag: nm.m.Tag, seq: nm.m.Seq}
-		if nm.m.Send {
-			sends[k] = nm
-		} else {
-			recvs[k] = nm
+// msgRef places one endpoint event: segs[seg].msgs[pos].
+type msgRef struct{ seg, pos uint32 }
+
+// correlate pairs each (Src, Dst, Tag, Seq) key's send with its receive.
+// When a key has several sends or several receives, the last of each in
+// arrival order wins. It sorts one 8-byte reference per event by (key,
+// receive before send, arrival), so each key's events are one run whose
+// last receive precedes its first send and whose last event is its last
+// send, and the flows come out in key order.
+func correlate(segs []msgSeg) []Flow {
+	n, sends := 0, 0
+	for _, sg := range segs {
+		n += len(sg.msgs)
+		for i := range sg.msgs {
+			if sg.msgs[i].Send {
+				sends++
+			}
 		}
 	}
-	out := make([]Flow, 0, len(sends))
-	for k, s := range sends {
-		r, ok := recvs[k]
-		if !ok {
-			continue
+	refs := make([]msgRef, 0, n)
+	for si, sg := range segs {
+		for pos := range sg.msgs {
+			refs = append(refs, msgRef{seg: uint32(si), pos: uint32(pos)})
 		}
-		out = append(out, Flow{
-			Src: k.src, Dst: k.dst, Tag: k.tag, Bytes: s.m.Bytes, Seq: k.seq,
-			SrcNode: s.nodeIdx, DstNode: r.nodeIdx,
-			SrcPID: s.m.PID, DstPID: r.m.PID,
-			SendTSC: s.m.EndTSC, RecvTSC: r.m.EndTSC,
-		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Src != b.Src {
-			return a.Src < b.Src
+	at := func(r msgRef) *Msg { return &segs[r.seg].msgs[r.pos] }
+	slices.SortFunc(refs, func(a, b msgRef) int {
+		ma, mb := at(a), at(b)
+		if c := compareKey(ma, mb); c != 0 {
+			return c
 		}
-		if a.Dst != b.Dst {
-			return a.Dst < b.Dst
+		if ma.Send != mb.Send {
+			if mb.Send {
+				return -1
+			}
+			return 1
 		}
-		if a.Tag != b.Tag {
-			return a.Tag < b.Tag
+		if c := cmp.Compare(a.seg, b.seg); c != 0 {
+			return c
 		}
-		return a.Seq < b.Seq
+		return cmp.Compare(a.pos, b.pos)
 	})
+	out := make([]Flow, 0, min(sends, n-sends))
+	for i := 0; i < len(refs); {
+		j := i + 1
+		for j < len(refs) && compareKey(at(refs[i]), at(refs[j])) == 0 {
+			j++
+		}
+		// refs[i:j] is one key's run: receives, then sends.
+		last := refs[j-1]
+		s := at(last)
+		if s.Send && !at(refs[i]).Send {
+			k := j - 1
+			for at(refs[k]).Send {
+				k--
+			}
+			recv := refs[k]
+			r := at(recv)
+			out = append(out, Flow{
+				Src: s.Src, Dst: s.Dst, Tag: s.Tag, Bytes: s.Bytes, Seq: s.Seq,
+				SrcNode: segs[last.seg].node, DstNode: segs[recv.seg].node,
+				SrcPID: s.PID, DstPID: r.PID,
+				SendTSC: s.EndTSC, RecvTSC: r.EndTSC,
+			})
+		}
+		i = j
+	}
 	return out
+}
+
+// compareKey orders endpoint events by (Src, Dst, Tag, Seq).
+func compareKey(a, b *Msg) int {
+	if c := cmp.Compare(a.Src, b.Src); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Dst, b.Dst); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Tag, b.Tag); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seq, b.Seq)
 }
 
 // exportStream is one stream as an export sees it.
@@ -91,15 +130,16 @@ type exportStream struct {
 // exportSeg is one ingested segment of streams[stream]'s records.
 type exportSeg struct {
 	stream int
-	recs   []Rec
+	recs   []rec
 }
 
 // snapshot copies what an export reads, holding mu only for the copy: every
 // stream in sortedStreamKeys order, each stream's segments in arrival order,
-// and the message log capped at its current length. Segments are never
-// written once stored and Ingest only appends past those lengths, so after
-// mu is released the copies stay valid and nothing writes what they cover.
-func (c *Collector) snapshot() ([]exportStream, []exportSeg, []nodeMsg) {
+// the name table and the message segments, each capped at its current
+// length. Segments are never written once stored and Ingest only appends
+// past those lengths, so after mu is released the copies stay valid and
+// nothing writes what they cover.
+func (c *Collector) snapshot() ([]exportStream, []exportSeg, []string, []msgSeg) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	keys := c.sortedStreamKeys()
@@ -116,7 +156,7 @@ func (c *Collector) snapshot() ([]exportStream, []exportSeg, []nodeMsg) {
 			segs = append(segs, exportSeg{stream: i, recs: seg})
 		}
 	}
-	return streams, segs, c.msgs[:len(c.msgs):len(c.msgs)]
+	return streams, segs, c.names[:len(c.names):len(c.names)], c.msgs[:len(c.msgs):len(c.msgs)]
 }
 
 // recRef places one record of an export snapshot: segs[seg].recs[pos].
@@ -149,7 +189,7 @@ func mergeOrder(segs []exportSeg) ([]recRef, error) {
 	for _, s := range segs {
 		n += len(s.recs)
 		for i := range s.recs {
-			lo, hi = min(lo, s.recs[i].TSC), max(hi, s.recs[i].TSC)
+			lo, hi = min(lo, s.recs[i].tsc), max(hi, s.recs[i].tsc)
 		}
 	}
 	if len(segs) > math.MaxInt32 || n > math.MaxInt32 {
@@ -173,7 +213,7 @@ func mergeOrder(segs []exportSeg) ([]recRef, error) {
 	next := make([]int32, span>>shift+1)
 	for _, s := range segs {
 		for i := range s.recs {
-			next[(uint64(s.recs[i].TSC)-uint64(lo))>>shift]++
+			next[(uint64(s.recs[i].tsc)-uint64(lo))>>shift]++
 		}
 	}
 	start := int32(0)
@@ -183,7 +223,7 @@ func mergeOrder(segs []exportSeg) ([]recRef, error) {
 	}
 	for si, s := range segs {
 		for pos := range s.recs {
-			tsc := s.recs[pos].TSC
+			tsc := s.recs[pos].tsc
 			b := (uint64(tsc) - uint64(lo)) >> shift
 			refs[next[b]] = recRef{tsc: tsc, seg: int32(si), pos: int32(pos)}
 			next[b]++
@@ -229,7 +269,7 @@ func trackID(pid int, kernel bool) int {
 // collector's lock is held only to snapshot what has been ingested, never
 // while writing to w, so ingest carries on during an export.
 func (c *Collector) WriteChromeTrace(w io.Writer) error {
-	streams, segs, msgs := c.snapshot()
+	streams, segs, names, msgs := c.snapshot()
 	flows := correlate(msgs)
 	refs, err := mergeOrder(segs)
 	if err != nil {
@@ -279,20 +319,20 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 		s := &streams[sg.stream]
 		r := &sg.recs[ref.pos]
 		ev := ktrace.ChromeEvent{
-			Name: r.Name, Cat: "user", TS: toUS(r.TSC),
+			Name: names[r.name], Cat: "user", TS: toUS(r.tsc),
 			PID: s.key.NodeIdx, TID: trackID(s.key.PID, s.key.Kernel),
 		}
 		if s.key.Kernel {
 			ev.Cat = "kernel"
 		}
-		switch r.Kind {
+		switch r.kind {
 		case ktau.KindEntry:
 			ev.Phase = "B"
 		case ktau.KindExit:
 			ev.Phase = "E"
 		case ktau.KindAtomic:
 			ev.Phase = "i"
-			arg[0] = ktrace.ChromeArg{Key: "value", Int: r.Val}
+			arg[0] = ktrace.ChromeArg{Key: "value", Int: r.val}
 			ev.Args = arg[:]
 		default:
 			continue

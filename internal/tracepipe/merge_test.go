@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -42,6 +43,11 @@ func exportedRecords(t *testing.T, trace []byte) []chromeRecord {
 	return out
 }
 
+// stored returns a stored record as the Rec it was ingested from.
+func (c *Collector) stored(r rec) Rec {
+	return Rec{TSC: r.tsc, Name: c.names[r.name], Kind: r.kind, Val: r.val}
+}
+
 // refMergedEvent and refMerged are the reference merge: the export used to
 // concatenate every stream's records (its segments in arrival order) in
 // sortedStreamKeys order and stable-sort the whole slice by TSC.
@@ -55,7 +61,7 @@ func refMerged(c *Collector) []refMergedEvent {
 	for _, key := range c.sortedStreamKeys() {
 		for _, seg := range c.streams[key].segs {
 			for _, r := range seg {
-				out = append(out, refMergedEvent{key: key, rec: r})
+				out = append(out, refMergedEvent{key: key, rec: c.stored(r)})
 			}
 		}
 	}
@@ -439,4 +445,107 @@ func BenchmarkWriteChromeTrace(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// refCorrelate is the reference flow correlation: one map of sends and one
+// of receives keyed by (Src, Dst, Tag, Seq), filled in arrival order so the
+// last of each wins, then each send with a receive, sorted by key.
+func refCorrelate(segs []msgSeg) []Flow {
+	type key struct {
+		src, dst, tag int
+		seq           uint64
+	}
+	type endpoint struct {
+		node int
+		m    Msg
+	}
+	sends, recvs := map[key]endpoint{}, map[key]endpoint{}
+	for _, sg := range segs {
+		for _, m := range sg.msgs {
+			k := key{m.Src, m.Dst, m.Tag, m.Seq}
+			if m.Send {
+				sends[k] = endpoint{sg.node, m}
+			} else {
+				recvs[k] = endpoint{sg.node, m}
+			}
+		}
+	}
+	out := []Flow{}
+	for k, s := range sends {
+		r, ok := recvs[k]
+		if !ok {
+			continue
+		}
+		out = append(out, Flow{
+			Src: k.src, Dst: k.dst, Tag: k.tag, Bytes: s.m.Bytes, Seq: k.seq,
+			SrcNode: s.node, DstNode: r.node, SrcPID: s.m.PID, DstPID: r.m.PID,
+			SendTSC: s.m.EndTSC, RecvTSC: r.m.EndTSC,
+		})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Src != b.Src {
+			return a.Src < b.Src
+		}
+		if a.Dst != b.Dst {
+			return a.Dst < b.Dst
+		}
+		if a.Tag != b.Tag {
+			return a.Tag < b.Tag
+		}
+		return a.Seq < b.Seq
+	})
+	return out
+}
+
+// fuzzMsgSegs turns fuzzer bytes into message segments, two bytes per
+// endpoint event. The first picks the key from a small space (4 sources, 4
+// destinations, 2 tags), the direction, and whether the event starts a new
+// segment from another of four nodes; the second picks the sequence number
+// (0 to 3) and stamps the pid, size and timestamps. Keys therefore repeat
+// within and across segments, in both directions, and many endpoints stay
+// unmatched.
+func fuzzMsgSegs(data []byte) []msgSeg {
+	var segs []msgSeg
+	for i := 0; i+1 < len(data); i += 2 {
+		a, b := data[i], data[i+1]
+		if len(segs) == 0 || a&0x40 != 0 {
+			segs = append(segs, msgSeg{node: int(a>>7) + 2*int(b>>7)})
+		}
+		sg := &segs[len(segs)-1]
+		sg.msgs = append(sg.msgs, Msg{
+			Src: int(a & 3), Dst: int(a >> 2 & 3), Tag: int(a >> 4 & 1), Send: a&0x20 != 0,
+			Seq: uint64(b & 3), PID: int(b >> 2 & 7), Bytes: int(b) * 8,
+			StartTSC: int64(i), EndTSC: int64(i) + int64(b),
+		})
+	}
+	return segs
+}
+
+// FuzzCorrelate requires the sorted-reference correlation to equal the
+// two-map reference on any segments fuzzMsgSegs builds, and again after
+// the segments arrive in a shuffled order.
+func FuzzCorrelate(f *testing.F) {
+	f.Add([]byte{})
+	// One send and its receive: one flow.
+	f.Add([]byte{0x20, 0x01, 0x00, 0x01})
+	// Two sends and two receives of one key, the last receive in a second
+	// segment on another node: the later send and receive make the flow.
+	f.Add([]byte{0x20, 0x01, 0x20, 0x41, 0x00, 0x05, 0x40, 0x89})
+	// Two keys whose endpoints arrive in other segments than their peers',
+	// receives before sends, beside an unmatched send and receive.
+	f.Add([]byte{0x05, 0x01, 0x65, 0x01, 0x25, 0x00, 0xc5, 0x00, 0x26, 0x00, 0x45, 0x02})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		segs := fuzzMsgSegs(data)
+		check := func(order string) {
+			got, want := correlate(segs), refCorrelate(segs)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s arrival: correlate = %+v\nreference     = %+v", order, got, want)
+			}
+		}
+		check("fuzzed")
+		rng := rand.New(rand.NewSource(int64(len(data))))
+		rng.Shuffle(len(segs), func(i, j int) { segs[i], segs[j] = segs[j], segs[i] })
+		check("shuffled")
+	})
 }

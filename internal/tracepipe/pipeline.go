@@ -85,7 +85,7 @@ func (c *Config) defaults() {
 // Pipeline is a deployed trace pipeline. The embedded transport provides
 // Tasks, Collector, Failovers and Stop.
 type Pipeline struct {
-	*ship.Transport[Frame]
+	*ship.Transport[shipment]
 	cfg Config
 	c   *cluster.Cluster
 	col *Collector
@@ -122,14 +122,23 @@ func Deploy(c *cluster.Cluster, cfg Config) (*Pipeline, error) {
 	return tp, nil
 }
 
+// shipment is a frame as the transport carries it: the frame and its name
+// dictionary, which holds each record's name as an index. The agent builds
+// the dictionary to encode the frame, the sink decodes it off the wire, and
+// the collector reads every record's name through it.
+type shipment struct {
+	Frame
+	dict *dict
+}
+
 // setup builds the collector store and the adaptive/focus state once the
 // transport has elected a collector, and returns the pipeline's hooks.
-func (tp *Pipeline) setup() (ship.Hooks[Frame], error) {
+func (tp *Pipeline) setup() (ship.Hooks[shipment], error) {
 	c, cfg := tp.c, tp.cfg
 	tp.col = NewCollector(len(c.Nodes), c.Node(0).K.Params().HZ)
 	tp.stats = make([]*agentStats, len(c.Nodes))
 	if cfg.Focus != nil && cfg.Adaptive == nil {
-		return ship.Hooks[Frame]{}, errors.New("tracepipe: Focus requires Adaptive")
+		return ship.Hooks[shipment]{}, errors.New("tracepipe: Focus requires Adaptive")
 	}
 	if cfg.Adaptive != nil {
 		ad := cfg.Adaptive.withDefaults()
@@ -141,7 +150,7 @@ func (tp *Pipeline) setup() (ship.Hooks[Frame], error) {
 	}
 	if cfg.Focus != nil {
 		if cfg.Focus.Store == nil {
-			return ship.Hooks[Frame]{}, errors.New("tracepipe: Focus requires a perfmon store to watch")
+			return ship.Hooks[shipment]{}, errors.New("tracepipe: Focus requires a perfmon store to watch")
 		}
 		fc := cfg.Focus.withDefaults()
 		tp.focus = &fc
@@ -154,15 +163,19 @@ func (tp *Pipeline) setup() (ship.Hooks[Frame], error) {
 	for i, n := range c.Nodes {
 		tp.col.SetNodeName(i, n.Name)
 	}
-	return ship.Hooks[Frame]{
-		// The collector keeps each frame's record slices, so every frame
-		// decodes into fresh storage.
-		Decode: func(dst *Frame, b []byte) (err error) {
-			*dst, err = DecodeFrame(b)
-			return err
+	return ship.Hooks[shipment]{
+		// Each sink decodes every frame into its own shipment; the collector
+		// copies out what it keeps.
+		Decode: func(dst *shipment, b []byte) error {
+			if dst.dict == nil {
+				dst.dict = &dict{}
+			}
+			return decodeFrame(&dst.Frame, dst.dict, b)
 		},
-		Last:     func(f Frame) bool { return f.Last },
-		Ingest:   tp.col.Ingest,
+		Last: func(s shipment) bool { return s.Last },
+		Ingest: func(s shipment, wireBytes int) {
+			tp.col.ingest(&s.Frame, s.dict, wireBytes)
+		},
 		Drop:     tp.col.DropFrame,
 		MarkDown: tp.col.MarkDown,
 		NewAgent: tp.newAgent,
@@ -221,17 +234,21 @@ type agent struct {
 	smp *sim.RNG
 	thr throttle
 	buf []byte // frame-encode scratch, reused every round
-	// recs backs every kernel stream's records in a round's frame, reused
-	// every round: by the next round the frame has been encoded for the wire
-	// or ingested locally, and local ingest copies the records out.
-	recs []Rec
+	// f is the round's frame and d its dictionary. Both are reused every
+	// round, as are f's Streams and Msgs and recs, which backs every kernel
+	// stream's records: by the next round the frame has been encoded for
+	// the wire or ingested locally, and ingest copies what it keeps.
+	f     Frame
+	d     dict
+	recs  []Rec
+	tasks []*kernel.Task // the node's tasks, listed afresh every round
 	// ring is the scratch each kernel ring is decoded into before its
 	// records are copied into recs.
 	ring []ktau.Record
 }
 
-func (tp *Pipeline) newAgent(idx int, n *cluster.Node) ship.Agent[Frame] {
-	a := &agent{tp: tp, h: libktau.Open(n.FS), n: n, idx: idx}
+func (tp *Pipeline) newAgent(idx int, n *cluster.Node) ship.Agent[shipment] {
+	a := &agent{tp: tp, h: libktau.Open(n.FS), n: n, idx: idx, d: dict{index: make(map[string]uint32)}}
 	// The sampler draws from a stream derived at deployment time (never from
 	// live RNG state), so adding the trace pipeline to a run perturbs no
 	// other consumer's sequence and sampled runs stay byte-identical at any
@@ -244,7 +261,7 @@ func (tp *Pipeline) newAgent(idx int, n *cluster.Node) ship.Agent[Frame] {
 	return a
 }
 
-func (a *agent) Round(u *kernel.UCtx, round int, last bool) (Frame, []byte) {
+func (a *agent) Round(u *kernel.UCtx, round int, last bool) (shipment, []byte) {
 	var pol Policy
 	if ad := a.tp.ad; ad != nil {
 		base := ad.Base
@@ -253,37 +270,40 @@ func (a *agent) Round(u *kernel.UCtx, round int, last bool) (Frame, []byte) {
 		}
 		pol = ad.effective(base, a.thr.level)
 	}
-	f := a.drainRound(u, round, last, pol)
-	f.Throttle = uint32(a.thr.level)
-	a.buf = AppendFrame(a.buf[:0], f)
+	a.drainRound(u, round, last, pol)
+	a.f.Throttle = uint32(a.thr.level)
+	a.d.build(&a.f)
+	a.buf = appendFrame(a.buf[:0], &a.f, &a.d)
 	// User-space processing: ring walks + dictionary encode.
 	ship.Charge(u, len(a.buf))
-	return f, a.buf
+	return shipment{Frame: a.f, dict: &a.d}, a.buf
 }
 
 // Shipped folds the round's shipping outcome into the self-reported loss
 // accounting and the throttle state machine.
-func (a *agent) Shipped(f Frame, ok bool) {
+func (a *agent) Shipped(s shipment, ok bool) {
 	if !ok {
 		a.st.dropped++
-		a.st.droppedRecs += uint64(f.records())
+		a.st.droppedRecs += uint64(s.records())
 	}
 	if a.tp.ad != nil {
-		a.thr.observe(a.tp.ad, f.Backlog, !ok)
+		a.thr.observe(a.tp.ad, s.Backlog, !ok)
 	}
 }
 
-// drainRound drains every ring on the node into one frame: kernel trace
-// rings via the instrumented /proc/ktau/trace two-call protocol (task
-// creation order, so the stream layout is deterministic), then the
-// configured user-level rings and MPI message logs. When pol carries an
-// adaptive policy (smp non-nil), each drained record is kept or discarded by
-// the node's seeded sampler; discards are counted per stream so the loss
-// accounting stays exact. MPI message events are never sampled — flow
-// correlation needs both endpoints.
-func (a *agent) drainRound(u *kernel.UCtx, round int, last bool, pol Policy) Frame {
+// drainRound drains every ring on the node into the round's frame a.f:
+// kernel trace rings via the instrumented /proc/ktau/trace two-call
+// protocol (task creation order, so the stream layout is deterministic),
+// then the configured user-level rings and MPI message logs. When pol
+// carries an adaptive policy (smp non-nil), each drained record is kept or
+// discarded by the node's seeded sampler; discards are counted per stream
+// so the loss accounting stays exact. MPI message events are never sampled
+// — flow correlation needs both endpoints.
+func (a *agent) drainRound(u *kernel.UCtx, round int, last bool, pol Policy) {
 	cfg, n, idx, st, smp := a.tp.cfg, a.n, a.idx, a.st, a.smp
-	f := Frame{Node: n.Name, NodeIdx: idx, Round: round, Last: last}
+	f := &a.f
+	*f = Frame{Node: n.Name, NodeIdx: idx, Round: round, Last: last,
+		Streams: f.Streams[:0], Msgs: f.Msgs[:0]}
 	reg := n.K.Ktau().Reg
 
 	// One backing array holds every kernel stream's records this round,
@@ -291,7 +311,8 @@ func (a *agent) drainRound(u *kernel.UCtx, round int, last bool, pol Policy) Fra
 	// round to round (see agent.recs). Streams are capacity-capped
 	// subslices, so a later append to recBuf can never alias an earlier
 	// stream.
-	tasks := n.K.AllTasks()
+	a.tasks = n.K.AppendAllTasks(a.tasks[:0])
+	tasks := a.tasks
 	waitingRecs := 0
 	for _, t := range tasks {
 		if ring := t.KD().Trace(); ring != nil {
@@ -408,5 +429,4 @@ func (a *agent) drainRound(u *kernel.UCtx, round int, last bool, pol Policy) Fra
 	f.ReadErrs = st.readErrs
 	f.Dropped = st.dropped
 	f.DroppedRecs = st.droppedRecs
-	return f
 }

@@ -20,7 +20,8 @@
 #                    /proc/ktau profile and trace decoders and ASCII profile
 #                    reader, the Chrome trace-event writer (byte-equal to
 #                    encoding/json), the cluster trace's merge order (equal
-#                    to a stable sort), the sweep-baseline and BENCH JSON
+#                    to a stable sort) and MPI flow correlation (equal to
+#                    a two-map reference), the sweep-baseline and BENCH JSON
 #                    readers, the Prometheus exposition linter and the
 #                    longitudinal history reader, 10s each
 #   ktau-sweep -- the smoke grid runs under a per-cell timeout and is diffed
@@ -109,11 +110,11 @@ echo "== fuzz decoders (never panic; anything that decodes round-trips) and the 
 # The libktau decoders read the blobs /proc/ktau hands out; their seeds are
 # blobs procfs packed from a real measurement, every truncation of them and
 # the two huge-count blobs that once exhausted memory, and anything that
-# decodes must re-pack through procfs to the same bytes. The perfmon frame
-# and the libktau profile and trace decoders also decode every input into
-# storage left dirty by a richer decode (more and longer records, every
-# flag and counter set), as the agents and the sinks reuse theirs; the
-# result must equal the decode into fresh storage. The ASCII reader
+# decodes must re-pack through procfs to the same bytes. The perfmon and
+# tracepipe frame decoders and the libktau profile and trace decoders also
+# decode every input into storage left dirty by a richer decode (more and
+# longer records, every flag and counter set), as the agents and the sinks
+# reuse theirs; the result must equal the decode into fresh storage. The ASCII reader
 # behind kprof is seeded with WriteASCII output of a real measurement,
 # every truncation of it and the inputs that once crashed or stalled it;
 # anything it parses must re-write and re-parse to equal snapshots.
@@ -122,7 +123,10 @@ echo "== fuzz decoders (never panic; anything that decodes round-trips) and the 
 # also where it reuses the previous timestamp's text. The cluster export's
 # bucketed merge must give the record order of a stable sort by TSC on any
 # frames: arbitrary and extreme TSCs, ties across nodes, pids and layers,
-# and bursts that put almost every record in one bucket.
+# and bursts that put almost every record in one bucket. The collector's
+# flow correlation, which sorts endpoint references, must pair exactly what
+# the two-map reference pairs (the last send and the last receive of a key
+# win) on duplicated keys, unmatched endpoints and shuffled arrival orders.
 # The sweep-baseline reader and the BENCH JSON flattener and parallel-bench
 # parser are seeded with the committed baselines and BENCH files; a baseline
 # or parallel-bench payload that loads must marshal and load again to an
@@ -137,6 +141,7 @@ fuzz() { go test "$1" -run '^$' -fuzz "^$2\$" -fuzztime 10s -fuzzminimizetime 10
 fuzz ./internal/perfmon/ FuzzDecodeFrame
 fuzz ./internal/tracepipe/ FuzzDecodeFrame
 fuzz ./internal/tracepipe/ FuzzMergeOrder
+fuzz ./internal/tracepipe/ FuzzCorrelate
 fuzz ./internal/libktau/ FuzzDecodeProfiles
 fuzz ./internal/libktau/ FuzzDecodeTrace
 fuzz ./internal/libktau/ FuzzParseASCII
