@@ -142,6 +142,23 @@ func runChiba32(b *testing.B) (wall time.Duration, allocs, bytes uint64) {
 	return wall, m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
 }
 
+// runServe64 runs one serial DefaultServe(64) serving scenario (seed 1) and
+// returns the allocation volume of the run. It sets Parallel itself, so a
+// process-wide SetParallel cannot change what it measures.
+func runServe64(b *testing.B) (allocs, bytes uint64) {
+	spec := experiments.DefaultServe(64)
+	spec.Parallel, spec.Workers = false, 0
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	res := experiments.RunServe(spec)
+	runtime.ReadMemStats(&m1)
+	if err := res.Check(); err != nil {
+		b.Fatalf("serve run: %v", err)
+	}
+	return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
+}
+
 // reduction returns before/after as a JSON value; a measured zero (fully
 // allocation-free) reports "inf", which plain JSON numbers cannot express.
 func reduction(before, after float64) any {
@@ -267,8 +284,9 @@ func measureTraceEncodeMicro() micro {
 }
 
 // BenchmarkCoreHotPath re-measures every core hot path and writes the
-// before/after comparison to BENCH_core.json. scripts/check.sh runs this and
-// gates on the recorded Chiba speedup.
+// before/after comparison to BENCH_core.json, with the allocation volume of
+// one serial 64-node serving run. scripts/check.sh runs this and gates on
+// the recorded Chiba speedup and allocation budgets.
 func BenchmarkCoreHotPath(b *testing.B) {
 	runChiba32(b) // warm-up: page in code paths and allocator arenas
 	var wall time.Duration
@@ -281,6 +299,8 @@ func BenchmarkCoreHotPath(b *testing.B) {
 			wall, allocs = w2, a2
 		}
 	}
+	runServe64(b) // warm-up
+	serveAllocs, serveBytes := runServe64(b)
 	eng := measureEngineMicro()
 	kt := measureKtauMicro()
 	pe := measurePerfmonEncodeMicro()
@@ -319,6 +339,11 @@ func BenchmarkCoreHotPath(b *testing.B) {
 			"before_allocs":     baseChibaAllocs,
 			"after_allocs":      float64(allocs),
 			"alloc_reduction_x": reduction(baseChibaAllocs, float64(allocs)),
+		},
+		"serve64_serial": map[string]any{
+			"nodes":             64,
+			"after_allocs":      float64(serveAllocs),
+			"after_alloc_bytes": float64(serveBytes),
 		},
 	}
 	writeBench(b, "BENCH_core.json", out)

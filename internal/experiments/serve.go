@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -158,6 +159,28 @@ type ServeResult struct {
 	// RogueFingered reports whether some tenant's worst-tail-node
 	// attribution ranked the planted rogue as the top competing process.
 	RogueFingered bool
+}
+
+// Check returns the first accounting identity the run breaks, or nil: the
+// fleet completed, the perfmon pipeline drained, no connection endpoint
+// leaked, and every tenant's arrivals each completed, were dropped at
+// admission or were lost.
+func (r *ServeResult) Check() error {
+	switch {
+	case !r.Completed:
+		return errors.New("fleet did not complete")
+	case !r.Drained:
+		return errors.New("perfmon pipeline did not drain")
+	case r.LeakedConns != 0:
+		return fmt.Errorf("%d connection endpoints leaked", r.LeakedConns)
+	}
+	for _, t := range r.Tenants {
+		if t.Arrived != t.OK+t.Drops+t.Lost {
+			return fmt.Errorf("tenant %s: arrived %d != ok %d + drops %d + lost %d",
+				t.Name, t.Arrived, t.OK, t.Drops, t.Lost)
+		}
+	}
+	return nil
 }
 
 // RunServe executes one serving scenario end to end: boot the cluster,

@@ -125,3 +125,40 @@ func TestServeParallelMatchesSerialByteForByte(t *testing.T) {
 		}
 	}
 }
+
+// TestServeCheck doctors a passing result one identity at a time; Check
+// names the first identity broken.
+func TestServeCheck(t *testing.T) {
+	good := func() *ServeResult {
+		return &ServeResult{Completed: true, Drained: true, Tenants: []TenantServe{
+			{Name: "web", Arrived: 10, OK: 7, Drops: 2, Lost: 1},
+			{Name: "api", Arrived: 5, OK: 5},
+		}}
+	}
+	if err := good().Check(); err != nil {
+		t.Fatalf("healthy result rejected: %v", err)
+	}
+	cases := []struct {
+		name   string
+		doctor func(*ServeResult)
+		want   string
+	}{
+		{"incomplete", func(r *ServeResult) { r.Completed = false }, "fleet did not complete"},
+		{"undrained", func(r *ServeResult) { r.Drained = false }, "perfmon pipeline did not drain"},
+		{"leaked", func(r *ServeResult) { r.LeakedConns = 2 }, "2 connection endpoints leaked"},
+		{"unconserved", func(r *ServeResult) { r.Tenants[1].OK = 4 },
+			"tenant api: arrived 5 != ok 4 + drops 0 + lost 0"},
+		{"lost too many", func(r *ServeResult) { r.Tenants[0].Lost = 2 },
+			"tenant web: arrived 10 != ok 7 + drops 2 + lost 2"},
+		{"first named", func(r *ServeResult) { r.Drained = false; r.LeakedConns = 1; r.Tenants[0].OK = 0 },
+			"perfmon pipeline did not drain"},
+	}
+	for _, tc := range cases {
+		r := good()
+		tc.doctor(r)
+		err := r.Check()
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Check() = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}

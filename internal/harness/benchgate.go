@@ -36,6 +36,11 @@ var benchGates = map[string][]BenchCheck{
 			Why: "the serial 32-node Chiba run's packet path allocates nothing in steady state " +
 				"(about 23 k allocations per run, against 1.47 M when every frame allocated); " +
 				"the count depends on the code and the Go version, not on host load"},
+		{Key: "serve64_serial.after_alloc_bytes", Op: "<=", Limit: 34e6,
+			Why: "the serial 64-node serving run holds latency cells only where requests land and " +
+				"recycles its requests (45.7 MB allocated when every client node's shard held the full " +
+				"tenants x nodes grid and every arrival allocated, about 27.7 MB after); " +
+				"the volume depends on the code and the Go version, not on host load"},
 	},
 	// BENCH_parallel.json has a rows-based schema with conditional gating
 	// (speedup thresholds only make sense on multi-core hosts) and is

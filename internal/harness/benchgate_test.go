@@ -14,7 +14,8 @@ func goodBench(t *testing.T, dir string) {
 	t.Helper()
 	files := map[string]string{
 		"BENCH_core.json": `{
-  "chiba32_serial": {"chiba_speedup_x": 1.8, "after_allocs": 23000, "alloc_reduction_x": "inf"}
+  "chiba32_serial": {"chiba_speedup_x": 1.8, "after_allocs": 23000, "alloc_reduction_x": "inf"},
+  "serve64_serial": {"after_alloc_bytes": 27.7e6, "after_allocs": 134680}
 }`,
 		"BENCH_parallel.json": goodParallelJSON,
 	}
@@ -49,9 +50,11 @@ func TestGateBenchFilesMissingFile(t *testing.T) {
 }
 
 func TestGateBenchFilesMissingKey(t *testing.T) {
+	const serve = `"serve64_serial": {"after_alloc_bytes": 27.7e6}`
 	blobs := map[string]string{
-		"chiba32_serial.chiba_speedup_x": `{"chiba32_serial": {"after_allocs": 23000, "alloc_reduction_x": "inf"}}`,
-		"chiba32_serial.after_allocs":    `{"chiba32_serial": {"chiba_speedup_x": 1.8, "alloc_reduction_x": "inf"}}`,
+		"chiba32_serial.chiba_speedup_x":   `{"chiba32_serial": {"after_allocs": 23000, "alloc_reduction_x": "inf"}, ` + serve + `}`,
+		"chiba32_serial.after_allocs":      `{"chiba32_serial": {"chiba_speedup_x": 1.8, "alloc_reduction_x": "inf"}, ` + serve + `}`,
+		"serve64_serial.after_alloc_bytes": `{"chiba32_serial": {"chiba_speedup_x": 1.8, "after_allocs": 23000}, "serve64_serial": {"after_allocs": 134680}}`,
 	}
 	for key, blob := range blobs {
 		dir := t.TempDir()
@@ -78,7 +81,8 @@ func TestGateBenchFilesDuplicateKey(t *testing.T) {
 func TestGateBenchFilesThreshold(t *testing.T) {
 	dir := t.TempDir()
 	goodBench(t, dir)
-	blob := `{"chiba32_serial": {"chiba_speedup_x": 1.1, "after_allocs": 23000}}` // under the 1.25x floor
+	const serve = `"serve64_serial": {"after_alloc_bytes": 27.7e6}`
+	blob := `{"chiba32_serial": {"chiba_speedup_x": 1.1, "after_allocs": 23000}, ` + serve + `}` // under the 1.25x floor
 	os.WriteFile(filepath.Join(dir, "BENCH_core.json"), []byte(blob), 0o644)
 	v := strings.Join(GateBenchFiles(dir, nil), "\n")
 	if !strings.Contains(v, "chiba_speedup_x") || !strings.Contains(v, "violates") {
@@ -86,22 +90,34 @@ func TestGateBenchFilesThreshold(t *testing.T) {
 	}
 	// The allocation budget: a serial Chiba run that allocates per frame
 	// again (the 1.47 M of an allocating packet path) fails the gate.
-	blob = `{"chiba32_serial": {"chiba_speedup_x": 1.8, "after_allocs": 1472669}}`
+	blob = `{"chiba32_serial": {"chiba_speedup_x": 1.8, "after_allocs": 1472669}, ` + serve + `}`
 	os.WriteFile(filepath.Join(dir, "BENCH_core.json"), []byte(blob), 0o644)
 	v = strings.Join(GateBenchFiles(dir, nil), "\n")
 	if !strings.Contains(v, "after_allocs") || !strings.Contains(v, "violates") {
 		t.Fatalf("allocation budget violation not flagged: %v", v)
 	}
+	// The serving run's budget: a run whose client nodes hold full latency
+	// grids and allocate every request again (45.7 MB) fails the gate.
+	blob = `{"chiba32_serial": {"chiba_speedup_x": 1.8, "after_allocs": 23000}, "serve64_serial": {"after_alloc_bytes": 45.7e6}}`
+	os.WriteFile(filepath.Join(dir, "BENCH_core.json"), []byte(blob), 0o644)
+	gv := GateBenchFiles(dir, nil)
+	if len(gv) != 1 || !strings.Contains(gv[0], "serve64_serial.after_alloc_bytes") || !strings.Contains(gv[0], "violates") {
+		t.Fatalf("serve allocation budget violation not flagged alone: %v", gv)
+	}
 }
 
 func TestCheckBenchPayload(t *testing.T) {
-	ok := []byte(`{"chiba32_serial": {"chiba_speedup_x": 1.8, "after_allocs": 23000}}`)
+	ok := []byte(`{"chiba32_serial": {"chiba_speedup_x": 1.8, "after_allocs": 23000}, "serve64_serial": {"after_alloc_bytes": 27.7e6}}`)
 	if err := CheckBenchPayload("BENCH_core.json", ok); err != nil {
 		t.Fatal(err)
 	}
 	missing := []byte(`{"chiba32_serial": {}}`)
 	if err := CheckBenchPayload("BENCH_core.json", missing); err == nil {
 		t.Fatal("missing gated key accepted at write time")
+	}
+	noServe := []byte(`{"chiba32_serial": {"chiba_speedup_x": 1.8, "after_allocs": 23000}}`)
+	if err := CheckBenchPayload("BENCH_core.json", noServe); err == nil || !strings.Contains(err.Error(), "serve64_serial.after_alloc_bytes") {
+		t.Fatalf("payload without the serve budget's key accepted at write time: %v", err)
 	}
 	// The parallel file gets the full rows-schema validation at write time.
 	if err := CheckBenchPayload("BENCH_parallel.json", []byte(goodParallelJSON)); err != nil {

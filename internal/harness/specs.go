@@ -198,9 +198,8 @@ func faultsCell(ctx context.Context, p Params) *CellResult {
 	return &CellResult{Metrics: metrics, Fingerprints: fps, Text: text.String(), Raw: res}
 }
 
-// serveCell wraps the multi-tenant serving scenario, fingerprinting the
-// merged latency-histogram store (AppendBinary) and the kernel view. The
-// scenario runs no trace pipeline.
+// serveCell wraps the multi-tenant serving scenario (see serveResultCell).
+// The scenario runs no trace pipeline.
 func serveCell(ctx context.Context, p Params) *CellResult {
 	if bad := unreadAxis(p, "trace", "rate"); bad != nil {
 		return bad
@@ -219,8 +218,14 @@ func serveCell(ctx context.Context, p Params) *CellResult {
 		return &CellResult{Status: StatusError,
 			Err: fmt.Sprintf("serve spec: unknown fault plan %q (none|degraded)", p.Faults)}
 	}
-	res := experiments.RunServe(spec)
+	return serveResultCell(experiments.RunServe(spec))
+}
 
+// serveResultCell turns a serving run into a cell, fingerprinting the
+// merged latency-histogram store (AppendBinary) and the kernel view. A run
+// that breaks an accounting identity (ServeResult.Check) is an error cell
+// naming the first one it breaks; it keeps its metrics and fingerprints.
+func serveResultCell(res *experiments.ServeResult) *CellResult {
 	metrics := map[string]float64{
 		"completed":      b2f(res.Completed),
 		"drained":        b2f(res.Drained),
@@ -240,7 +245,7 @@ func serveCell(ctx context.Context, p Params) *CellResult {
 		metrics[pre+"p99_us"] = float64(ts.P99) / 1e3
 		metrics[pre+"p999_us"] = float64(ts.P999) / 1e3
 	}
-	metrics["req_per_s"] = float64(ok) / spec.Serve.Duration.Seconds()
+	metrics["req_per_s"] = float64(ok) / res.Spec.Serve.Duration.Seconds()
 
 	histFP := newFingerprinter()
 	histFP.Write(res.Stats.AppendBinary(nil))
@@ -250,7 +255,12 @@ func serveCell(ctx context.Context, p Params) *CellResult {
 	}
 	var text bytes.Buffer
 	res.Render(&text)
-	return &CellResult{Metrics: metrics, Fingerprints: fps, Text: text.String(), Raw: res}
+	cell := &CellResult{Metrics: metrics, Fingerprints: fps, Text: text.String(), Raw: res}
+	if err := res.Check(); err != nil {
+		cell.Status = StatusError
+		cell.Err = "serve accounting: " + err.Error()
+	}
+	return cell
 }
 
 // traceovCell wraps the six-configuration trace-overhead sweep. Its three

@@ -192,3 +192,24 @@ func TestCellsRejectUnreadAxes(t *testing.T) {
 		}
 	}
 }
+
+// TestServeCellFailsAccounting: a serving run that breaks an accounting
+// identity comes back as an error cell naming the first identity broken,
+// with its metrics and fingerprints kept.
+func TestServeCellFailsAccounting(t *testing.T) {
+	spec := experiments.DefaultServe(8)
+	spec.Serve.Duration = 200 * time.Millisecond
+	res := experiments.RunServe(spec)
+	if cell := serveResultCell(res); cell.Status != "" || cell.Err != "" {
+		t.Fatalf("healthy run: status %q err %q", cell.Status, cell.Err)
+	}
+	res.LeakedConns = 3
+	res.Tenants[0].OK--
+	cell := serveResultCell(res)
+	if cell.Status != StatusError || !strings.Contains(cell.Err, "3 connection endpoints leaked") {
+		t.Fatalf("doctored run: status %q err %q, want an error naming the leak", cell.Status, cell.Err)
+	}
+	if cell.Fingerprints["hist"] == "" || cell.Metrics["leaked_conns"] != 3 {
+		t.Errorf("error cell lost its fingerprints or metrics: %v %v", cell.Fingerprints, cell.Metrics)
+	}
+}

@@ -204,14 +204,22 @@ func TestStoreMergeAssociative(t *testing.T) {
 func TestStoreTailsOrderedAndBounded(t *testing.T) {
 	s := fillStore(99, 2000)
 	for tenant := 0; tenant < 2; tenant++ {
-		tails := s.TenantTails(tenant)
-		if len(tails) == 0 || len(tails) > s.TailK {
-			t.Fatalf("tenant %d: %d tails, want 1..%d", tenant, len(tails), s.TailK)
-		}
-		for i := 1; i < len(tails); i++ {
-			if tails[i].Lat > tails[i-1].Lat {
-				t.Fatalf("tails out of order at %d: %v after %v", i, tails[i].Lat, tails[i-1].Lat)
+		filled := false
+		for node := 0; node < s.Nodes; node++ {
+			tails := s.Tails(tenant, node)
+			if len(tails) > s.TailK {
+				t.Fatalf("tenant %d node %d: %d tails, want at most %d", tenant, node, len(tails), s.TailK)
 			}
+			for i := 1; i < len(tails); i++ {
+				if tails[i].Lat > tails[i-1].Lat {
+					t.Fatalf("tenant %d node %d: tails out of order at %d: %v after %v",
+						tenant, node, i, tails[i].Lat, tails[i-1].Lat)
+				}
+			}
+			filled = filled || len(tails) > 0
+		}
+		if !filled {
+			t.Fatalf("tenant %d: no cell holds a tail record", tenant)
 		}
 	}
 }

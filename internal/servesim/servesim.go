@@ -121,7 +121,9 @@ func (s Spec) withDefaults() Spec {
 
 // Request is one RPC in flight, carrying its lifecycle timestamps. The
 // pointer crosses from client node to server node and back alongside the
-// simulated byte stream.
+// simulated byte stream. Once the client node has recorded its completion
+// or rejection, the request goes onto that node's free list for a later
+// arrival there.
 type Request struct {
 	Tenant  int
 	Client  int
@@ -271,6 +273,10 @@ type clientState struct {
 	seq    uint64
 }
 
+// fireClient is a logical client's arrival event, scheduled with AtCall so
+// that no arrival allocates a closure.
+func fireClient(arg any) { arg.(*clientState).fire() }
+
 func (cs *clientState) fire() {
 	f := cs.f
 	node := f.c.Nodes[f.spec.ClientNodes[cs.homeNI]]
@@ -278,7 +284,8 @@ func (cs *clientState) fire() {
 	ts := &f.spec.Tenants[cs.tenant]
 	conns := f.clientConns[cs.homeNI][cs.tenant]
 	c := conns[cs.rng.Intn(len(conns))]
-	req := &Request{
+	req := f.newRequest(cs.homeNI)
+	*req = Request{
 		Tenant:  cs.tenant,
 		Client:  cs.id,
 		Seq:     cs.seq,
@@ -301,7 +308,7 @@ func (cs *clientState) fire() {
 	c.sendWQ.WakeOne(node.K)
 	at := now.Add(cs.proc.next())
 	if at < f.loadEnd {
-		node.Eng.At(at, cs.fire)
+		node.Eng.AtCall(at, fireClient, cs)
 	} else {
 		f.retireClient(cs.homeNI, cs.tenant)
 	}
@@ -320,6 +327,21 @@ type Fleet struct {
 	clientConns [][][]*rpcConn // [clientNodeIdx][tenant][]*rpcConn
 	pending     [][]int        // [clientNodeIdx][tenant] live logical clients
 	shards      []*Store       // one per client node
+	// free holds each client node's recorded requests for reuse. Arrivals
+	// and the receivers that record them both run on the client node's
+	// engine, so a node's list needs no lock.
+	free [][]*Request // [clientNodeIdx]
+}
+
+// newRequest takes a request off client node ni's free list, or allocates
+// one when the list is empty. The caller overwrites every field.
+func (f *Fleet) newRequest(ni int) *Request {
+	fl := f.free[ni]
+	if n := len(fl); n > 0 {
+		f.free[ni] = fl[:n-1]
+		return fl[n-1]
+	}
+	return new(Request)
 }
 
 // Deploy wires a serving workload onto a booted cluster: connections are
@@ -389,11 +411,13 @@ func Deploy(c *cluster.Cluster, spec Spec) (*Fleet, error) {
 		}
 	}
 
-	// Latency shards: one per client node, engine-local recording.
+	// Latency shards and request free lists: one per client node,
+	// engine-local.
 	f.shards = make([]*Store, len(spec.ClientNodes))
 	for i := range f.shards {
 		f.shards[i] = NewStore(nT, len(c.Nodes), spec.TailK)
 	}
+	f.free = make([][]*Request, len(spec.ClientNodes))
 
 	// Server tasks.
 	for _, g := range f.groups {
@@ -427,7 +451,7 @@ func Deploy(c *cluster.Cluster, spec Spec) (*Fleet, error) {
 			first := c.Now().Add(cs.proc.next())
 			if first < f.loadEnd {
 				f.pending[ni][t]++
-				c.Nodes[spec.ClientNodes[ni]].Eng.At(first, cs.fire)
+				c.Nodes[spec.ClientNodes[ni]].Eng.AtCall(first, fireClient, cs)
 			}
 		}
 		// Groups whose every client retired before the first arrival are
@@ -531,7 +555,10 @@ func (f *Fleet) spawnClientSender(c *rpcConn) *kernel.Task {
 }
 
 // spawnClientReceiver reads replies, matches them to requests via the
-// metadata stream, and records completed lifecycles into the node's shard.
+// metadata stream, records completed lifecycles and rejections into the
+// node's shard and returns those requests to the node's free list.
+// Requests declared lost stay out of it: they may still sit in a queue on
+// the server side.
 func (f *Fleet) spawnClientReceiver(c *rpcConn) *kernel.Task {
 	node := f.c.Nodes[f.spec.ClientNodes[c.clientNI]]
 	shard := f.shards[c.clientNI]
@@ -580,6 +607,7 @@ func (f *Fleet) spawnClientReceiver(c *rpcConn) *kernel.Task {
 					Service:      (req.ReplySent - req.ServiceStart).Duration(),
 				})
 			}
+			f.free[c.clientNI] = append(f.free[c.clientNI], req)
 			if c.outstanding == 0 {
 				c.doneWQ.WakeAll(node.K)
 			}
@@ -644,12 +672,14 @@ func (f *Fleet) spawnServerTx(c *rpcConn) *kernel.Task {
 			if exit {
 				break
 			}
+			// Read the request before handing it back: once the client
+			// has recorded it, the client node may reuse it.
 			req := c.popReply()
-			c.respMeta.push(req)
 			n := rpcHeaderBytes
 			if !req.Dropped {
 				n += req.Resp
 			}
+			c.respMeta.push(req)
 			c.sc.Send(u, n)
 			c.inflight--
 		}

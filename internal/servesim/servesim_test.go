@@ -110,11 +110,13 @@ func TestFleetServesAndDrains(t *testing.T) {
 
 	// Lifecycle timestamps of recorded tails must be monotone.
 	for tenant := 0; tenant < 2; tenant++ {
-		for _, r := range st.TenantTails(tenant) {
-			if !(r.Arrival <= r.SendStart && r.SendStart <= r.Admit &&
-				r.Admit <= r.ServiceStart && r.ServiceStart <= r.ReplySent &&
-				r.ReplySent <= r.Done) {
-				t.Fatalf("non-monotone lifecycle: %+v", r)
+		for node := 0; node < st.Nodes; node++ {
+			for _, r := range st.Tails(tenant, node) {
+				if !(r.Arrival <= r.SendStart && r.SendStart <= r.Admit &&
+					r.Admit <= r.ServiceStart && r.ServiceStart <= r.ReplySent &&
+					r.ReplySent <= r.Done) {
+					t.Fatalf("non-monotone lifecycle: %+v", r)
+				}
 			}
 		}
 	}
@@ -131,6 +133,37 @@ func TestFleetServesAndDrains(t *testing.T) {
 		if n.Stack.Stats.FinsSent == 0 {
 			t.Errorf("node %s sent no FINs", n.Name)
 		}
+	}
+}
+
+// TestRequestsRecycled: a drained fault-free fleet has returned its
+// recorded requests to the client nodes' free lists, which stay near the
+// peak number in flight rather than the number of arrivals, and no request
+// sits on them twice (a double return would hand one request to two
+// arrivals).
+func TestRequestsRecycled(t *testing.T) {
+	_, f := runFleet(t, false, 0)
+	st := f.Stats()
+	var arrivals uint64
+	for tenant := range testSpec().Tenants {
+		arr, _, _, _ := st.TenantCounts(tenant)
+		arrivals += arr
+	}
+	seen := map[*Request]bool{}
+	for ni, fl := range f.free {
+		for _, r := range fl {
+			if seen[r] {
+				t.Fatalf("request %p is on the free lists twice (client node %d)", r, ni)
+			}
+			seen[r] = true
+		}
+	}
+	t.Logf("%d requests on the free lists after %d arrivals", len(seen), arrivals)
+	if len(seen) == 0 {
+		t.Fatal("no request was recycled")
+	}
+	if uint64(len(seen))*10 > arrivals {
+		t.Errorf("free lists hold %d requests for %d arrivals, want at most a tenth", len(seen), arrivals)
 	}
 }
 

@@ -44,31 +44,6 @@ func (r TailRec) less(o TailRec) bool {
 	return r.Seq < o.Seq
 }
 
-// tailList keeps the K slowest records in sorted order with a fixed
-// capacity: insertion is a bounded shift, no allocation after construction.
-type tailList struct {
-	recs []TailRec
-	k    int
-}
-
-func (tl *tailList) add(r TailRec) {
-	if tl.k == 0 {
-		return
-	}
-	if len(tl.recs) == tl.k && !r.less(tl.recs[len(tl.recs)-1]) {
-		return
-	}
-	pos := len(tl.recs)
-	for pos > 0 && r.less(tl.recs[pos-1]) {
-		pos--
-	}
-	if len(tl.recs) < tl.k {
-		tl.recs = tl.recs[:len(tl.recs)+1]
-	}
-	copy(tl.recs[pos+1:], tl.recs[pos:])
-	tl.recs[pos] = r
-}
-
 // cell is one (tenant, node) accumulation slot.
 type cell struct {
 	hist  Hist
@@ -76,18 +51,51 @@ type cell struct {
 	ok    uint64 // completed requests
 	drops uint64 // admission-queue rejections
 	lost  uint64 // replies never seen (faults); latency unknown
-	tails tailList
+	// tails holds the slowest records, slowest first; nil until the first
+	// completed request.
+	tails []TailRec
+}
+
+// emptyCell is what an unwritten cell reads as. Nothing writes to it.
+var emptyCell cell
+
+// addTail keeps the k slowest records in sorted order. The k slots are
+// allocated at the first record; after that insertion is a bounded shift.
+func (c *cell) addTail(r TailRec, k int) {
+	if k == 0 {
+		return
+	}
+	if c.tails == nil {
+		c.tails = make([]TailRec, 0, k)
+	}
+	n := len(c.tails)
+	if n == k && !r.less(c.tails[n-1]) {
+		return
+	}
+	pos := n
+	for pos > 0 && r.less(c.tails[pos-1]) {
+		pos--
+	}
+	if n < k {
+		c.tails = c.tails[:n+1]
+	}
+	copy(c.tails[pos+1:], c.tails[pos:])
+	c.tails[pos] = r
 }
 
 // Store accumulates per-(tenant, server-node) latency histograms, counters,
 // and slowest-request records. Each load-generator node owns a private
 // shard (all writes are engine-local, no locks); shards merge
-// deterministically at harvest. The record path allocates nothing.
+// deterministically at harvest. A store holds a cell only for a (tenant,
+// node) pair that was written to, and a cell holds its tail list only once
+// a request completed there: the first write to a cell allocates it, the
+// first completed request its TailK tail slots, and every later record
+// allocates nothing. Reads treat an unwritten cell as empty.
 type Store struct {
 	Tenants int
 	Nodes   int
 	TailK   int
-	cells   []cell
+	cells   []*cell // tenant-major; nil until first written
 }
 
 // NewStore returns an empty store covering tenants x nodes cells, keeping
@@ -96,15 +104,30 @@ func NewStore(tenants, nodes, tailK int) *Store {
 	if tailK < 0 {
 		tailK = 0
 	}
-	s := &Store{Tenants: tenants, Nodes: nodes, TailK: tailK}
-	s.cells = make([]cell, tenants*nodes)
-	for i := range s.cells {
-		s.cells[i].tails = tailList{recs: make([]TailRec, 0, tailK), k: tailK}
-	}
-	return s
+	return &Store{Tenants: tenants, Nodes: nodes, TailK: tailK, cells: make([]*cell, tenants*nodes)}
 }
 
-func (s *Store) at(tenant, node int) *cell { return &s.cells[tenant*s.Nodes+node] }
+// at returns the (tenant, node) cell for writing, allocating it on first
+// use.
+func (s *Store) at(tenant, node int) *cell { return s.atIndex(tenant*s.Nodes + node) }
+
+func (s *Store) atIndex(i int) *cell {
+	c := s.cells[i]
+	if c == nil {
+		c = new(cell)
+		s.cells[i] = c
+	}
+	return c
+}
+
+// read returns the (tenant, node) cell for reading; an unwritten cell
+// reads as emptyCell.
+func (s *Store) read(tenant, node int) *cell {
+	if c := s.cells[tenant*s.Nodes+node]; c != nil {
+		return c
+	}
+	return &emptyCell
+}
 
 // RecordArrival counts a generated request; every arrival ends up exactly
 // once in ok, drops, or lost (the conservation invariant tests check).
@@ -115,7 +138,7 @@ func (s *Store) RecordOK(r TailRec) {
 	c := s.at(r.Tenant, r.Node)
 	c.ok++
 	c.hist.Record(r.Lat)
-	c.tails.add(r)
+	c.addTail(r, s.TailK)
 }
 
 // RecordDrop counts an admission-queue rejection.
@@ -124,27 +147,33 @@ func (s *Store) RecordDrop(tenant, node int) { s.at(tenant, node).drops++ }
 // RecordLost counts n requests whose replies never arrived.
 func (s *Store) RecordLost(tenant, node int, n uint64) { s.at(tenant, node).lost += n }
 
-// Hist returns the (tenant, node) latency histogram.
-func (s *Store) Hist(tenant, node int) *Hist { return &s.at(tenant, node).hist }
+// Hist returns the (tenant, node) latency histogram; for an unwritten cell
+// it is a new empty histogram that the store does not keep.
+func (s *Store) Hist(tenant, node int) *Hist {
+	if c := s.cells[tenant*s.Nodes+node]; c != nil {
+		return &c.hist
+	}
+	return new(Hist)
+}
 
 // TenantHist merges one tenant's per-node histograms into out.
 func (s *Store) TenantHist(tenant int, out *Hist) {
 	for n := 0; n < s.Nodes; n++ {
-		out.Merge(&s.at(tenant, n).hist)
+		out.Merge(&s.read(tenant, n).hist)
 	}
 }
 
 // Counts returns a (tenant, node) cell's arrival/completed/dropped/lost
 // totals.
 func (s *Store) Counts(tenant, node int) (arr, ok, drops, lost uint64) {
-	c := s.at(tenant, node)
+	c := s.read(tenant, node)
 	return c.arr, c.ok, c.drops, c.lost
 }
 
 // TenantCounts sums a tenant's totals across nodes.
 func (s *Store) TenantCounts(tenant int) (arr, ok, drops, lost uint64) {
 	for n := 0; n < s.Nodes; n++ {
-		c := s.at(tenant, n)
+		c := s.read(tenant, n)
 		arr += c.arr
 		ok += c.ok
 		drops += c.drops
@@ -155,54 +184,50 @@ func (s *Store) TenantCounts(tenant int) (arr, ok, drops, lost uint64) {
 
 // Tails returns the slowest records of a (tenant, node) cell, slowest
 // first. The returned slice aliases the store.
-func (s *Store) Tails(tenant, node int) []TailRec { return s.at(tenant, node).tails.recs }
+func (s *Store) Tails(tenant, node int) []TailRec { return s.read(tenant, node).tails }
 
-// TenantTails returns a tenant's K slowest records across all nodes.
-func (s *Store) TenantTails(tenant int) []TailRec {
-	out := tailList{recs: make([]TailRec, 0, s.TailK), k: s.TailK}
-	for n := 0; n < s.Nodes; n++ {
-		for _, r := range s.at(tenant, n).tails.recs {
-			out.add(r)
-		}
-	}
-	return out.recs
-}
-
-// Merge folds another store of identical shape into this one. Merging is
-// associative: shards combined in any grouping yield the same store.
+// Merge folds another store of identical shape into this one, skipping
+// the other store's unwritten cells. Merging is associative: shards
+// combined in any grouping yield the same store.
 func (s *Store) Merge(o *Store) {
 	if o.Tenants != s.Tenants || o.Nodes != s.Nodes {
 		panic("servesim: merging stores of different shapes")
 	}
-	for i := range s.cells {
-		sc, oc := &s.cells[i], &o.cells[i]
+	for i, oc := range o.cells {
+		if oc == nil {
+			continue
+		}
+		sc := s.atIndex(i)
 		sc.hist.Merge(&oc.hist)
 		sc.arr += oc.arr
 		sc.ok += oc.ok
 		sc.drops += oc.drops
 		sc.lost += oc.lost
-		for _, r := range oc.tails.recs {
-			sc.tails.add(r)
+		for _, r := range oc.tails {
+			sc.addTail(r, s.TailK)
 		}
 	}
 }
 
-// AppendBinary appends a canonical encoding of every cell (histogram,
-// counters, tail records), used to prove serial and parallel runs produce
-// byte-identical latency stores.
+// AppendBinary appends a canonical encoding of every cell in order
+// (histogram, counters, tail records), an unwritten cell encoded as an
+// empty one, used to prove serial and parallel runs produce byte-identical
+// latency stores.
 func (s *Store) AppendBinary(dst []byte) []byte {
 	u64 := func(v uint64) { dst = binary.LittleEndian.AppendUint64(dst, v) }
 	u64(uint64(s.Tenants))
 	u64(uint64(s.Nodes))
-	for i := range s.cells {
-		c := &s.cells[i]
+	for _, c := range s.cells {
+		if c == nil {
+			c = &emptyCell
+		}
 		dst = c.hist.AppendBinary(dst)
 		u64(c.arr)
 		u64(c.ok)
 		u64(c.drops)
 		u64(c.lost)
-		u64(uint64(len(c.tails.recs)))
-		for _, r := range c.tails.recs {
+		u64(uint64(len(c.tails)))
+		for _, r := range c.tails {
 			u64(uint64(r.Tenant))
 			u64(uint64(r.Node))
 			u64(uint64(r.Client))
