@@ -10,6 +10,7 @@
 package ktau_test
 
 import (
+	"io"
 	"runtime"
 	"testing"
 	"time"
@@ -159,6 +160,29 @@ func runServe64(b *testing.B) (allocs, bytes uint64) {
 	return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
 }
 
+// runTrace32 runs one serial TraceChibaSpec(32, 1) run (live perfmon, the
+// full trace pipeline, the degraded fault plan) and exports its Chrome trace
+// into io.Discard, as ktau-exp -trace-out does, and returns the allocation
+// volume of the run and the export. It sets Parallel itself, so a
+// process-wide SetParallel cannot change what it measures.
+func runTrace32(b *testing.B) (allocs, bytes uint64) {
+	spec, opts := experiments.TraceChibaSpec(32, 1)
+	spec.Parallel, spec.Workers = false, 0
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	res := experiments.RunChibaLive(spec, opts)
+	err := res.Trace.Store().WriteChromeTrace(io.Discard)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		b.Fatalf("trace export: %v", err)
+	}
+	if !res.Completed || !res.Drained || !res.TraceDrained {
+		b.Fatalf("traced run: completed=%v drained=%v trace drained=%v", res.Completed, res.Drained, res.TraceDrained)
+	}
+	return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
+}
+
 // reduction returns before/after as a JSON value; a measured zero (fully
 // allocation-free) reports "inf", which plain JSON numbers cannot express.
 func reduction(before, after float64) any {
@@ -284,9 +308,10 @@ func measureTraceEncodeMicro() micro {
 }
 
 // BenchmarkCoreHotPath re-measures every core hot path and writes the
-// before/after comparison to BENCH_core.json, with the allocation volume of
-// one serial 64-node serving run. scripts/check.sh runs this and gates on
-// the recorded Chiba speedup and allocation budgets.
+// before/after comparison to BENCH_core.json, with the allocation volumes of
+// one serial 64-node serving run and of one serial 32-node traced run and
+// its Chrome export. scripts/check.sh runs this and gates on the recorded
+// Chiba speedup and allocation budgets.
 func BenchmarkCoreHotPath(b *testing.B) {
 	runChiba32(b) // warm-up: page in code paths and allocator arenas
 	var wall time.Duration
@@ -301,6 +326,8 @@ func BenchmarkCoreHotPath(b *testing.B) {
 	}
 	runServe64(b) // warm-up
 	serveAllocs, serveBytes := runServe64(b)
+	runTrace32(b) // warm-up
+	traceAllocs, traceBytes := runTrace32(b)
 	eng := measureEngineMicro()
 	kt := measureKtauMicro()
 	pe := measurePerfmonEncodeMicro()
@@ -344,6 +371,11 @@ func BenchmarkCoreHotPath(b *testing.B) {
 			"nodes":             64,
 			"after_allocs":      float64(serveAllocs),
 			"after_alloc_bytes": float64(serveBytes),
+		},
+		"trace32_serial": map[string]any{
+			"nodes":             32,
+			"after_allocs":      float64(traceAllocs),
+			"after_alloc_bytes": float64(traceBytes),
 		},
 	}
 	writeBench(b, "BENCH_core.json", out)

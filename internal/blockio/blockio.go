@@ -7,7 +7,7 @@
 // nodes, and "on any cluster platform running Linux") as the next target for
 // KTAU; this package gives the reproduction that surface. Every path is
 // instrumented with the same KTAU macros as the rest of the kernel:
-// generic_file_read / generic_file_write / submit_bio in the caller's
+// generic_file_write / sys_fsync / submit_bio in the caller's
 // process context (GroupVFS), do_IRQ[disk] on completion (GroupIRQ), and
 // end_request bottom-half processing charged to whatever process was
 // interrupted (GroupBH/GroupVFS).
@@ -35,10 +35,8 @@ type DiskSpec struct {
 	IRQCost time.Duration
 	// EndRequestCost is the per-request bottom-half completion cost.
 	EndRequestCost time.Duration
-	// CopyPerPage is the page-cache copy cost (hit path, per page).
+	// CopyPerPage is the page-cache copy cost, per page.
 	CopyPerPage time.Duration
-	// Readahead is how many extra sequential pages a miss schedules.
-	Readahead int
 	// DirtyLimitPages throttles writers: a write that would push the dirty
 	// count past this limit synchronously flushes first.
 	DirtyLimitPages int
@@ -52,17 +50,14 @@ func DefaultDiskSpec() DiskSpec {
 		IRQCost:         9 * time.Microsecond,
 		EndRequestCost:  14 * time.Microsecond,
 		CopyPerPage:     6 * time.Microsecond,
-		Readahead:       8,
 		DirtyLimitPages: 1024,
 	}
 }
 
-// request is one queued disk operation (a run of sequential pages).
+// request is one queued disk write (a run of sequential pages).
 type request struct {
-	file  *File
-	page  int64 // first page
-	count int   // pages
-	write bool
+	page  int64             // first page
+	count int               // pages
 	wq    *kernel.WaitQueue // woken at completion
 	done  *bool
 }
@@ -80,7 +75,6 @@ type Disk struct {
 	evIRQ        ktau.EventID
 	evSubmitBio  ktau.EventID
 	evEndRequest ktau.EventID
-	evFileRead   ktau.EventID
 	evFileWrite  ktau.EventID
 	evFsync      ktau.EventID
 	evPdflush    ktau.EventID
@@ -90,20 +84,14 @@ type Disk struct {
 	// Stats counts device activity.
 	Stats struct {
 		Requests   uint64
-		PagesRead  uint64
 		PagesWrite uint64
 		Seeks      uint64
-		CacheHits  uint64
-		CacheMiss  uint64
 	}
 }
 
 // NewDisk attaches a disk to a node's kernel.
 func NewDisk(k *kernel.Kernel, name string, spec DiskSpec) *Disk {
 	m := k.Ktau()
-	if spec.Readahead < 0 {
-		spec.Readahead = 0
-	}
 	if spec.DirtyLimitPages <= 0 {
 		spec.DirtyLimitPages = 1024
 	}
@@ -112,7 +100,6 @@ func NewDisk(k *kernel.Kernel, name string, spec DiskSpec) *Disk {
 		evIRQ:        k.DevIRQEvent(name),
 		evSubmitBio:  m.Event("submit_bio", ktau.GroupVFS),
 		evEndRequest: m.Event("end_request", ktau.GroupVFS),
-		evFileRead:   m.Event("generic_file_read", ktau.GroupVFS),
 		evFileWrite:  m.Event("generic_file_write", ktau.GroupVFS),
 		evFsync:      m.Event("sys_fsync", ktau.GroupSyscall),
 		evPdflush:    m.Event("pdflush_writeback", ktau.GroupVFS),
@@ -148,11 +135,7 @@ func (d *Disk) startNext() {
 		d.Stats.Seeks++
 	}
 	d.lastPage = r.page + int64(r.count)
-	if r.write {
-		d.Stats.PagesWrite += uint64(r.count)
-	} else {
-		d.Stats.PagesRead += uint64(r.count)
-	}
+	d.Stats.PagesWrite += uint64(r.count)
 
 	eng := d.k.Engine()
 	eng.After(dur, func() {
@@ -166,11 +149,9 @@ func (d *Disk) startNext() {
 				if r.wq != nil {
 					r.wq.WakeAllFrom(d.k, b.CPU().ID)
 				}
-				if r.write {
-					d.dirtyPages -= r.count
-					if d.dirtyPages < 0 {
-						d.dirtyPages = 0
-					}
+				d.dirtyPages -= r.count
+				if d.dirtyPages < 0 {
+					d.dirtyPages = 0
 				}
 				d.startNext()
 			})
@@ -178,14 +159,12 @@ func (d *Disk) startNext() {
 	})
 }
 
-// File is an open file backed by the disk, with a per-file page cache.
+// File is an open file backed by the disk, with its dirty pages cached.
 type File struct {
-	d      *Disk
-	Name   string
-	pages  map[int64]bool // resident in page cache
-	dirty  map[int64]bool // resident and dirty
-	nextID int64          // base page number on the virtual platter
-	base   int64
+	d     *Disk
+	Name  string
+	dirty map[int64]bool // cached and not yet written out
+	base  int64          // first page on the virtual platter
 }
 
 // Open creates (or truncates) a file on the disk. basePage positions it on
@@ -193,7 +172,6 @@ type File struct {
 func (d *Disk) Open(name string, basePage int64) *File {
 	return &File{
 		d: d, Name: name,
-		pages: make(map[int64]bool),
 		dirty: make(map[int64]bool),
 		base:  basePage,
 	}
@@ -207,44 +185,6 @@ func pagesSpanned(f *File, off int64, n int) (int64, int) {
 	first := f.pageOf(off)
 	last := f.pageOf(off + int64(n) - 1)
 	return first, int(last-first) + 1
-}
-
-// Read reads n bytes at off through the syscall + VFS + block path: page
-// cache hits cost only the copy; misses submit a bio (with readahead) and
-// block the caller until the completion interrupt. Task-goroutine context.
-func (f *File) Read(u *kernel.UCtx, off int64, n int) {
-	if n <= 0 {
-		return
-	}
-	d := f.d
-	u.Syscall("sys_read", func(kc *kernel.KCtx) {
-		kc.Entry(d.evFileRead)
-		first, count := pagesSpanned(f, off, n)
-		for p := first; p < first+int64(count); p++ {
-			if f.pages[p] {
-				d.Stats.CacheHits++
-				kc.Use(d.spec.CopyPerPage)
-				continue
-			}
-			d.Stats.CacheMiss++
-			// Miss: read this page plus readahead in one request.
-			run := 1 + d.spec.Readahead
-			kc.Entry(d.evSubmitBio)
-			kc.Use(15 * time.Microsecond) // request setup
-			wq := kernel.NewWaitQueue("disk-read")
-			done := false
-			d.submit(request{file: f, page: p, count: run, wq: wq, done: &done})
-			for !done {
-				kc.Wait(wq)
-			}
-			kc.Exit(d.evSubmitBio)
-			for q := p; q < p+int64(run); q++ {
-				f.pages[q] = true
-			}
-			kc.Use(d.spec.CopyPerPage)
-		}
-		kc.Exit(d.evFileRead)
-	})
 }
 
 // Write writes n bytes at off with write-back semantics: data lands in the
@@ -265,7 +205,6 @@ func (f *File) Write(u *kernel.UCtx, off int64, n int) {
 				f.flushLocked(kc, d.evFileWrite)
 			}
 			kc.Use(d.spec.CopyPerPage)
-			f.pages[p] = true
 			if !f.dirty[p] {
 				f.dirty[p] = true
 				d.dirtyPages++
@@ -298,7 +237,7 @@ func (f *File) flushLocked(kc *kernel.KCtx, _ ktau.EventID) {
 		kc.Use(15 * time.Microsecond)
 		wq := kernel.NewWaitQueue("disk-write")
 		done := false
-		d.submit(request{file: f, page: run, count: count, write: true, wq: wq, done: &done})
+		d.submit(request{page: run, count: count, wq: wq, done: &done})
 		for !done {
 			kc.Wait(wq)
 		}

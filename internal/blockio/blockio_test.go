@@ -47,56 +47,16 @@ func drive(t *testing.T, eng *sim.Engine, limit time.Duration, tasks ...*kernel.
 	}
 }
 
-func TestColdReadHitsDiskWarmReadHitsCache(t *testing.T) {
-	eng, k, d := rig(t)
-	f := d.Open("data", 0)
-	var cold, warm time.Duration
-	task := k.Spawn("reader", func(u *kernel.UCtx) {
-		t0 := u.Now()
-		f.Read(u, 0, 64*1024)
-		cold = u.Now().Sub(t0)
-		t1 := u.Now()
-		f.Read(u, 0, 64*1024)
-		warm = u.Now().Sub(t1)
-	}, kernel.SpawnOpts{})
-	drive(t, eng, time.Minute, task)
-
-	// Cold: seek (8ms) + transfer; warm: page-cache copies only.
-	if cold < 8*time.Millisecond {
-		t.Errorf("cold read %v, should include a seek", cold)
-	}
-	if warm > cold/10 {
-		t.Errorf("warm read %v not much faster than cold %v", warm, cold)
-	}
-	if d.Stats.CacheMiss == 0 || d.Stats.CacheHits == 0 {
-		t.Errorf("cache stats: %+v", d.Stats)
-	}
-}
-
-func TestReadaheadServesSequentialReads(t *testing.T) {
-	eng, k, d := rig(t)
-	f := d.Open("data", 0)
-	task := k.Spawn("seq", func(u *kernel.UCtx) {
-		for off := int64(0); off < 32*PageSize; off += PageSize {
-			f.Read(u, off, PageSize)
-		}
-	}, kernel.SpawnOpts{})
-	drive(t, eng, time.Minute, task)
-	// With readahead 8, 32 sequential pages need about 32/9 ~ 4 requests.
-	if d.Stats.Requests > 8 {
-		t.Errorf("requests = %d for 32 sequential pages; readahead ineffective", d.Stats.Requests)
-	}
-}
-
-func TestRandomReadsSeekDominated(t *testing.T) {
+func TestScatteredSyncedWritesSeek(t *testing.T) {
 	eng, k, d := rig(t)
 	f := d.Open("data", 0)
 	const n = 10
 	var elapsed time.Duration
-	task := k.Spawn("rand", func(u *kernel.UCtx) {
+	task := k.Spawn("scatter", func(u *kernel.UCtx) {
 		t0 := u.Now()
 		for i := 0; i < n; i++ {
-			f.Read(u, int64(i)*100*PageSize, PageSize) // far apart: always seek
+			f.Write(u, int64(i)*100*PageSize, PageSize) // far apart: always seek
+			f.Fsync(u)
 		}
 		elapsed = u.Now().Sub(t0)
 	}, kernel.SpawnOpts{})
@@ -182,7 +142,6 @@ func TestKtauInstrumentationOfIOPath(t *testing.T) {
 	eng, k, d := rig(t)
 	f := d.Open("data", 0)
 	task := k.Spawn("io", func(u *kernel.UCtx) {
-		f.Read(u, 0, 4*PageSize)
 		f.Write(u, 0, 4*PageSize)
 		f.Fsync(u)
 	}, kernel.SpawnOpts{})
@@ -190,7 +149,7 @@ func TestKtauInstrumentationOfIOPath(t *testing.T) {
 	eng.RunUntil(eng.Now().Add(5 * time.Millisecond))
 
 	snap := k.Ktau().SnapshotTask(task.KD())
-	for _, want := range []string{"generic_file_read", "generic_file_write", "sys_fsync", "submit_bio"} {
+	for _, want := range []string{"generic_file_write", "sys_fsync", "submit_bio"} {
 		if ev := snap.FindEvent(want); ev == nil || ev.Calls == 0 {
 			t.Errorf("missing VFS event %s", want)
 		}
@@ -214,12 +173,20 @@ func TestKtauInstrumentationOfIOPath(t *testing.T) {
 	}
 }
 
-func TestConcurrentReadersShareQueue(t *testing.T) {
+func TestConcurrentWritersShareQueue(t *testing.T) {
 	eng, k, d := rig(t)
 	fa := d.Open("a", 0)
 	fb := d.Open("b", 100_000)
-	ta := k.Spawn("ra", func(u *kernel.UCtx) { fa.Read(u, 0, 256*1024) }, kernel.SpawnOpts{})
-	tb := k.Spawn("rb", func(u *kernel.UCtx) { fb.Read(u, 0, 256*1024) }, kernel.SpawnOpts{})
+	writer := func(f *File) func(u *kernel.UCtx) {
+		return func(u *kernel.UCtx) {
+			for off := int64(0); off < 256*1024; off += 4 * PageSize {
+				f.Write(u, off, 4*PageSize)
+				f.Fsync(u)
+			}
+		}
+	}
+	ta := k.Spawn("wa", writer(fa), kernel.SpawnOpts{})
+	tb := k.Spawn("wb", writer(fb), kernel.SpawnOpts{})
 	drive(t, eng, time.Minute, ta, tb)
 	// Interleaved requests from files at distant platter positions force
 	// extra seeks versus a single stream.
@@ -227,6 +194,6 @@ func TestConcurrentReadersShareQueue(t *testing.T) {
 		t.Errorf("seeks = %d; interleaving two streams should seek repeatedly", d.Stats.Seeks)
 	}
 	if ta.VolWait == 0 || tb.VolWait == 0 {
-		t.Error("readers never blocked on the disk")
+		t.Error("writers never blocked on the disk")
 	}
 }

@@ -51,7 +51,7 @@ type IONodeResult struct {
 	Exec time.Duration
 	// Component kernel-wide exclusive times on the I/O node.
 	DiskWait   time.Duration // schedule_vol of the ionoded workers
-	VFS        time.Duration // generic_file_*, submit_bio, end_request, fsync
+	VFS        time.Duration // generic_file_write, submit_bio, end_request, fsync
 	TCP        time.Duration // tcp_v4_rcv etc.
 	IRQ        time.Duration
 	DiskBusy   time.Duration // derived from request count x service time
@@ -132,14 +132,14 @@ func RunIONode(cfg IONodeConfig) *IONodeResult {
 		}
 		return t
 	}
-	res.VFS = sum("generic_file_read", "generic_file_write", "submit_bio",
+	res.VFS = sum("generic_file_write", "submit_bio",
 		"end_request", "sys_fsync", "pdflush_writeback")
 	res.TCP = sum("tcp_v4_rcv", "tcp_recvmsg", "tcp_sendmsg", "sock_sendmsg")
 	res.IRQ = sum("do_IRQ[timer]", "do_IRQ[eth0]", "do_IRQ[hda]")
 	res.Seeks = disk.Stats.Seeks
 	res.PagesWrite = disk.Stats.PagesWrite
 	res.DiskBusy = time.Duration(disk.Stats.Seeks)*cfg.Disk.Seek +
-		time.Duration(disk.Stats.PagesRead+disk.Stats.PagesWrite)*cfg.Disk.PerPage
+		time.Duration(disk.Stats.PagesWrite)*cfg.Disk.PerPage
 
 	// Disk wait: the ionoded workers' voluntary scheduling time.
 	var workerVol time.Duration

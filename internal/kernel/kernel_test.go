@@ -3,7 +3,6 @@ package kernel
 import (
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"testing"
 	"time"
 
@@ -452,13 +451,10 @@ func parkedTasks(t *testing.T, eng *sim.Engine, k *Kernel, ran, unwound *int) {
 	k.Spawn("waiting", body(func(u *UCtx) {
 		u.Syscall("sys_read", func(kc *KCtx) { kc.Wait(wq) })
 	}), SpawnOpts{})
-	k.Spawn("ksleeping", body(func(u *UCtx) {
-		u.Syscall("sys_nanosleep", func(kc *KCtx) { kc.Sleep(time.Hour) })
-	}), SpawnOpts{})
 	exited := k.Spawn("exited", body(func(u *UCtx) { u.Compute(time.Millisecond) }), SpawnOpts{})
 	eng.RunUntil(eng.Now().Add(20 * time.Millisecond))
-	if !exited.Exited() || *ran-before != 5 {
-		t.Fatalf("setup: exited=%v, %d programs started, want 5", exited.Exited(), *ran-before)
+	if !exited.Exited() || *ran-before != 4 {
+		t.Fatalf("setup: exited=%v, %d programs started, want 4", exited.Exited(), *ran-before)
 	}
 	k.Spawn("fresh", body(func(u *UCtx) { u.Compute(time.Millisecond) }), SpawnOpts{})
 }
@@ -481,8 +477,8 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > base {
 		t.Errorf("%d goroutines after Shutdown, %d before the tasks were spawned", n, base)
 	}
-	if ran != 10 || unwound != ran {
-		t.Errorf("%d programs started (want 10, the fresh ones never run), %d deferred functions ran", ran, unwound)
+	if ran != 8 || unwound != ran {
+		t.Errorf("%d programs started (want 8, the fresh ones never run), %d deferred functions ran", ran, unwound)
 	}
 }
 
@@ -517,6 +513,36 @@ func TestTaskPanicLeavesThroughDeferredShutdown(t *testing.T) {
 	}
 }
 
+// capturing returns a program that holds a buffer, and closes collected
+// when the garbage collector frees that buffer.
+func capturing(collected chan struct{}) Program {
+	buf := new([1 << 10]byte)
+	runtime.SetFinalizer(buf, func(*[1 << 10]byte) { close(collected) })
+	return func(u *UCtx) {
+		u.Compute(time.Millisecond)
+		buf[0]++
+	}
+}
+
+// TestExitedTaskReleasesProgram: once a task has exited, the kernel holds
+// nothing its program captured, so that can be collected while the kernel
+// runs on, before Shutdown.
+func TestExitedTaskReleasesProgram(t *testing.T) {
+	eng, k := testKernel(t, 1, nil)
+	collected := make(chan struct{})
+	task := k.Spawn("daemon", capturing(collected), SpawnOpts{Kind: KindDaemon})
+	runUntilDone(t, eng, time.Second, task)
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("what the exited task's program captured is still reachable")
+}
+
 // handoffAccounting runs a workload that issues every request kind on a
 // two-CPU kernel, calling step to advance the engine, and returns the
 // tasks' and kernel's accounting.
@@ -529,7 +555,6 @@ func handoffAccounting(t *testing.T, step func(*sim.Engine) bool) string {
 		tasks = append(tasks, k.Spawn(fmt.Sprintf("w%d", i), func(u *UCtx) {
 			for j := 0; j < 20; j++ {
 				u.Compute(time.Duration(1+i) * 700 * time.Microsecond)
-				u.Yield()
 				u.Syscall("sys_read", func(kc *KCtx) {
 					kc.Use(50 * time.Microsecond)
 					for tokens == 0 {
@@ -583,25 +608,6 @@ func TestEngineStepsOnFreshGoroutines(t *testing.T) {
 	}
 }
 
-// TestBackToBackYieldsRunInConstantStack yields many times with nothing
-// else runnable on the CPU. Each such yield resumes the task at once; that
-// must not add engine stack frames.
-func TestBackToBackYieldsRunInConstantStack(t *testing.T) {
-	defer debug.SetMaxStack(debug.SetMaxStack(8 << 20))
-	eng, k := testKernel(t, 1, nil)
-	const yields = 200000
-	n := 0
-	task := k.Spawn("yielder", func(u *UCtx) {
-		for ; n < yields; n++ {
-			u.Yield()
-		}
-	}, SpawnOpts{})
-	runUntilDone(t, eng, time.Second, task)
-	if n != yields || task.VolSwitches != 0 {
-		t.Errorf("%d yields, %d voluntary switches; want %d and 0", n, task.VolSwitches, yields)
-	}
-}
-
 // BenchmarkTaskHandoff measures one compute request's round trip on one
 // CPU: the program hands the request to the engine, the engine runs the
 // work segment's completion event and resumes the program.
@@ -625,24 +631,6 @@ func BenchmarkTaskHandoff(b *testing.B) {
 	b.StopTimer()
 	if !task.Exited() {
 		b.Fatal("engine ran dry before the task exited")
-	}
-}
-
-func TestKCtxSleepInsideSyscall(t *testing.T) {
-	eng, k := testKernel(t, 1, nil)
-	task := k.Spawn("s", func(u *UCtx) {
-		u.Syscall("sys_nanosleep", func(kc *KCtx) {
-			kc.Sleep(25 * time.Millisecond)
-		})
-	}, SpawnOpts{})
-	runUntilDone(t, eng, time.Second, task)
-	if task.VolWait < 25*time.Millisecond {
-		t.Errorf("kernel sleep wait = %v, want >= 25ms", task.VolWait)
-	}
-	snap := k.Ktau().SnapshotTask(task.KD())
-	ns := snap.FindEvent("sys_nanosleep")
-	if ns == nil || k.DurationOf(ns.Incl) < 25*time.Millisecond {
-		t.Errorf("sys_nanosleep inclusive should cover the sleep: %+v", ns)
 	}
 }
 

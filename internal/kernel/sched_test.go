@@ -101,34 +101,6 @@ func TestAffinityMaskRestrictsStealing(t *testing.T) {
 	}
 }
 
-func TestYieldRotatesRunnableTasks(t *testing.T) {
-	eng, k := testKernel(t, 1, nil)
-	var order []string
-	mk := func(name string) *Task {
-		return k.Spawn(name, func(u *UCtx) {
-			for i := 0; i < 3; i++ {
-				u.Compute(time.Millisecond)
-				order = append(order, name)
-				u.Yield()
-			}
-		}, SpawnOpts{})
-	}
-	a, b := mk("a"), mk("b")
-	runUntilDone(t, eng, time.Second, a, b)
-	// Yield must interleave the two: no task appears 3 times in a row at the
-	// start.
-	if len(order) != 6 {
-		t.Fatalf("order = %v", order)
-	}
-	if order[0] == order[1] && order[1] == order[2] {
-		t.Errorf("yield did not rotate: %v", order)
-	}
-	// Yielding with others runnable counts as voluntary switching.
-	if a.VolSwitches == 0 && b.VolSwitches == 0 {
-		t.Error("yields produced no voluntary switches")
-	}
-}
-
 func TestSMPMemContentionSlowsCoResidentCompute(t *testing.T) {
 	run := func(contention float64, tasks int) time.Duration {
 		eng := sim.NewEngine()

@@ -95,7 +95,6 @@ const (
 	reqKCompute
 	reqWait
 	reqSleep
-	reqYield
 )
 
 type request struct {
@@ -119,8 +118,8 @@ type Task struct {
 	kind    TaskKind
 	state   TaskState
 	cpuID   int
-	affin   uint64 // 0 = any CPU
-	program Program
+	affin   uint64  // 0 = any CPU
+	program Program // nil once the task has exited
 	uctx    *UCtx
 	kctx    KCtx // every system call's kernel context: it only names t and k
 
@@ -332,21 +331,14 @@ func (k *Kernel) Signal(t *Task, sig int) {
 }
 
 // activate resumes t's program and handles its next request; a program that
-// has returned exits the task. A yield with nothing else runnable on the CPU
-// resumes the program again here, so back-to-back yields run in this loop
-// instead of deepening the engine's stack.
+// has returned exits the task.
 func (k *Kernel) activate(t *Task) {
-	for {
-		r, ok := t.next()
-		if !ok {
-			k.exitTask(k.cpus[t.cpuID], t)
-			return
-		}
-		if r.kind != reqYield || len(k.cpus[t.cpuID].rq) > 0 {
-			k.handle(t, r)
-			return
-		}
+	r, ok := t.next()
+	if !ok {
+		k.exitTask(k.cpus[t.cpuID], t)
+		return
 	}
+	k.handle(t, r)
 }
 
 // handle processes one request from a running task.
@@ -388,18 +380,6 @@ func (k *Kernel) handle(t *Task, r request) {
 		k.eng.AfterCall(r.d, taskWakeCB, t)
 		k.blockCurrent(c, t)
 
-	case reqYield:
-		// activate resumed the task in place if nothing else was runnable.
-		t.markSwitchedOut(k.eng.Now(), SwitchVoluntary)
-		k.m.Entry(t.kd, k.evSchedVol)
-		t.state = StateRunnable
-		t.resumeFn = t.activateFn
-		c.curr = nil
-		k.enqueue(c, t)
-		if next := k.pickTask(c); next != nil {
-			k.switchTo(c, next)
-		}
-
 	default:
 		panic(fmt.Sprintf("kernel: unknown request kind %d", r.kind))
 	}
@@ -412,9 +392,11 @@ func taskWakeCB(arg any) {
 	t.k.Wake(t)
 }
 
-// exitTask finalises a process.
+// exitTask finalises a process. It drops the program, so whatever the
+// program's closure holds can be collected while the kernel runs on.
 func (k *Kernel) exitTask(c *CPU, t *Task) {
 	t.state = StateZombie
+	t.program = nil
 	t.EndAt = k.eng.Now()
 	k.m.ExitTask(t.kd)
 	if c.curr == t {

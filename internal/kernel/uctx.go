@@ -58,12 +58,6 @@ func (u *UCtx) Sleep(d time.Duration) {
 	u.t.call(request{kind: reqSleep, d: d})
 }
 
-// Yield releases the CPU to other runnable tasks (sched_yield): a voluntary
-// switch if anyone else is waiting.
-func (u *UCtx) Yield() {
-	u.t.call(request{kind: reqYield})
-}
-
 // Syscall crosses into the kernel: the trap costs elapse, the named system
 // call's KTAU entry/exit events fire, and body (which may consume kernel CPU
 // time, sleep, or block on wait queues through the KCtx) runs in between.
@@ -135,14 +129,6 @@ func (kc *KCtx) Wait(wq *WaitQueue) {
 // Cancel the returned handle once the wait is over, so the stale wake
 // cannot cut short a later sleep.
 func (kc *KCtx) WakeAt(t sim.Time) sim.Handle { return kc.k.eng.AtCall(t, taskWakeCB, kc.t) }
-
-// Sleep blocks for d in kernel mode.
-func (kc *KCtx) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	kc.t.call(request{kind: reqSleep, d: d})
-}
 
 // SyscallEvent returns (registering on first use) the instrumentation point
 // for the named system call.

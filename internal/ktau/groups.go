@@ -14,7 +14,6 @@ package ktau
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -42,7 +41,7 @@ const (
 	GroupExc
 	// GroupSignal covers signal delivery paths.
 	GroupSignal
-	// GroupVFS covers the filesystem and block-I/O paths (generic_file_read,
+	// GroupVFS covers the filesystem and block-I/O paths (generic_file_write,
 	// submit_bio, end_request).
 	GroupVFS
 	// GroupUser tags user-level events that the TAU integration pushes into
@@ -127,16 +126,4 @@ func Groups() []Group {
 		out = append(out, bit)
 	}
 	return out
-}
-
-// GroupNamesSorted returns the names of the groups set in g, sorted.
-func GroupNamesSorted(g Group) []string {
-	var parts []string
-	for bit := Group(1); bit < groupSentinel; bit <<= 1 {
-		if g&bit != 0 {
-			parts = append(parts, groupNames[bit])
-		}
-	}
-	sort.Strings(parts)
-	return parts
 }

@@ -517,10 +517,6 @@ func TestAccessorsAndMasks(t *testing.T) {
 	if m.Overhead() != om || m.TraceCapacity() != 7 || !m.MappingEnabled() {
 		t.Error("option accessors wrong")
 	}
-	names := GroupNamesSorted(GroupSched | GroupTCP)
-	if len(names) != 2 || names[0] != "SCHED" || names[1] != "TCP" {
-		t.Errorf("GroupNamesSorted = %v", names)
-	}
 	// Counter source accessors.
 	if m.CounterNames() != nil {
 		t.Error("no counter source yet")

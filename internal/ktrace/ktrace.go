@@ -111,17 +111,3 @@ func Render(w io.Writer, tl []Event, hz int64) {
 		}
 	}
 }
-
-// Names returns the distinct event names appearing in the timeline, in
-// first-appearance order.
-func Names(tl []Event) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, e := range tl {
-		if !seen[e.Name] {
-			seen[e.Name] = true
-			out = append(out, e.Name)
-		}
-	}
-	return out
-}

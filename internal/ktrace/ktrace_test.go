@@ -112,19 +112,6 @@ func TestRenderAtomic(t *testing.T) {
 	}
 }
 
-func TestNames(t *testing.T) {
-	names := Names(sampleTimeline())
-	want := []string{"MPI_Send()", "sys_writev", "tcp_sendmsg"}
-	if len(names) != 3 {
-		t.Fatalf("names = %v", names)
-	}
-	for i, n := range want {
-		if names[i] != n {
-			t.Errorf("names[%d] = %q, want %q", i, names[i], n)
-		}
-	}
-}
-
 func TestChromeTraceExport(t *testing.T) {
 	tl := sampleTimeline()
 	var sb strings.Builder

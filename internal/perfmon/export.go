@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 
 	"ktau/internal/promfmt"
 )
@@ -66,39 +67,53 @@ func (st *Store) WritePrometheus(w io.Writer) error {
 	return bw.Flush()
 }
 
-// jsonSample is the JSON-lines record shape (fixed field order via struct).
-type jsonSample struct {
-	Node   string `json:"node"`
-	Round  int    `json:"round"`
-	Event  string `json:"event"`
-	Group  string `json:"group"`
-	DCalls uint64 `json:"dcalls"`
-	DIncl  int64  `json:"dincl"`
-	DExcl  int64  `json:"dexcl"`
-}
-
 // WriteJSONLines renders the retained time-series as one JSON object per
 // line: a (node, round, event) activity delta per record, events sorted by
 // name within a node, samples in chronological order. window limits the
-// slice (0 = everything retained).
+// slice (0 = everything retained). A record reads
+//
+//	{"node":N,"round":R,"event":E,"group":G,"dcalls":C,"dincl":I,"dexcl":X}
+//
+// with each string escaped as encoding/json escapes it. The strings are
+// escaped once per series and every line is built in one reused buffer
+// straight from the store's rings, so the export allocates per series, not
+// per record.
 func (st *Store) WriteJSONLines(w io.Writer, window int) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, node := range st.NodeNames() {
-		for _, t := range st.Totals(node) { // sorted by event name
-			for _, smp := range st.Series(node, t.Name, window) {
-				rec := jsonSample{
-					Node: node, Round: smp.Round, Event: t.Name,
-					Group: t.Group.String(), DCalls: smp.DCalls,
-					DIncl: smp.DIncl, DExcl: smp.DExcl,
+	var line []byte
+	for _, name := range st.order {
+		ns := st.nodes[name]
+		node := jsonString(name)
+		floor := ns.windowFloor(window)
+		for _, t := range st.Totals(name) { // sorted by event name
+			event, group := jsonString(t.Name), jsonString(t.Group.String())
+			r := ns.events[t.Name].ring
+			for i := 0; i < r.len(); i++ {
+				smp := r.at(i)
+				if smp.Round < floor {
+					continue
 				}
-				if err := enc.Encode(rec); err != nil {
+				line = append(append(line[:0], `{"node":`...), node...)
+				line = strconv.AppendInt(append(line, `,"round":`...), int64(smp.Round), 10)
+				line = append(append(line, `,"event":`...), event...)
+				line = append(append(line, `,"group":`...), group...)
+				line = strconv.AppendUint(append(line, `,"dcalls":`...), smp.DCalls, 10)
+				line = strconv.AppendInt(append(line, `,"dincl":`...), smp.DIncl, 10)
+				line = strconv.AppendInt(append(line, `,"dexcl":`...), smp.DExcl, 10)
+				line = append(line, "}\n"...)
+				if _, err := bw.Write(line); err != nil {
 					return err
 				}
 			}
 		}
 	}
 	return bw.Flush()
+}
+
+// jsonString returns s as encoding/json writes a string value.
+func jsonString(s string) []byte {
+	b, _ := json.Marshal(s) // a string always marshals
+	return b
 }
 
 // WriteClusterView renders the live human view: per-node collection state

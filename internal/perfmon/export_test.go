@@ -2,8 +2,10 @@ package perfmon
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -83,6 +85,95 @@ func TestClusterViewGolden(t *testing.T) {
 	var buf bytes.Buffer
 	st.WriteClusterView(&buf, rep, 3)
 	checkGolden(t, "clusterview.txt", buf.Bytes())
+}
+
+// jsonSample is the JSON-lines record shape, in field order.
+type jsonSample struct {
+	Node   string `json:"node"`
+	Round  int    `json:"round"`
+	Event  string `json:"event"`
+	Group  string `json:"group"`
+	DCalls uint64 `json:"dcalls"`
+	DIncl  int64  `json:"dincl"`
+	DExcl  int64  `json:"dexcl"`
+}
+
+// encoderJSONLines is the JSON-lines export as encoding/json renders it:
+// one encoded jsonSample per retained sample, read through the public
+// accessors.
+func encoderJSONLines(t *testing.T, st *Store, window int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, node := range st.NodeNames() {
+		for _, tot := range st.Totals(node) {
+			for _, smp := range st.Series(node, tot.Name, window) {
+				if err := enc.Encode(jsonSample{
+					Node: node, Round: smp.Round, Event: tot.Name, Group: tot.Group.String(),
+					DCalls: smp.DCalls, DIncl: smp.DIncl, DExcl: smp.DExcl,
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return buf.Bytes()
+}
+
+// hostileStore holds names that need escaping (quotes, backslashes,
+// control and HTML characters, line separators, invalid UTF-8), negative
+// deltas and more rounds than its rings retain.
+func hostileStore(rounds int) *Store {
+	st := NewStore(StoreConfig{Retention: 5})
+	for idx, node := range []string{`no"de<1>`, "n\\2&\u2028x", "plain"} {
+		for round := 0; round < rounds; round++ {
+			st.Ingest(Frame{
+				Node: node, NodeIdx: idx, Round: round, CPUs: 1,
+				FromTSC: int64(round) * 10, ToTSC: int64(round+1) * 10,
+				Kernel: []ktau.EventDelta{
+					{Name: "ev\t\x01\xff", Group: ktau.GroupIRQ | ktau.GroupBH, DCalls: uint64(round), DIncl: -int64(round), DExcl: 1 << 62},
+					{Name: "do_IRQ[timer]", Group: ktau.GroupIRQ, DCalls: 1<<64 - 1, DIncl: int64(idx), DExcl: -1 << 63},
+				},
+			}, 0)
+		}
+	}
+	return st
+}
+
+// TestJSONLinesMatchesEncoder requires the hand-built records to be
+// byte-identical to encoding/json's, for every window.
+func TestJSONLinesMatchesEncoder(t *testing.T) {
+	for _, st := range []*Store{goldenStore(), hostileStore(3), hostileStore(9)} {
+		for window := 0; window <= 6; window++ {
+			var got bytes.Buffer
+			if err := st.WriteJSONLines(&got, window); err != nil {
+				t.Fatal(err)
+			}
+			if want := encoderJSONLines(t, st, window); !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("window %d: export differs from encoding/json:\n--- got ---\n%s\n--- want ---\n%s", window, got.Bytes(), want)
+			}
+		}
+	}
+}
+
+// TestJSONLinesAllocsIndependentOfRecords requires the export's
+// allocations to follow the series, not the samples: a store whose rings
+// hold five samples allocates as often as one that holds one.
+func TestJSONLinesAllocsIndependentOfRecords(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under -race")
+	}
+	allocs := func(st *Store) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if err := st.WriteJSONLines(io.Discard, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, full := allocs(hostileStore(1)), allocs(hostileStore(40))
+	if full > one {
+		t.Fatalf("export of 5 samples per series made %.0f allocations, of 1 sample %.0f", full, one)
+	}
 }
 
 func TestJSONLinesWindow(t *testing.T) {

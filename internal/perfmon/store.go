@@ -86,10 +86,13 @@ func (r *ring[T]) push(v T) {
 func (r *ring[T]) items() []T {
 	out := make([]T, 0, r.n)
 	for i := 0; i < r.n; i++ {
-		out = append(out, r.buf[(r.head+i)%len(r.buf)])
+		out = append(out, r.at(i))
 	}
 	return out
 }
+
+// at returns the i-th retained element, oldest first.
+func (r *ring[T]) at(i int) T { return r.buf[(r.head+i)%len(r.buf)] }
 
 func (r *ring[T]) len() int { return r.n }
 
@@ -380,14 +383,14 @@ func (st *Store) Total(node, event string) (EventTotal, bool) {
 // windowFloor returns the lowest round number inside the last `window`
 // stored samples of the node (0 selects everything retained).
 func (ns *nodeState) windowFloor(window int) int {
-	marks := ns.marks.items()
-	if window <= 0 || window >= len(marks) {
-		if len(marks) == 0 {
+	n := ns.marks.len()
+	if window <= 0 || window >= n {
+		if n == 0 {
 			return 0
 		}
-		return marks[0].Round
+		return ns.marks.at(0).Round
 	}
-	return marks[len(marks)-window].Round
+	return ns.marks.at(n - window).Round
 }
 
 // Series returns the retained samples of one (node, event) series whose

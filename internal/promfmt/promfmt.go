@@ -40,13 +40,6 @@ func EscapeLabel(v string) string {
 	return b.String()
 }
 
-// EscapeHelp renders HELP docstring text: backslash and line-feed escaped
-// (double quotes are legal verbatim in HELP lines).
-func EscapeHelp(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	return strings.ReplaceAll(v, "\n", `\n`)
-}
-
 // ValidMetricName reports whether name matches [a-zA-Z_:][a-zA-Z0-9_:]*.
 func ValidMetricName(name string) bool {
 	if name == "" {

@@ -24,12 +24,6 @@ func TestEscapeLabelSpecExact(t *testing.T) {
 	}
 }
 
-func TestEscapeHelp(t *testing.T) {
-	if got := EscapeHelp(`path \proc, two` + "\nlines"); got != `path \\proc, two\nlines` {
-		t.Errorf("EscapeHelp = %q", got)
-	}
-}
-
 func TestNameLegality(t *testing.T) {
 	for _, ok := range []string{"ktau_perfmon_frames_total", "a:b", "_x9"} {
 		if !ValidMetricName(ok) {

@@ -185,3 +185,14 @@ func (h *Hist) AppendBinary(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(h.max))
 	return dst
 }
+
+// binarySize is the length of AppendBinary's encoding.
+func (h *Hist) binarySize() int {
+	n := 4 * 8 // totals
+	for _, c := range h.counts {
+		if c != 0 {
+			n += 2 * 4
+		}
+	}
+	return n
+}

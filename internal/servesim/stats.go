@@ -212,8 +212,11 @@ func (s *Store) Merge(o *Store) {
 // AppendBinary appends a canonical encoding of every cell in order
 // (histogram, counters, tail records), an unwritten cell encoded as an
 // empty one, used to prove serial and parallel runs produce byte-identical
-// latency stores.
+// latency stores. It grows dst once, to the encoding's exact length.
 func (s *Store) AppendBinary(dst []byte) []byte {
+	if n := s.binarySize(); cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
 	u64 := func(v uint64) { dst = binary.LittleEndian.AppendUint64(dst, v) }
 	u64(uint64(s.Tenants))
 	u64(uint64(s.Nodes))
@@ -244,4 +247,18 @@ func (s *Store) AppendBinary(dst []byte) []byte {
 		}
 	}
 	return dst
+}
+
+// binarySize is the length of AppendBinary's encoding: two header words,
+// then per cell its histogram, five counter words and 13 words per tail
+// record.
+func (s *Store) binarySize() int {
+	n := 2 * 8
+	for _, c := range s.cells {
+		if c == nil {
+			c = &emptyCell
+		}
+		n += c.hist.binarySize() + 5*8 + 13*8*len(c.tails)
+	}
+	return n
 }

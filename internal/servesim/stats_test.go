@@ -341,3 +341,23 @@ func TestStoreFootprint(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendBinaryGrowsOnce requires the encoding to allocate its exact
+// length once, whatever the store holds, and to keep what dst already held.
+func TestAppendBinaryGrowsOnce(t *testing.T) {
+	for seed := uint64(1); seed <= 10; seed++ {
+		s := NewStore(refTenants, refNodes, refTailK)
+		ref := newRefStore(refTenants, refNodes, refTailK)
+		driveStores(s, ref, seed, int(seed)*25, touchedCells(seed))
+		want := ref.AppendBinary(nil)
+		if got := s.AppendBinary(nil); !bytes.Equal(got, want) || len(got) != s.binarySize() {
+			t.Fatalf("seed %d: %d bytes encoded, %d sized, reference %d", seed, len(got), s.binarySize(), len(want))
+		}
+		if got := s.AppendBinary([]byte("hdr")); string(got[:3]) != "hdr" || !bytes.Equal(got[3:], want) {
+			t.Fatalf("seed %d: appending after a prefix changed the prefix or the encoding", seed)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { s.AppendBinary(nil) }); allocs != 1 {
+			t.Fatalf("seed %d: AppendBinary(nil) made %.1f allocations, want 1", seed, allocs)
+		}
+	}
+}

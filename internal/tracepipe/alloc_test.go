@@ -35,34 +35,38 @@ func TestAppendFrameAllocsAmortized(t *testing.T) {
 	}
 }
 
+// exportCollector holds records records on two nodes, a user and a kernel
+// stream each, over five names, with three MPI messages sent from node 0 to
+// node 1.
+func exportCollector(records int) *Collector {
+	names := []string{"sys_read", "sys_writev", "tcp_sendmsg", "schedule", "MPI_Send()"}
+	kinds := []ktau.RecordKind{ktau.KindEntry, ktau.KindAtomic, ktau.KindExit}
+	c := NewCollector(2, 450_000_000)
+	for node := 0; node < 2; node++ {
+		f := Frame{NodeIdx: node}
+		for _, kernel := range []bool{false, true} {
+			s := Stream{PID: 1, Task: "lu.A", Kernel: kernel}
+			for i := 0; i < records/4; i++ {
+				s.Recs = append(s.Recs, Rec{TSC: int64(3*i + node), Name: names[i%len(names)], Kind: kinds[i%len(kinds)], Val: int64(i)})
+			}
+			f.Streams = append(f.Streams, s)
+		}
+		for seq := uint64(0); seq < 3; seq++ {
+			f.Msgs = append(f.Msgs, Msg{Src: 0, Dst: 1, Seq: seq, Send: node == 0, PID: 1, EndTSC: int64(seq)})
+		}
+		c.Ingest(f, 0)
+	}
+	return c
+}
+
 // TestWriteChromeTraceAllocsIndependentOfRecords pins the Chrome export's
 // allocations to the collector's shape (streams, distinct names, flows),
-// not to its record count: references are placed into one slice by way of
-// one slice of bucket bounds, and events stream through one reused buffer,
-// so 100 and 10 000 records cost the same allocations.
+// not to its record count: references are placed into one reused buffer by
+// way of one slice of bucket bounds, and events stream through one reused
+// buffer, so 100 and 10 000 records cost the same allocations.
 func TestWriteChromeTraceAllocsIndependentOfRecords(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not reproducible under -race")
-	}
-	names := []string{"sys_read", "sys_writev", "tcp_sendmsg", "schedule", "MPI_Send()"}
-	kinds := []ktau.RecordKind{ktau.KindEntry, ktau.KindAtomic, ktau.KindExit}
-	collector := func(records int) *Collector {
-		c := NewCollector(2, 450_000_000)
-		for node := 0; node < 2; node++ {
-			f := Frame{NodeIdx: node}
-			for _, kernel := range []bool{false, true} {
-				s := Stream{PID: 1, Task: "lu.A", Kernel: kernel}
-				for i := 0; i < records/4; i++ {
-					s.Recs = append(s.Recs, Rec{TSC: int64(3*i + node), Name: names[i%len(names)], Kind: kinds[i%len(kinds)], Val: int64(i)})
-				}
-				f.Streams = append(f.Streams, s)
-			}
-			for seq := uint64(0); seq < 3; seq++ {
-				f.Msgs = append(f.Msgs, Msg{Src: 0, Dst: 1, Seq: seq, Send: node == 0, PID: 1, EndTSC: int64(seq)})
-			}
-			c.Ingest(f, 0)
-		}
-		return c
 	}
 	allocs := func(c *Collector) float64 {
 		return testing.AllocsPerRun(20, func() {
@@ -71,9 +75,42 @@ func TestWriteChromeTraceAllocsIndependentOfRecords(t *testing.T) {
 			}
 		})
 	}
-	small, large := allocs(collector(100)), allocs(collector(10_000))
+	small, large := allocs(exportCollector(100)), allocs(exportCollector(10_000))
 	if large > small+2 {
 		t.Fatalf("export allocated %.0f times for 10 000 records but %.0f for 100; want at most 2 more", large, small)
+	}
+}
+
+// TestWriteChromeTraceBytesIndependentOfRecords pins what an export
+// allocates beyond a fixed allowance, the reference buffer of mergeRunRefs
+// 16-byte references: at most one byte per record, the int32 bucket bounds
+// at about one bucket per four records. An export that placed a reference
+// for every record at once allocated 16 bytes more per record.
+func TestWriteChromeTraceBytesIndependentOfRecords(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation volumes are not reproducible under -race")
+	}
+	bytesPerExport := func(c *Collector) float64 {
+		if err := c.WriteChromeTrace(io.Discard); err != nil { // warm the name cache
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 4
+		for i := 0; i < runs; i++ {
+			if err := c.WriteChromeTrace(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	const records = 4 * mergeRunRefs
+	small, large := bytesPerExport(exportCollector(100)), bytesPerExport(exportCollector(records))
+	allowance := float64(16*mergeRunRefs + 64<<10)
+	if grown := large - small; grown > allowance+records {
+		t.Fatalf("export of %d records allocated %.0f bytes, %.0f more than for 100 records; want at most %.0f more (%.0f, then one byte per record)",
+			records, large, grown, allowance+records, allowance)
 	}
 }
 

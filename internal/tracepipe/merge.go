@@ -127,10 +127,12 @@ type exportStream struct {
 	task string
 }
 
-// exportSeg is one ingested segment of streams[stream]'s records.
+// exportSeg is one ingested segment of streams[stream]'s records; lo and hi
+// are the least and greatest TSC among them, filled in by mergeOrder.
 type exportSeg struct {
 	stream int
 	recs   []rec
+	lo, hi int64
 }
 
 // snapshot copies what an export reads, holding mu only for the copy: every
@@ -165,78 +167,138 @@ type recRef struct {
 	seg, pos int32
 }
 
-// mergeOrder returns a reference to every record of the snapshot in merged
-// timeline order: by TSC, ties broken by segment and then by position in the
-// segment. Segments are numbered by stream (node index, then pid, user
-// before kernel) and then by arrival, so (segment, position) is each
-// record's place in its stream's records concatenated in stream order.
-// That is a total order, so the result is the stable sort by TSC of the
-// streams concatenated in order, whether or not each stream is TSC-ordered;
-// it is byte-identical however many workers drove the simulation and in
-// whatever order frames arrived.
+// mergeRunRefs is how many references an export places and sorts at once,
+// 1 MiB of them, unless a single TSC bucket holds more.
+const mergeRunRefs = 64 << 10
+
+// merge hands out the references of an export snapshot's records in merged
+// timeline order, one run of consecutive TSC buckets at a time, all of them
+// placed in one reused buffer.
+type merge struct {
+	segs  []exportSeg
+	n     int32 // records in the snapshot
+	lo    int64 // the least TSC; bucket b holds lo + [b<<shift, (b+1)<<shift)
+	shift uint
+	// next[b] is where bucket b starts in the merged order until bucket b
+	// is placed, and then where it ends.
+	next []int32
+	b    int // the first bucket not yet handed out
+	buf  []recRef
+}
+
+// mergeOrder prepares the merged timeline order of the snapshot's records:
+// by TSC, ties broken by segment and then by position in the segment.
+// Segments are numbered by stream (node index, then pid, user before
+// kernel) and then by arrival, so (segment, position) is each record's place
+// in its stream's records concatenated in stream order. That is a total
+// order, so the result is the stable sort by TSC of the streams concatenated
+// in order, whether or not each stream is TSC-ordered; it is byte-identical
+// however many workers drove the simulation and in whatever order frames
+// arrived.
 //
 // Kernel streams arrive unsorted (records land behind later-stamped ones of
 // their own stream), so the order is placed rather than merged: one pass
-// finds the TSC range, a counting pass sizes power-of-two-wide TSC buckets,
-// about one per four records, and a placement pass writes each reference
-// into its bucket in (segment, position) order. Buckets partition the TSC
-// range in order, so only each bucket's few references are left to sort on
-// the full key; a bucket that takes every record is the one comparison sort
-// of them all.
-func mergeOrder(segs []exportSeg) ([]recRef, error) {
+// finds the TSC range of every segment and of them all, and a counting pass
+// sizes power-of-two-wide TSC buckets, about one per four records. Each run
+// then takes the next consecutive buckets that fit in runRefs references
+// (or the one next bucket, when it alone holds more), and its placement pass
+// writes each reference whose TSC falls in the run into its bucket in
+// (segment, position) order, visiting only the segments whose TSC range
+// meets the run's. Buckets partition the TSC range in order, so only each
+// bucket's few references are left to sort on the full key; a bucket that
+// takes every record is the one comparison sort of them all.
+func mergeOrder(segs []exportSeg, runRefs int) (merge, error) {
 	n := 0
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-	for _, s := range segs {
+	for i := range segs {
+		s := &segs[i]
 		n += len(s.recs)
-		for i := range s.recs {
-			lo, hi = min(lo, s.recs[i].tsc), max(hi, s.recs[i].tsc)
+		s.lo, s.hi = math.MaxInt64, math.MinInt64
+		for j := range s.recs {
+			s.lo, s.hi = min(s.lo, s.recs[j].tsc), max(s.hi, s.recs[j].tsc)
 		}
+		lo, hi = min(lo, s.lo), max(hi, s.hi)
 	}
 	if len(segs) > math.MaxInt32 || n > math.MaxInt32 {
-		return nil, fmt.Errorf("tracepipe: %d records in %d segments exceed the export's int32 references", n, len(segs))
+		return merge{}, fmt.Errorf("tracepipe: %d records in %d segments exceed the export's int32 references", n, len(segs))
 	}
-	refs := make([]recRef, n)
+	m := merge{segs: segs, n: int32(n)}
 	if n == 0 {
-		return refs, nil
+		return m, nil
 	}
+	m.lo = lo
 
-	// Bucket b holds the TSCs lo + [b<<shift, (b+1)<<shift). Offsets from lo
-	// are taken unsigned: two int64 TSCs can be up to 2^64-1 apart.
+	// Offsets from lo are taken unsigned: two int64 TSCs can be up to 2^64-1
+	// apart.
 	span, want := uint64(hi)-uint64(lo), uint64(max(1, n/4))
-	shift := uint(0)
-	for span>>shift >= want {
-		shift++
+	for span>>m.shift >= want {
+		m.shift++
 	}
-	// next[b] counts bucket b's references, then becomes the index its next
-	// reference goes to, so once every reference is placed it is where
-	// bucket b ends and bucket b+1 starts.
-	next := make([]int32, span>>shift+1)
+	m.next = make([]int32, span>>m.shift+1)
 	for _, s := range segs {
 		for i := range s.recs {
-			next[(uint64(s.recs[i].tsc)-uint64(lo))>>shift]++
+			m.next[m.bucket(s.recs[i].tsc)]++
+		}
+	}
+	start, largest := int32(0), int32(0)
+	for b, count := range m.next {
+		m.next[b] = start
+		start += count
+		largest = max(largest, count)
+	}
+	m.buf = make([]recRef, min(n, max(runRefs, int(largest))))
+	return m, nil
+}
+
+// bucket returns the bucket of a TSC in the snapshot's range.
+func (m *merge) bucket(tsc int64) uint64 { return (uint64(tsc) - uint64(m.lo)) >> m.shift }
+
+// end returns where bucket b ends in the merged order, before it is placed.
+func (m *merge) end(b int) int32 {
+	if b+1 < len(m.next) {
+		return m.next[b+1]
+	}
+	return m.n
+}
+
+// run places and sorts the next run of buckets and returns its references,
+// which stay valid until the next call; it returns nil once every record
+// has been handed out.
+func (m *merge) run() []recRef {
+	b0 := m.b
+	if b0 == len(m.next) {
+		return nil
+	}
+	first := m.next[b0]
+	b1 := b0 + 1
+	for b1 < len(m.next) && m.end(b1)-first <= int32(len(m.buf)) {
+		b1++
+	}
+	refs := m.buf[:m.end(b1-1)-first]
+	lo, hi := uint64(b0), uint64(b1)
+	for si := range m.segs {
+		s := &m.segs[si]
+		if len(s.recs) == 0 || m.bucket(s.hi) < lo || m.bucket(s.lo) >= hi {
+			continue
+		}
+		for pos := range s.recs {
+			tsc := s.recs[pos].tsc
+			if b := m.bucket(tsc); b >= lo && b < hi {
+				refs[m.next[b]-first] = recRef{tsc: tsc, seg: int32(si), pos: int32(pos)}
+				m.next[b]++
+			}
 		}
 	}
 	start := int32(0)
-	for b, count := range next {
-		next[b] = start
-		start += count
-	}
-	for si, s := range segs {
-		for pos := range s.recs {
-			tsc := s.recs[pos].tsc
-			b := (uint64(tsc) - uint64(lo)) >> shift
-			refs[next[b]] = recRef{tsc: tsc, seg: int32(si), pos: int32(pos)}
-			next[b]++
-		}
-	}
-	start = 0
-	for _, end := range next {
+	for _, end := range m.next[b0:b1] {
+		end -= first
 		if end-start > 1 {
 			slices.SortFunc(refs[start:end], compareRefs)
 		}
 		start = end
 	}
-	return refs, nil
+	m.b = b1
+	return refs
 }
 
 // compareRefs orders references by (TSC, segment, position).
@@ -269,18 +331,20 @@ func trackID(pid int, kernel bool) int {
 // collector's lock is held only to snapshot what has been ingested, never
 // while writing to w, so ingest carries on during an export.
 func (c *Collector) WriteChromeTrace(w io.Writer) error {
+	return c.writeChromeTrace(w, mergeRunRefs)
+}
+
+// writeChromeTrace is WriteChromeTrace placing at most runRefs references
+// at once, or a whole bucket when one holds more.
+func (c *Collector) writeChromeTrace(w io.Writer, runRefs int) error {
 	streams, segs, names, msgs := c.snapshot()
 	flows := correlate(msgs)
-	refs, err := mergeOrder(segs)
+	m, err := mergeOrder(segs, runRefs)
 	if err != nil {
 		return err
 	}
 
-	var base int64
-	haveBase := len(refs) > 0
-	if haveBase {
-		base = refs[0].tsc
-	}
+	base, haveBase := m.lo, m.n > 0
 	for _, f := range flows {
 		if !haveBase || f.SendTSC < base {
 			base, haveBase = f.SendTSC, true
@@ -314,30 +378,32 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 		})
 	}
 
-	for _, ref := range refs {
-		sg := &segs[ref.seg]
-		s := &streams[sg.stream]
-		r := &sg.recs[ref.pos]
-		ev := ktrace.ChromeEvent{
-			Name: names[r.name], Cat: "user", TS: toUS(r.tsc),
-			PID: s.key.NodeIdx, TID: trackID(s.key.PID, s.key.Kernel),
+	for refs := m.run(); refs != nil; refs = m.run() {
+		for _, ref := range refs {
+			sg := &segs[ref.seg]
+			s := &streams[sg.stream]
+			r := &sg.recs[ref.pos]
+			ev := ktrace.ChromeEvent{
+				Name: names[r.name], Cat: "user", TS: toUS(r.tsc),
+				PID: s.key.NodeIdx, TID: trackID(s.key.PID, s.key.Kernel),
+			}
+			if s.key.Kernel {
+				ev.Cat = "kernel"
+			}
+			switch r.kind {
+			case ktau.KindEntry:
+				ev.Phase = "B"
+			case ktau.KindExit:
+				ev.Phase = "E"
+			case ktau.KindAtomic:
+				ev.Phase = "i"
+				arg[0] = ktrace.ChromeArg{Key: "value", Int: r.val}
+				ev.Args = arg[:]
+			default:
+				continue
+			}
+			cw.Event(&ev)
 		}
-		if s.key.Kernel {
-			ev.Cat = "kernel"
-		}
-		switch r.kind {
-		case ktau.KindEntry:
-			ev.Phase = "B"
-		case ktau.KindExit:
-			ev.Phase = "E"
-		case ktau.KindAtomic:
-			ev.Phase = "i"
-			arg[0] = ktrace.ChromeArg{Key: "value", Int: r.val}
-			ev.Args = arg[:]
-		default:
-			continue
-		}
-		cw.Event(&ev)
 	}
 
 	for i, f := range flows {

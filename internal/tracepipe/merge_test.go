@@ -69,13 +69,33 @@ func refMerged(c *Collector) []refMergedEvent {
 	return out
 }
 
+// mergeRunSizes are the reference-buffer sizes the merge-order checks
+// export at besides mergeRunRefs: runs of one, two, three and seven
+// references put run edges inside TSC ties, inside unordered streams and
+// next to buckets larger than the buffer.
+var mergeRunSizes = []int{1, 2, 3, 7}
+
 // checkMergeOrder exports the collector and requires its record events to
-// be the reference merge's, in the reference's order.
+// be the reference merge's, in the reference's order, and the export at
+// every size in mergeRunSizes to be byte-identical to it. It also walks the
+// merge at each size with checkMergeRuns.
 func checkMergeOrder(t *testing.T, c *Collector) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := c.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
+	}
+	for _, size := range mergeRunSizes {
+		var small bytes.Buffer
+		if err := c.writeChromeTrace(&small, size); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(small.Bytes(), buf.Bytes()) {
+			t.Fatalf("export placing %d references at a time differs from the export placing %d", size, mergeRunRefs)
+		}
+	}
+	for _, size := range append([]int{mergeRunRefs}, mergeRunSizes...) {
+		checkMergeRuns(t, c, size)
 	}
 	got := exportedRecords(t, buf.Bytes())
 
@@ -103,6 +123,34 @@ func checkMergeOrder(t *testing.T, c *Collector) {
 		if got[i] != want[i] {
 			t.Fatalf("event %d = %+v, reference %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// checkMergeRuns walks the merge of c's snapshot placing size references
+// at a time: its buffer must hold no more than the larger of size and the
+// largest bucket, and its runs must hand out as many references as there
+// are records (checkMergeOrder's export comparison checks which, and in
+// what order).
+func checkMergeRuns(t *testing.T, c *Collector, size int) {
+	t.Helper()
+	_, segs, _, _ := c.snapshot()
+	m, err := mergeOrder(segs, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	largest := 0
+	for b := range m.next {
+		largest = max(largest, int(m.end(b)-m.next[b]))
+	}
+	if limit := max(size, largest); cap(m.buf) > limit {
+		t.Fatalf("size %d: reference buffer holds %d references, want at most %d", size, cap(m.buf), limit)
+	}
+	handed := 0
+	for refs := m.run(); refs != nil; refs = m.run() {
+		handed += len(refs)
+	}
+	if handed != int(m.n) {
+		t.Fatalf("size %d: runs handed out %d references, want %d", size, handed, m.n)
 	}
 }
 

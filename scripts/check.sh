@@ -259,8 +259,9 @@ go test -run '^$' -bench BenchmarkCoreHotPath -benchtime=1x .
 echo "== bench gate (strict-parse + thresholds on all BENCH_*.json) =="
 # Replaces the old sed/awk scraping: every gated file must exist, parse with
 # no duplicate keys, and hold its thresholds (Chiba speedup >= 1.25x, at
-# most 50 000 allocations in the serial 32-node Chiba run, and at most 34 MB
-# allocated by one serial 64-node serving run).
+# most 50 000 allocations in the serial 32-node Chiba run, at most 34 MB
+# allocated by one serial 64-node serving run, and at most 112 MB allocated
+# by one serial 32-node traced run and its Chrome trace export).
 # Missing or renamed keys fail loudly instead of producing an empty capture.
 #
 # BENCH_parallel.json gets the conditional multi-core speedup gate: every
