@@ -41,11 +41,11 @@ var benchGates = map[string][]BenchCheck{
 				"recycles its requests (45.7 MB allocated when every client node's shard held the full " +
 				"tenants x nodes grid and every arrival allocated, about 27.7 MB after); " +
 				"the volume depends on the code and the Go version, not on host load"},
-		{Key: "trace32_serial.after_alloc_bytes", Op: "<=", Limit: 112e6,
+		{Key: "trace32_serial.after_alloc_bytes", Op: "<=", Limit: 95e6,
 			Why: "the serial 32-node traced run and its Chrome export keep trace memory to the records " +
-				"kept: on-demand kernel rings, pointer-free collector records and an export that places " +
-				"its merge references one bucket range at a time (120.0 MB allocated when the export " +
-				"placed a 16-byte reference per record at once, about 105 MB after); " +
+				"kept: on-demand kernel rings, collector records stored in the wire's varint layout and an " +
+				"export that places its merge references one bucket range at a time (105.1 MB allocated " +
+				"when the collector stored 24-byte records, about 87 MB after); " +
 				"the volume depends on the code and the Go version, not on host load"},
 	},
 	// BENCH_parallel.json has a rows-based schema with conditional gating

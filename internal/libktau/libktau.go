@@ -7,7 +7,6 @@
 package libktau
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -15,6 +14,7 @@ import (
 
 	"ktau/internal/ktau"
 	"ktau/internal/procfs"
+	"ktau/internal/ship"
 )
 
 // Scope selects whose data a retrieval targets (libKtau's self/other/all).
@@ -163,104 +163,17 @@ const (
 	minMappedBytes  = 4 + 2 + 4 + 2 + 4 + 8 + 8 + 8
 )
 
-// reader decodes the little-endian blob layout. The first failure sticks:
-// every later read returns zero, so each decode loop stops at the first
-// error it sees.
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) need(n int) bool {
-	if r.err != nil {
-		return false
-	}
-	if n > len(r.b)-r.off {
-		r.err = errTruncated
-		return false
-	}
-	return true
-}
-
-// count validates a decoded element count before anything is sized from
-// it: each element takes at least width bytes, so a count the bytes left
-// cannot hold is damage. It is checked while still unsigned, so a huge value
-// can neither wrap nor allocate (ship.Reader.Count's discipline).
-func (r *reader) count(n uint32, width int) int {
-	if r.err != nil {
-		return 0
-	}
-	if uint64(n) > uint64((len(r.b)-r.off)/width) {
-		r.err = errCount
-		return 0
-	}
-	return int(n)
-}
-
-func (r *reader) u8() uint8 {
-	if !r.need(1) {
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-func (r *reader) u16() uint16 {
-	if !r.need(2) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(r.b[r.off:])
-	r.off += 2
-	return v
-}
-func (r *reader) u32() uint32 {
-	if !r.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-func (r *reader) u64() uint64 {
-	if !r.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-func (r *reader) i32() int32   { return int32(r.u32()) }
-func (r *reader) i64() int64   { return int64(r.u64()) }
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-// str reads a length-prefixed string. It returns old when the bytes equal
-// it (the comparison does not allocate), so a decode into reused storage
-// allocates only for the names that changed.
-func (r *reader) str(old string) string {
-	n := int(r.u16())
-	if !r.need(n) {
-		return ""
-	}
-	b := r.b[r.off : r.off+n]
-	r.off += n
-	if string(b) == old {
-		return old
-	}
-	return string(b)
-}
-
 // header checks the magic and version every blob starts with.
-func (r *reader) header() error {
-	if r.u32() != procfs.Magic {
-		if r.err != nil {
-			return r.err
+func header(r *ship.Reader) error {
+	if r.U32() != procfs.Magic {
+		if r.Err() != nil {
+			return decodeErr(r.Err())
 		}
 		return errors.New("libktau: bad magic")
 	}
-	if v := r.u32(); v != procfs.Version {
-		if r.err != nil {
-			return r.err
+	if v := r.U32(); v != procfs.Version {
+		if r.Err() != nil {
+			return decodeErr(r.Err())
 		}
 		return fmt.Errorf("libktau: unsupported version %d", v)
 	}
@@ -268,12 +181,27 @@ func (r *reader) header() error {
 }
 
 // end reports the first decode failure, or trailing bytes: a blob decodes
-// only if it is exactly what procfs packs for the decoded value.
-func (r *reader) end() error {
-	if r.err == nil && r.off != len(r.b) {
-		r.err = errTrailing
+// only if it is exactly what procfs packs for the decoded value. A byte
+// read past the decoded value fails only when the blob ends there.
+func end(r *ship.Reader) error {
+	if r.Err() != nil {
+		return decodeErr(r.Err())
 	}
-	return r.err
+	if r.U8(); r.Err() == nil {
+		return errTrailing
+	}
+	return nil
+}
+
+// decodeErr maps the wire reader's errors to libktau's.
+func decodeErr(err error) error {
+	switch err {
+	case ship.ErrTruncated:
+		return errTruncated
+	case ship.ErrCount:
+		return errCount
+	}
+	return err
 }
 
 // DecodeProfiles parses a binary profile blob from /proc/ktau/profile.
@@ -295,85 +223,85 @@ func DecodeProfiles(blob []byte) ([]ktau.Snapshot, error) {
 // decode overwrites); nil decodes into fresh storage. On an error the
 // result is empty but keeps the storage for the next call.
 func DecodeProfilesInto(dst []ktau.Snapshot, blob []byte) ([]ktau.Snapshot, error) {
-	r := &reader{b: blob}
-	if err := r.header(); err != nil {
+	r := ship.NewReader(blob)
+	if err := header(&r); err != nil {
 		return dst[:0], err
 	}
-	count := r.count(r.u32(), minSnapBytes)
-	out := slices.Grow(dst[:0], count)[:count]
-	for i := 0; i < len(out) && r.err == nil; i++ {
+	nsnap := r.CountOf(uint64(r.U32()), minSnapBytes)
+	out := slices.Grow(dst[:0], nsnap)[:nsnap]
+	for i := 0; i < len(out) && r.Err() == nil; i++ {
 		s := &out[i]
-		s.PID = int(r.i64())
-		s.Name = r.str(s.Name)
-		s.TSC = r.i64()
-		s.Created = r.i64()
-		s.ExitedAt = r.i64()
+		s.PID = int(r.I64())
+		s.Name = r.StrReuse(s.Name)
+		s.TSC = r.I64()
+		s.Created = r.I64()
+		s.ExitedAt = r.I64()
 		s.Exited = false
-		switch r.u8() {
+		switch r.U8() {
 		case 0:
 		case 1:
 			s.Exited = true
 		default:
-			r.err = errFlag
+			r.Fail(errFlag)
 		}
-		s.TraceLost = r.u64()
-		nctr := int(r.u16())
+		s.TraceLost = r.U64()
+		nctr := int(r.U16())
 		if nctr > ktau.MaxCounters {
-			r.err = errCounters
+			r.Fail(errCounters)
 		}
-		nctr = r.count(uint32(nctr), minCtrNameBytes)
+		nctr = r.CountOf(uint64(nctr), minCtrNameBytes)
 		s.CounterNames = slices.Grow(s.CounterNames[:0], nctr)[:nctr]
-		for j := 0; j < nctr && r.err == nil; j++ {
-			s.CounterNames[j] = r.str(s.CounterNames[j])
+		for j := 0; j < nctr && r.Err() == nil; j++ {
+			s.CounterNames[j] = r.StrReuse(s.CounterNames[j])
 		}
-		nev := r.u32()
-		nat := r.u32()
-		nmap := r.u32()
-		n := r.count(nev, minEventBytes+8*nctr)
+		nev := r.U32()
+		nat := r.U32()
+		nmap := r.U32()
+		n := r.CountOf(uint64(nev), minEventBytes+8*nctr)
 		s.Events = slices.Grow(s.Events[:0], n)[:n]
-		for j := 0; j < len(s.Events) && r.err == nil; j++ {
+		for j := 0; j < len(s.Events) && r.Err() == nil; j++ {
 			e := &s.Events[j]
-			e.ID = ktau.EventID(r.i32())
-			e.Group = ktau.Group(r.u32())
-			e.Calls = r.u64()
-			e.Subrs = r.u64()
-			e.Incl = r.i64()
-			e.Excl = r.i64()
+			e.ID = ktau.EventID(int32(r.U32()))
+			e.Group = ktau.Group(r.U32())
+			e.Calls = r.U64()
+			e.Subrs = r.U64()
+			e.Incl = r.I64()
+			e.Excl = r.I64()
 			e.Ctr = [ktau.MaxCounters]int64{}
 			for ci := 0; ci < nctr; ci++ {
-				e.Ctr[ci] = r.i64()
+				e.Ctr[ci] = r.I64()
 			}
-			e.Name = r.str(e.Name)
+			e.Name = r.StrReuse(e.Name)
 		}
-		n = r.count(nat, minAtomicBytes)
+		n = r.CountOf(uint64(nat), minAtomicBytes)
 		s.Atomics = slices.Grow(s.Atomics[:0], n)[:n]
-		for j := 0; j < len(s.Atomics) && r.err == nil; j++ {
+		for j := 0; j < len(s.Atomics) && r.Err() == nil; j++ {
 			a := &s.Atomics[j]
-			a.ID = ktau.EventID(r.i32())
-			a.Group = ktau.Group(r.u32())
-			a.Count = r.u64()
-			a.Sum = r.f64()
-			a.Min = r.f64()
-			a.Max = r.f64()
-			a.Mean = r.f64()
-			a.Std = r.f64()
-			a.Name = r.str(a.Name)
+			a.ID = ktau.EventID(int32(r.U32()))
+			a.Group = ktau.Group(r.U32())
+			a.Count = r.U64()
+			a.Sum = math.Float64frombits(r.U64())
+			a.Min = math.Float64frombits(r.U64())
+			a.Max = math.Float64frombits(r.U64())
+			a.Mean = math.Float64frombits(r.U64())
+			a.Std = math.Float64frombits(r.U64())
+			a.Name = r.StrReuse(a.Name)
 		}
-		n = r.count(nmap, minMappedBytes)
+		n = r.CountOf(uint64(nmap), minMappedBytes)
 		s.Mapped = slices.Grow(s.Mapped[:0], n)[:n]
-		for j := 0; j < len(s.Mapped) && r.err == nil; j++ {
+		for j := 0; j < len(s.Mapped) && r.Err() == nil; j++ {
 			m := &s.Mapped[j]
-			m.Ctx = r.i32()
-			m.CtxName = r.str(m.CtxName)
-			m.Ev = ktau.EventID(r.i32())
-			m.EvName = r.str(m.EvName)
-			m.Group = ktau.Group(r.u32())
-			m.Calls = r.u64()
-			m.Incl = r.i64()
-			m.Excl = r.i64()
+			m.Ctx = int32(r.U32())
+			m.CtxName = r.StrReuse(m.CtxName)
+			m.Ev = ktau.EventID(int32(r.U32()))
+			m.EvName = r.StrReuse(m.EvName)
+			m.Group = ktau.Group(r.U32())
+			m.Calls = r.U64()
+			m.Incl = r.I64()
+			m.Excl = r.I64()
 		}
 	}
-	if err := r.end(); err != nil {
+	if err := end(&r); err != nil {
 		return out[:0], err
 	}
 	return out, nil
@@ -397,23 +325,23 @@ func DecodeTrace(blob []byte) (TraceDump, error) {
 // into fresh storage. On an error the result's Records are empty but keep
 // the storage for the next call.
 func DecodeTraceInto(dst []ktau.Record, blob []byte) (TraceDump, error) {
-	r := &reader{b: blob}
-	if err := r.header(); err != nil {
+	r := ship.NewReader(blob)
+	if err := header(&r); err != nil {
 		return TraceDump{Records: dst[:0]}, err
 	}
 	var d TraceDump
-	d.PID = int(r.i64())
-	d.Lost = r.u64()
-	n := r.count(r.u32(), procfs.TraceRecordBytes)
+	d.PID = int(r.I64())
+	d.Lost = r.U64()
+	n := r.CountOf(uint64(r.U32()), procfs.TraceRecordBytes)
 	d.Records = slices.Grow(dst[:0], n)[:n]
-	for i := 0; i < len(d.Records) && r.err == nil; i++ {
+	for i := 0; i < len(d.Records) && r.Err() == nil; i++ {
 		rec := &d.Records[i]
-		rec.TSC = r.i64()
-		rec.Ev = ktau.EventID(r.i32())
-		rec.Kind = ktau.RecordKind(r.u8())
-		rec.Val = r.i64()
+		rec.TSC = r.I64()
+		rec.Ev = ktau.EventID(int32(r.U32()))
+		rec.Kind = ktau.RecordKind(r.U8())
+		rec.Val = r.I64()
 	}
-	if err := r.end(); err != nil {
+	if err := end(&r); err != nil {
 		return TraceDump{Records: d.Records[:0]}, err
 	}
 	return d, nil

@@ -88,6 +88,15 @@ func (r *Reader) U8() uint8 {
 	return v
 }
 
+func (r *Reader) U16() uint16 {
+	if !r.need(2) {
+		return 0
+	}
+	v := binary.LittleEndian.Uint16(r.b[r.off:])
+	r.off += 2
+	return v
+}
+
 func (r *Reader) U32() uint32 {
 	if !r.need(4) {
 		return 0
@@ -142,11 +151,7 @@ func (r *Reader) Str() string { return r.StrReuse("") }
 // (the comparison does not allocate), so a decoder refilling reused storage
 // allocates only for the strings that changed.
 func (r *Reader) StrReuse(old string) string {
-	if !r.need(2) {
-		return ""
-	}
-	n := int(binary.LittleEndian.Uint16(r.b[r.off:]))
-	r.off += 2
+	n := int(r.U16())
 	if !r.need(n) {
 		return ""
 	}

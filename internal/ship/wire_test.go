@@ -9,6 +9,7 @@ import (
 func encodeAll() []byte {
 	var w Writer
 	w.U8(7)
+	w.B = binary.LittleEndian.AppendUint16(w.B, 0xbeef)
 	w.U32(1 << 31)
 	w.U64(1 << 63)
 	w.I64(-5)
@@ -22,7 +23,7 @@ func encodeAll() []byte {
 // readAll decodes encodeAll's layout and reports whether every value came
 // back intact.
 func readAll(r *Reader) bool {
-	return r.U8() == 7 && r.U32() == 1<<31 && r.U64() == 1<<63 && r.I64() == -5 &&
+	return r.U8() == 7 && r.U16() == 0xbeef && r.U32() == 1<<31 && r.U64() == 1<<63 && r.I64() == -5 &&
 		r.UV() == 300 && r.ZZ() == -300 && r.U8() == 1 && r.Str() == "kmond"
 }
 

@@ -15,6 +15,7 @@
 package tcpsim
 
 import (
+	"sync/atomic"
 	"time"
 
 	"ktau/internal/kernel"
@@ -90,8 +91,11 @@ type Stack struct {
 	rxAction func(*kernel.BHCtx)
 	raiseRx  func()
 
-	// open is the number of this stack's endpoints not yet closed.
-	open int
+	// open is the number of this stack's endpoints not yet closed. Connect
+	// runs on the opening end's engine and counts both ends, so under the
+	// partitioned runner two workers can open connections to one stack at
+	// once: open and Stats.ConnsOpened are only written atomically.
+	open atomic.Int64
 
 	// Stats counts stack activity.
 	Stats struct {
@@ -146,7 +150,7 @@ func (s *Stack) Kernel() *kernel.Kernel { return s.k }
 // OpenConns reports how many of this stack's endpoints are still open: a
 // leak detector for long-lived connection populations (serving fleets must
 // drain to zero).
-func (s *Stack) OpenConns() int { return s.open }
+func (s *Stack) OpenConns() int { return int(s.open.Load()) }
 
 // Params returns the stack's cost model.
 func (s *Stack) Params() Params { return s.p }
@@ -214,10 +218,10 @@ func Connect(a, b *Stack) (*Conn, *Conn) {
 	}
 	ca.peer = cb
 	cb.peer = ca
-	a.open++
-	a.Stats.ConnsOpened++
-	b.open++
-	b.Stats.ConnsOpened++
+	for _, s := range [2]*Stack{a, b} {
+		s.open.Add(1)
+		atomic.AddUint64(&s.Stats.ConnsOpened, 1)
+	}
 	return ca, cb
 }
 
@@ -476,7 +480,7 @@ func (c *Conn) closeLocal(idle bool) {
 	if idle {
 		s.Stats.IdleCloses++
 	}
-	s.open--
+	s.open.Add(-1)
 	s.Stats.ConnsClosed++
 	// Release blocked readers on the dead endpoint so they observe EOF.
 	c.rcvWQ.WakeAll(s.k)

@@ -1,6 +1,8 @@
 package tcpsim
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -489,5 +491,49 @@ func TestIdleTimeoutSparesActiveConn(t *testing.T) {
 	}
 	if a.OpenConns() != 0 || b.OpenConns() != 0 {
 		t.Errorf("open conns after quiesce = %d/%d, want 0/0", a.OpenConns(), b.OpenConns())
+	}
+}
+
+// TestConcurrentConnectsCountExactly opens connections to one shared stack
+// from 8 goroutines at once, as agents on different workers of the
+// partitioned runner do when they reconnect to a new collector in the same
+// epoch. Every connection must be counted on both ends (check.sh runs this
+// package under -race).
+func TestConcurrentConnectsCountExactly(t *testing.T) {
+	eng := sim.NewEngine()
+	rng := sim.NewRNG(3)
+	net := netsim.New(eng, netsim.DefaultLinkSpec())
+	mk := func(name string) *Stack {
+		k := kernel.NewKernel(eng, name, kernel.DefaultParams(), rng, ktau.Options{})
+		t.Cleanup(k.Shutdown)
+		return NewStack(k, net.Attach(name), DefaultParams())
+	}
+	const openers, conns = 8, 500
+	shared := mk("collector")
+	stacks := make([]*Stack, openers)
+	for i := range stacks {
+		stacks[i] = mk(fmt.Sprintf("node%d", i))
+	}
+	var wg sync.WaitGroup
+	for _, s := range stacks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < conns; i++ {
+				Connect(s, shared)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := shared.OpenConns(); got != openers*conns {
+		t.Errorf("shared stack has %d open connections, want %d", got, openers*conns)
+	}
+	if got := shared.Stats.ConnsOpened; got != openers*conns {
+		t.Errorf("shared stack counted %d opened connections, want %d", got, openers*conns)
+	}
+	for i, s := range stacks {
+		if s.OpenConns() != conns || s.Stats.ConnsOpened != conns {
+			t.Errorf("node%d: %d open, %d opened, want %d each", i, s.OpenConns(), s.Stats.ConnsOpened, conns)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ktau/internal/cluster"
 	"ktau/internal/kernel"
@@ -82,10 +83,10 @@ func TestWriteChromeTraceAllocsIndependentOfRecords(t *testing.T) {
 }
 
 // TestWriteChromeTraceBytesIndependentOfRecords pins what an export
-// allocates beyond a fixed allowance, the reference buffer of mergeRunRefs
-// 16-byte references: at most one byte per record, the int32 bucket bounds
-// at about one bucket per four records. An export that placed a reference
-// for every record at once allocated 16 bytes more per record.
+// allocates beyond a fixed allowance, the reference and payload buffers of
+// mergeRunRefs slots each: at most one byte per record, the int32 bucket
+// bounds at about one bucket per four records. An export that placed a
+// reference for every record at once allocated 16 bytes more per record.
 func TestWriteChromeTraceBytesIndependentOfRecords(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation volumes are not reproducible under -race")
@@ -107,7 +108,8 @@ func TestWriteChromeTraceBytesIndependentOfRecords(t *testing.T) {
 	}
 	const records = 4 * mergeRunRefs
 	small, large := bytesPerExport(exportCollector(100)), bytesPerExport(exportCollector(records))
-	allowance := float64(16*mergeRunRefs + 64<<10)
+	slot := unsafe.Sizeof(recRef{}) + unsafe.Sizeof(recPayload{})
+	allowance := float64(slot*mergeRunRefs + 64<<10)
 	if grown := large - small; grown > allowance+records {
 		t.Fatalf("export of %d records allocated %.0f bytes, %.0f more than for 100 records; want at most %.0f more (%.0f, then one byte per record)",
 			records, large, grown, allowance+records, allowance)
@@ -116,11 +118,12 @@ func TestWriteChromeTraceBytesIndependentOfRecords(t *testing.T) {
 
 // TestShippedFrameIngestBytesPerRecord pins what a shipped frame costs
 // once the decoding frame is warm. Decoding into the reused frame allocates
-// nothing, and ingest allocates the records it keeps at 24 bytes each plus a
+// nothing, and ingest allocates the records it keeps, in the wire's
+// per-record layout of about 5 bytes, at no more than 8 bytes each plus a
 // constant per stream: the rounding of the frame's one exact-size record
 // block to the allocator's size class or whole 8 KiB pages, and each
-// stream's segment-list growth. Both paths are held: the sink's, which reads
-// every record's name through the frame's decoded dictionary, and
+// stream's segment-list growth. Both paths are held: the sink's, which
+// reads every record's name through the frame's decoded dictionary, and
 // DecodeFrameInto plus the exported Ingest.
 func TestShippedFrameIngestBytesPerRecord(t *testing.T) {
 	if raceEnabled {
@@ -139,7 +142,7 @@ func TestShippedFrameIngestBytesPerRecord(t *testing.T) {
 		}
 		blob := EncodeFrame(f)
 		wire := ship.HeaderBytes + len(blob)
-		budget := float64(24*f.records() + perStream*streams)
+		budget := float64(8*f.records() + perStream*streams)
 
 		c := NewCollector(2, 450_000_000)
 		var sink shipment
@@ -174,7 +177,7 @@ func TestShippedFrameIngestBytesPerRecord(t *testing.T) {
 			}
 			runtime.ReadMemStats(&after)
 			if got := float64(after.TotalAlloc-before.TotalAlloc) / runs; got > budget {
-				t.Errorf("%s, %d records: %.0f bytes per frame, want at most %.0f (24 per record + %d per stream)",
+				t.Errorf("%s, %d records: %.0f bytes per frame, want at most %.0f (8 per record + %d per stream)",
 					p.name, f.records(), got, budget, perStream)
 			}
 		}

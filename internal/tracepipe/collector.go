@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 
@@ -30,9 +31,12 @@ type Collector struct {
 	// msgs holds the MPI endpoint events: one exact-size segment per frame
 	// that carried any, in arrival order.
 	msgs []msgSeg
-	// remap is ingest's scratch: the name-table index of each entry of the
-	// frame's dictionary.
-	remap []uint32
+	// remap, enc and placed are ingest's scratch: the name-table index of
+	// each entry of the frame's dictionary, the frame's records encoded in
+	// stream order, and the segment of each stream that carried any.
+	remap  []uint32
+	enc    []byte
+	placed []placedSeg
 }
 
 // streamKey identifies one ring's record stream across frames.
@@ -49,17 +53,84 @@ type streamState struct {
 	// segs holds the stream's records as ingested: one segment per frame
 	// that carried any, in arrival order (chronological per stream). A
 	// segment is never appended to or written after it is stored.
-	segs [][]rec
+	segs []seg
 }
 
-// rec is one stored trace record: a Rec whose name is an index into the
-// collector's name table. It holds no pointer, so the garbage collector
-// never scans the record segments, and it takes 24 bytes to Rec's 40.
-type rec struct {
-	tsc  int64
-	val  int64
-	name uint32
-	kind ktau.RecordKind
+// seg is one frame's records of one stream, stored as appendRec lays them
+// out on the wire, each name an index into the collector's name table and
+// each TSC a delta from the segment's previous record. recs holds no
+// pointer, so the garbage collector never scans it, and it takes about 5
+// bytes a record where a decoded Rec takes 40. n counts the records, and lo
+// and hi are the least and greatest TSC among them.
+type seg struct {
+	recs   []byte
+	n      int
+	lo, hi int64
+}
+
+// placedSeg is a segment of the frame being ingested: until the frame's
+// block is cut, its records are enc[the previous segment's end:end].
+type placedSeg struct {
+	st  *streamState
+	end int
+	seg seg
+}
+
+// segReader decodes a stored segment's records in order. The collector
+// wrote every byte it reads, so it checks nothing.
+type segReader struct {
+	b   []byte
+	off int
+	tsc int64 // the last record's TSC
+}
+
+// uv decodes a uvarint.
+func (r *segReader) uv() uint64 {
+	var v uint64
+	for shift := uint(0); ; shift += 7 {
+		c := r.b[r.off]
+		r.off++
+		v |= uint64(c&0x7f) << shift
+		if c < 0x80 {
+			return v
+		}
+	}
+}
+
+// zz decodes a zigzag varint.
+func (r *segReader) zz() int64 {
+	u := r.uv()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// skip steps over a varint.
+func (r *segReader) skip() {
+	for r.b[r.off] >= 0x80 {
+		r.off++
+	}
+	r.off++
+}
+
+// nextTSC decodes the next record's TSC and leaves its other fields, which
+// rest or skipRest reads next.
+func (r *segReader) nextTSC() int64 {
+	r.tsc += r.zz()
+	return r.tsc
+}
+
+// rest decodes the fields of the record whose TSC nextTSC returned.
+func (r *segReader) rest() (name uint32, kind ktau.RecordKind, val int64) {
+	name = uint32(r.uv())
+	kind = ktau.RecordKind(r.b[r.off])
+	r.off++
+	return name, kind, r.zz()
+}
+
+// skipRest steps over the fields of the record whose TSC nextTSC returned.
+func (r *segReader) skipRest() {
+	r.skip()
+	r.off++
+	r.skip()
 }
 
 // msgSeg is one ingested frame's MPI endpoint events.
@@ -114,8 +185,10 @@ func (c *Collector) Ingest(f Frame, wireBytes int) {
 
 // ingest is Ingest of a frame whose dictionary is d. Each dictionary name
 // is interned into the collector's name table once, and each record's name
-// is then read through its dictionary index. One exact-size block holds
-// the frame's records, each stream's segment a capacity-capped part of it.
+// is then read through its dictionary index. The records are encoded into
+// the reused scratch, one stream after another, and then copied into one
+// exact-size block for the frame, each stream's segment a capacity-capped
+// part of it.
 func (c *Collector) ingest(f *Frame, d *dict, wireBytes int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -144,10 +217,7 @@ func (c *Collector) ingest(f *Frame, d *dict, wireBytes int) {
 		}
 		c.remap = append(c.remap, i)
 	}
-	var block []rec
-	if nrec := len(d.ids); nrec > 0 {
-		block = make([]rec, nrec)
-	}
+	c.enc, c.placed = c.enc[:0], c.placed[:0]
 	ids := d.ids
 	for _, s := range f.Streams {
 		key := streamKey{NodeIdx: f.NodeIdx, PID: s.PID, Kernel: s.Kernel}
@@ -162,17 +232,29 @@ func (c *Collector) ingest(f *Frame, d *dict, wireBytes int) {
 		st.lost = maxU64(st.lost, s.Lost)
 		st.sampled = maxU64(st.sampled, s.Sampled)
 		if nr := len(s.Recs); nr > 0 {
-			seg := block[:nr:nr]
+			sg := seg{n: nr, lo: math.MaxInt64, hi: math.MinInt64}
+			prev := int64(0)
 			for i, r := range s.Recs {
-				seg[i] = rec{tsc: r.TSC, val: r.Val, name: c.remap[ids[i]], kind: r.Kind}
+				c.enc = appendRec(c.enc, r.TSC-prev, c.remap[ids[i]], r.Kind, r.Val)
+				prev = r.TSC
+				sg.lo, sg.hi = min(sg.lo, r.TSC), max(sg.hi, r.TSC)
 			}
-			st.segs = append(st.segs, seg)
-			block, ids = block[nr:], ids[nr:]
+			c.placed = append(c.placed, placedSeg{st: st, end: len(c.enc), seg: sg})
+			ids = ids[nr:]
 		}
 		if s.Kernel {
 			n.kernRecs += uint64(len(s.Recs))
 		} else {
 			n.userRecs += uint64(len(s.Recs))
+		}
+	}
+	if len(c.placed) > 0 {
+		block, start := make([]byte, len(c.enc)), 0
+		copy(block, c.enc)
+		for _, p := range c.placed {
+			p.seg.recs = block[start:p.end:p.end]
+			p.st.segs = append(p.st.segs, p.seg)
+			start = p.end
 		}
 	}
 	if len(f.Msgs) > 0 {
@@ -316,9 +398,11 @@ func (c *Collector) NodeEventCounts(names ...string) []uint64 {
 		if key.NodeIdx < 0 || key.NodeIdx >= len(out) {
 			continue
 		}
-		for _, seg := range st.segs {
-			for _, r := range seg {
-				if want[r.name] {
+		for _, sg := range st.segs {
+			r := segReader{b: sg.recs}
+			for range sg.n {
+				r.nextTSC()
+				if name, _, _ := r.rest(); want[name] {
 					out[key.NodeIdx]++
 				}
 			}

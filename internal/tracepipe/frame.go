@@ -1,6 +1,7 @@
 package tracepipe
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -189,11 +190,8 @@ func appendFrame(dst []byte, f *Frame, d *dict) []byte {
 		w.UV(uint64(len(s.Recs)))
 		prev := int64(0)
 		for i, r := range s.Recs {
-			w.ZZ(r.TSC - prev)
+			w.B = appendRec(w.B, r.TSC-prev, ids[i], r.Kind, r.Val)
 			prev = r.TSC
-			w.UV(uint64(ids[i]))
-			w.U8(uint8(r.Kind))
-			w.ZZ(r.Val)
 		}
 		ids = ids[len(s.Recs):]
 	}
@@ -212,6 +210,19 @@ func appendFrame(dst []byte, f *Frame, d *dict) []byte {
 		w.ZZ(m.EndTSC - m.StartTSC)
 	}
 	return w.B
+}
+
+// appendRec appends one record in the wire's per-record layout: the zigzag
+// varint of its TSC's delta from the previous record's (from 0 for a
+// stream's or a stored segment's first), the uvarint of its name index, its
+// kind byte and the zigzag varint of its value. Frames carry their records
+// this way, indexed into the frame's dictionary, and the collector stores
+// them this way, indexed into its name table.
+func appendRec(b []byte, delta int64, name uint32, kind ktau.RecordKind, val int64) []byte {
+	b = binary.AppendVarint(b, delta)
+	b = binary.AppendUvarint(b, uint64(name))
+	b = append(b, byte(kind))
+	return binary.AppendVarint(b, val)
 }
 
 // DecodeFrame parses a frame payload produced by AppendFrame. Damaged,

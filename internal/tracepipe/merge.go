@@ -127,12 +127,10 @@ type exportStream struct {
 	task string
 }
 
-// exportSeg is one ingested segment of streams[stream]'s records; lo and hi
-// are the least and greatest TSC among them, filled in by mergeOrder.
+// exportSeg is one stored segment of streams[stream]'s records.
 type exportSeg struct {
-	stream int
-	recs   []rec
-	lo, hi int64
+	stream int32
+	seg
 }
 
 // snapshot copies what an export reads, holding mu only for the copy: every
@@ -154,26 +152,37 @@ func (c *Collector) snapshot() ([]exportStream, []exportSeg, []string, []msgSeg)
 	for i, k := range keys {
 		st := c.streams[k]
 		streams[i] = exportStream{key: k, node: c.nodes[k.NodeIdx].name, task: st.task}
-		for _, seg := range st.segs {
-			segs = append(segs, exportSeg{stream: i, recs: seg})
+		for _, sg := range st.segs {
+			segs = append(segs, exportSeg{stream: int32(i), seg: sg})
 		}
 	}
 	return streams, segs, c.names[:len(c.names):len(c.names)], c.msgs[:len(c.msgs):len(c.msgs)]
 }
 
-// recRef places one record of an export snapshot: segs[seg].recs[pos].
+// recRef places one record in a run: its TSC, and its slot in the run's
+// reference buffer at placement, where the run's payload buffer holds the
+// rest of it.
 type recRef struct {
-	tsc      int64
-	seg, pos int32
+	tsc  int64
+	slot int32
+}
+
+// recPayload is a placed record's fields besides its TSC, decoded once at
+// placement so the writer never goes back to the stored bytes.
+type recPayload struct {
+	val    int64
+	name   uint32
+	stream int32
+	kind   ktau.RecordKind
 }
 
 // mergeRunRefs is how many references an export places and sorts at once,
-// 1 MiB of them, unless a single TSC bucket holds more.
+// unless a single TSC bucket holds more.
 const mergeRunRefs = 64 << 10
 
 // merge hands out the references of an export snapshot's records in merged
 // timeline order, one run of consecutive TSC buckets at a time, all of them
-// placed in one reused buffer.
+// placed in one reused buffer beside one reused payload buffer.
 type merge struct {
 	segs  []exportSeg
 	n     int32 // records in the snapshot
@@ -184,6 +193,9 @@ type merge struct {
 	next []int32
 	b    int // the first bucket not yet handed out
 	buf  []recRef
+	// payload[slot] is the rest of the record whose reference was placed at
+	// buf[slot]; sorting moves the references, not the payloads.
+	payload []recPayload
 }
 
 // mergeOrder prepares the merged timeline order of the snapshot's records:
@@ -197,26 +209,24 @@ type merge struct {
 // arrived.
 //
 // Kernel streams arrive unsorted (records land behind later-stamped ones of
-// their own stream), so the order is placed rather than merged: one pass
-// finds the TSC range of every segment and of them all, and a counting pass
-// sizes power-of-two-wide TSC buckets, about one per four records. Each run
-// then takes the next consecutive buckets that fit in runRefs references
-// (or the one next bucket, when it alone holds more), and its placement pass
-// writes each reference whose TSC falls in the run into its bucket in
-// (segment, position) order, visiting only the segments whose TSC range
-// meets the run's. Buckets partition the TSC range in order, so only each
-// bucket's few references are left to sort on the full key; a bucket that
-// takes every record is the one comparison sort of them all.
+// their own stream), so the order is placed rather than merged: the TSC
+// range of every segment, stored at ingest, gives the range of them all, and
+// a counting pass, decoding only TSCs, sizes power-of-two-wide TSC buckets,
+// about one per four records. Each run then takes the next consecutive
+// buckets that fit in runRefs references (or the one next bucket, when it
+// alone holds more), and its placement pass decodes the segments whose TSC
+// range meets the run's and writes each reference whose TSC falls in the
+// run into its bucket in (segment, position) order. A reference's slot is
+// where it was placed, so within a bucket slot order is (segment, position)
+// order. Buckets partition the TSC range in order, so only each bucket's few
+// references are left to sort by (TSC, slot); a bucket that takes every
+// record is the one comparison sort of them all.
 func mergeOrder(segs []exportSeg, runRefs int) (merge, error) {
 	n := 0
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	for i := range segs {
 		s := &segs[i]
-		n += len(s.recs)
-		s.lo, s.hi = math.MaxInt64, math.MinInt64
-		for j := range s.recs {
-			s.lo, s.hi = min(s.lo, s.recs[j].tsc), max(s.hi, s.recs[j].tsc)
-		}
+		n += s.n
 		lo, hi = min(lo, s.lo), max(hi, s.hi)
 	}
 	if len(segs) > math.MaxInt32 || n > math.MaxInt32 {
@@ -236,8 +246,10 @@ func mergeOrder(segs []exportSeg, runRefs int) (merge, error) {
 	}
 	m.next = make([]int32, span>>m.shift+1)
 	for _, s := range segs {
-		for i := range s.recs {
-			m.next[m.bucket(s.recs[i].tsc)]++
+		r := segReader{b: s.recs}
+		for range s.n {
+			m.next[m.bucket(r.nextTSC())]++
+			r.skipRest()
 		}
 	}
 	start, largest := int32(0), int32(0)
@@ -246,7 +258,8 @@ func mergeOrder(segs []exportSeg, runRefs int) (merge, error) {
 		start += count
 		largest = max(largest, count)
 	}
-	m.buf = make([]recRef, min(n, max(runRefs, int(largest))))
+	size := min(n, max(runRefs, int(largest)))
+	m.buf, m.payload = make([]recRef, size), make([]recPayload, size)
 	return m, nil
 }
 
@@ -278,15 +291,23 @@ func (m *merge) run() []recRef {
 	lo, hi := uint64(b0), uint64(b1)
 	for si := range m.segs {
 		s := &m.segs[si]
-		if len(s.recs) == 0 || m.bucket(s.hi) < lo || m.bucket(s.lo) >= hi {
+		if m.bucket(s.hi) < lo || m.bucket(s.lo) >= hi {
 			continue
 		}
-		for pos := range s.recs {
-			tsc := s.recs[pos].tsc
-			if b := m.bucket(tsc); b >= lo && b < hi {
-				refs[m.next[b]-first] = recRef{tsc: tsc, seg: int32(si), pos: int32(pos)}
-				m.next[b]++
+		r := segReader{b: s.recs}
+		for range s.n {
+			tsc := r.nextTSC()
+			b := m.bucket(tsc)
+			if b < lo || b >= hi {
+				r.skipRest()
+				continue
 			}
+			slot := m.next[b] - first
+			m.next[b]++
+			refs[slot] = recRef{tsc: tsc, slot: slot}
+			p := &m.payload[slot]
+			p.name, p.kind, p.val = r.rest()
+			p.stream = s.stream
 		}
 	}
 	start := int32(0)
@@ -301,15 +322,13 @@ func (m *merge) run() []recRef {
 	return refs
 }
 
-// compareRefs orders references by (TSC, segment, position).
+// compareRefs orders one bucket's references by (TSC, slot), which is
+// (TSC, segment, position).
 func compareRefs(a, b recRef) int {
 	if c := cmp.Compare(a.tsc, b.tsc); c != 0 {
 		return c
 	}
-	if c := cmp.Compare(a.seg, b.seg); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.pos, b.pos)
+	return cmp.Compare(a.slot, b.slot)
 }
 
 // trackID maps one ring's stream onto a Chrome thread track: each task gets
@@ -380,11 +399,10 @@ func (c *Collector) writeChromeTrace(w io.Writer, runRefs int) error {
 
 	for refs := m.run(); refs != nil; refs = m.run() {
 		for _, ref := range refs {
-			sg := &segs[ref.seg]
-			s := &streams[sg.stream]
-			r := &sg.recs[ref.pos]
+			r := &m.payload[ref.slot]
+			s := &streams[r.stream]
 			ev := ktrace.ChromeEvent{
-				Name: names[r.name], Cat: "user", TS: toUS(r.tsc),
+				Name: names[r.name], Cat: "user", TS: toUS(ref.tsc),
 				PID: s.key.NodeIdx, TID: trackID(s.key.PID, s.key.Kernel),
 			}
 			if s.key.Kernel {

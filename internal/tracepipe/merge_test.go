@@ -43,9 +43,17 @@ func exportedRecords(t *testing.T, trace []byte) []chromeRecord {
 	return out
 }
 
-// stored returns a stored record as the Rec it was ingested from.
-func (c *Collector) stored(r rec) Rec {
-	return Rec{TSC: r.tsc, Name: c.names[r.name], Kind: r.kind, Val: r.val}
+// stored decodes a stored segment into the Recs it was ingested from.
+func (c *Collector) stored(sg seg) []Rec {
+	out := make([]Rec, sg.n)
+	r := segReader{b: sg.recs}
+	for i := range out {
+		out[i].TSC = r.nextTSC()
+		var name uint32
+		name, out[i].Kind, out[i].Val = r.rest()
+		out[i].Name = c.names[name]
+	}
+	return out
 }
 
 // refMergedEvent and refMerged are the reference merge: the export used to
@@ -59,9 +67,9 @@ type refMergedEvent struct {
 func refMerged(c *Collector) []refMergedEvent {
 	var out []refMergedEvent
 	for _, key := range c.sortedStreamKeys() {
-		for _, seg := range c.streams[key].segs {
-			for _, r := range seg {
-				out = append(out, refMergedEvent{key: key, rec: c.stored(r)})
+		for _, sg := range c.streams[key].segs {
+			for _, r := range c.stored(sg) {
+				out = append(out, refMergedEvent{key: key, rec: r})
 			}
 		}
 	}
@@ -142,8 +150,9 @@ func checkMergeRuns(t *testing.T, c *Collector, size int) {
 	for b := range m.next {
 		largest = max(largest, int(m.end(b)-m.next[b]))
 	}
-	if limit := max(size, largest); cap(m.buf) > limit {
-		t.Fatalf("size %d: reference buffer holds %d references, want at most %d", size, cap(m.buf), limit)
+	if limit := max(size, largest); cap(m.buf) > limit || len(m.payload) != len(m.buf) {
+		t.Fatalf("size %d: reference buffer holds %d references and payload buffer %d, want at most %d each",
+			size, cap(m.buf), len(m.payload), limit)
 	}
 	handed := 0
 	for refs := m.run(); refs != nil; refs = m.run() {

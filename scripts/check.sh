@@ -84,7 +84,10 @@ echo "== go test -race (kernel coroutines + partitioned runner + cluster + seria
 # packet path's carrier handoff: a NIC's delivery carrier goes back to it
 # from whichever worker ran the landing engine, and TCP flows inside and
 # across racks, both ways, must deliver every byte at 2 workers exactly as
-# at 1.
+# at 1. So does tcpsim's connection accounting: agents on different
+# workers that reconnect to a new collector in one epoch open connections
+# to its stack at once, and 8 goroutines connecting to one stack must leave
+# exact counts.
 # The experiments cross-checks pin byte identity of the full monitored,
 # fault-injected workloads against serial on both the flat topology (one
 # group per node, 4 workers) and a racked one with a group per rack, at
@@ -97,6 +100,7 @@ go test -race -count=10 ./internal/cluster/ -run 'TestRackedFlowsParallelMatchSe
 go test -race -count=10 ./internal/kernel/ \
     -run 'TestEngineStepsOnFreshGoroutines|TestShutdownReleasesGoroutines|TestTaskPanicLeavesThroughDeferredShutdown'
 go test -race -count=10 ./internal/ship/ -run 'TestLinkRecycleConcurrent'
+go test -race -count=10 ./internal/tcpsim/ -run 'TestConcurrentConnectsCountExactly'
 go test -race ./internal/experiments/ -run TestParallelMatchesSerialByteForByte
 
 echo "== go test -race (trace pipeline + cluster-trace determinism) =="
@@ -260,7 +264,7 @@ echo "== bench gate (strict-parse + thresholds on all BENCH_*.json) =="
 # Replaces the old sed/awk scraping: every gated file must exist, parse with
 # no duplicate keys, and hold its thresholds (Chiba speedup >= 1.25x, at
 # most 50 000 allocations in the serial 32-node Chiba run, at most 34 MB
-# allocated by one serial 64-node serving run, and at most 112 MB allocated
+# allocated by one serial 64-node serving run, and at most 95 MB allocated
 # by one serial 32-node traced run and its Chrome trace export).
 # Missing or renamed keys fail loudly instead of producing an empty capture.
 #
