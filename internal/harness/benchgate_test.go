@@ -16,7 +16,7 @@ func goodBench(t *testing.T, dir string) {
 		"BENCH_core.json": `{
   "chiba32_serial": {"chiba_speedup_x": 1.8, "after_allocs": 23000, "alloc_reduction_x": "inf"},
   "serve64_serial": {"after_alloc_bytes": 27.7e6, "after_allocs": 134680},
-  "trace32_serial": {"after_alloc_bytes": 87.2e6, "after_allocs": 205000}
+  "trace32_serial": {"after_alloc_bytes": 69.0e6, "after_allocs": 205000}
 }`,
 		"BENCH_parallel.json": goodParallelJSON,
 	}
@@ -52,7 +52,7 @@ func TestGateBenchFilesMissingFile(t *testing.T) {
 
 func TestGateBenchFilesMissingKey(t *testing.T) {
 	const serve = `"serve64_serial": {"after_alloc_bytes": 27.7e6}`
-	const trace = `"trace32_serial": {"after_alloc_bytes": 87.2e6}`
+	const trace = `"trace32_serial": {"after_alloc_bytes": 69.0e6}`
 	blobs := map[string]string{
 		"chiba32_serial.chiba_speedup_x":   `{"chiba32_serial": {"after_allocs": 23000, "alloc_reduction_x": "inf"}, ` + serve + `, ` + trace + `}`,
 		"chiba32_serial.after_allocs":      `{"chiba32_serial": {"chiba_speedup_x": 1.8, "alloc_reduction_x": "inf"}, ` + serve + `, ` + trace + `}`,
@@ -84,7 +84,7 @@ func TestGateBenchFilesDuplicateKey(t *testing.T) {
 func TestGateBenchFilesThreshold(t *testing.T) {
 	dir := t.TempDir()
 	goodBench(t, dir)
-	const serve = `"serve64_serial": {"after_alloc_bytes": 27.7e6}, "trace32_serial": {"after_alloc_bytes": 87.2e6}`
+	const serve = `"serve64_serial": {"after_alloc_bytes": 27.7e6}, "trace32_serial": {"after_alloc_bytes": 69.0e6}`
 	blob := `{"chiba32_serial": {"chiba_speedup_x": 1.1, "after_allocs": 23000}, ` + serve + `}` // under the 1.25x floor
 	os.WriteFile(filepath.Join(dir, "BENCH_core.json"), []byte(blob), 0o644)
 	v := strings.Join(GateBenchFiles(dir, nil), "\n")
@@ -101,15 +101,15 @@ func TestGateBenchFilesThreshold(t *testing.T) {
 	}
 	// The serving run's budget: a run whose client nodes hold full latency
 	// grids and allocate every request again (45.7 MB) fails the gate.
-	blob = `{"chiba32_serial": {"chiba_speedup_x": 1.8, "after_allocs": 23000}, "serve64_serial": {"after_alloc_bytes": 45.7e6}, "trace32_serial": {"after_alloc_bytes": 87.2e6}}`
+	blob = `{"chiba32_serial": {"chiba_speedup_x": 1.8, "after_allocs": 23000}, "serve64_serial": {"after_alloc_bytes": 45.7e6}, "trace32_serial": {"after_alloc_bytes": 69.0e6}}`
 	os.WriteFile(filepath.Join(dir, "BENCH_core.json"), []byte(blob), 0o644)
 	gv := GateBenchFiles(dir, nil)
 	if len(gv) != 1 || !strings.Contains(gv[0], "serve64_serial.after_alloc_bytes") || !strings.Contains(gv[0], "violates") {
 		t.Fatalf("serve allocation budget violation not flagged alone: %v", gv)
 	}
-	// The traced run's budget: a run whose collector stores 24-byte
-	// records again (105.2 MB) fails the gate.
-	blob = `{"chiba32_serial": {"chiba_speedup_x": 1.8, "after_allocs": 23000}, "serve64_serial": {"after_alloc_bytes": 27.7e6}, "trace32_serial": {"after_alloc_bytes": 105.2e6}}`
+	// The traced run's budget: a run whose agents and sinks decode every
+	// record into a 40-byte Rec again (87.2 MB) fails the gate.
+	blob = `{"chiba32_serial": {"chiba_speedup_x": 1.8, "after_allocs": 23000}, "serve64_serial": {"after_alloc_bytes": 27.7e6}, "trace32_serial": {"after_alloc_bytes": 87.2e6}}`
 	os.WriteFile(filepath.Join(dir, "BENCH_core.json"), []byte(blob), 0o644)
 	gv = GateBenchFiles(dir, nil)
 	if len(gv) != 1 || !strings.Contains(gv[0], "trace32_serial.after_alloc_bytes") || !strings.Contains(gv[0], "violates") {
@@ -118,7 +118,7 @@ func TestGateBenchFilesThreshold(t *testing.T) {
 }
 
 func TestCheckBenchPayload(t *testing.T) {
-	ok := []byte(`{"chiba32_serial": {"chiba_speedup_x": 1.8, "after_allocs": 23000}, "serve64_serial": {"after_alloc_bytes": 27.7e6}, "trace32_serial": {"after_alloc_bytes": 87.2e6}}`)
+	ok := []byte(`{"chiba32_serial": {"chiba_speedup_x": 1.8, "after_allocs": 23000}, "serve64_serial": {"after_alloc_bytes": 27.7e6}, "trace32_serial": {"after_alloc_bytes": 69.0e6}}`)
 	if err := CheckBenchPayload("BENCH_core.json", ok); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestCheckBenchPayload(t *testing.T) {
 	if err := CheckBenchPayload("BENCH_core.json", missing); err == nil {
 		t.Fatal("missing gated key accepted at write time")
 	}
-	noServe := []byte(`{"chiba32_serial": {"chiba_speedup_x": 1.8, "after_allocs": 23000}, "trace32_serial": {"after_alloc_bytes": 87.2e6}}`)
+	noServe := []byte(`{"chiba32_serial": {"chiba_speedup_x": 1.8, "after_allocs": 23000}, "trace32_serial": {"after_alloc_bytes": 69.0e6}}`)
 	if err := CheckBenchPayload("BENCH_core.json", noServe); err == nil || !strings.Contains(err.Error(), "serve64_serial.after_alloc_bytes") {
 		t.Fatalf("payload without the serve budget's key accepted at write time: %v", err)
 	}

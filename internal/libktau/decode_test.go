@@ -288,6 +288,9 @@ func FuzzDecodeTrace(f *testing.F) {
 // passes each result's Records back in reads a 1000-record ring without
 // allocating.
 func TestGetTraceIntoAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under -race")
+	}
 	e := &env{}
 	m := ktau.NewMeasurement(e, ktau.Options{Compiled: ktau.GroupAll, Boot: ktau.GroupAll, TraceCapacity: 2048})
 	td := m.CreateTask(42, "p")
@@ -316,6 +319,9 @@ func TestGetTraceIntoAllocatesNothing(t *testing.T) {
 // the blob lands in the handle's scratch and the records are decoded into
 // one sized slice, so 10 and 1000 records cost the same allocations.
 func TestGetTraceAllocsIndependentOfRecords(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under -race")
+	}
 	e := &env{}
 	m := ktau.NewMeasurement(e, ktau.Options{Compiled: ktau.GroupAll, Boot: ktau.GroupAll, TraceCapacity: 2048})
 	td := m.CreateTask(42, "p")

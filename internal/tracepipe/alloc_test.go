@@ -117,14 +117,14 @@ func TestWriteChromeTraceBytesIndependentOfRecords(t *testing.T) {
 }
 
 // TestShippedFrameIngestBytesPerRecord pins what a shipped frame costs
-// once the decoding frame is warm. Decoding into the reused frame allocates
-// nothing, and ingest allocates the records it keeps, in the wire's
-// per-record layout of about 5 bytes, at no more than 8 bytes each plus a
-// constant per stream: the rounding of the frame's one exact-size record
-// block to the allocator's size class or whole 8 KiB pages, and each
-// stream's segment-list growth. Both paths are held: the sink's, which
-// reads every record's name through the frame's decoded dictionary, and
-// DecodeFrameInto plus the exported Ingest.
+// once the decoding shipment is warm. Decoding into the sink's reused
+// shipment allocates nothing, and ingest allocates the records it keeps, in
+// the wire's per-record layout of about 5 bytes, at no more than 8 bytes
+// each plus a constant per stream: the rounding of the frame's one
+// exact-size record block to the allocator's size class or whole 8 KiB
+// pages, and each stream's segment-list growth. Both entries to the one
+// decoder and ingest are held: the sink's, and DecodeFrameInto plus the
+// exported Ingest, which convert a Frame.
 func TestShippedFrameIngestBytesPerRecord(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not reproducible under -race")
@@ -146,9 +146,8 @@ func TestShippedFrameIngestBytesPerRecord(t *testing.T) {
 
 		c := NewCollector(2, 450_000_000)
 		var sink shipment
-		sink.dict = &dict{}
 		decode := func() {
-			if err := decodeFrame(&sink.Frame, sink.dict, blob); err != nil {
+			if err := sink.decode(blob); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -157,7 +156,7 @@ func TestShippedFrameIngestBytesPerRecord(t *testing.T) {
 			name string
 			run  func()
 		}{
-			{"sink", func() { decode(); c.ingest(&sink.Frame, sink.dict, wire) }},
+			{"sink", func() { decode(); c.ingest(&sink, wire) }},
 			{"DecodeFrameInto+Ingest", func() {
 				if err := DecodeFrameInto(&pub, blob); err != nil {
 					t.Fatal(err)
@@ -166,7 +165,7 @@ func TestShippedFrameIngestBytesPerRecord(t *testing.T) {
 			}},
 		}
 		for _, p := range paths {
-			for i := 0; i < 3; i++ { // warm the frame, the dictionaries and the stream states
+			for i := 0; i < 3; i++ { // warm the shipments, the frame and the stream states
 				p.run()
 			}
 			var before, after runtime.MemStats
@@ -182,16 +181,16 @@ func TestShippedFrameIngestBytesPerRecord(t *testing.T) {
 			}
 		}
 		if allocs := testing.AllocsPerRun(20, decode); allocs != 0 {
-			t.Errorf("%d records: decoding into the warmed sink frame allocated %.2f times, want 0", f.records(), allocs)
+			t.Errorf("%d records: decoding into the warmed sink shipment allocated %.2f times, want 0", f.records(), allocs)
 		}
 	}
 }
 
 // TestAgentRoundZeroAllocs pins a warmed ktraced round at zero allocations:
-// draining every kernel ring through procfs into the reused record scratch,
-// draining user rings and a message log whose sources reuse their buffers
-// (as the TAU and message-log drains do), building the frame and its
-// dictionary in place, and encoding it.
+// draining every kernel ring through procfs and appending its records to
+// the reused shipment, draining user rings and a message log whose sources
+// reuse their buffers (as the TAU and message-log drains do), building the
+// dictionary in place, and encoding the frame.
 func TestAgentRoundZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not reproducible under -race")
@@ -243,9 +242,9 @@ func TestAgentRoundZeroAllocs(t *testing.T) {
 			s, _ := a.Round(u, round, false)
 			a.Shipped(s, true)
 			round++
-			for _, st := range s.Streams {
-				if st.Kernel {
-					kernRecs += len(st.Recs)
+			for _, h := range s.streams {
+				if h.kernel {
+					kernRecs += h.n
 				}
 			}
 		}

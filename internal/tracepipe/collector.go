@@ -76,8 +76,9 @@ type placedSeg struct {
 	seg seg
 }
 
-// segReader decodes a stored segment's records in order. The collector
-// wrote every byte it reads, so it checks nothing.
+// segReader decodes records in the wire's per-record layout in order: a
+// stored segment's, or a shipment's. It checks nothing, since it reads
+// only bytes the pipeline wrote or the sink's decode checked.
 type segReader struct {
 	b   []byte
 	off int
@@ -177,38 +178,39 @@ func (c *Collector) node(idx int) *nodeTraceState {
 // message events are copied into the collector's own storage, so the
 // caller may reuse the frame once Ingest returns.
 func (c *Collector) Ingest(f Frame, wireBytes int) {
-	d := dictPool.Get().(*dict)
-	d.build(&f)
-	c.ingest(&f, d, wireBytes)
-	dictPool.Put(d)
+	s := shipmentPool.Get().(*shipment)
+	s.fromFrame(&f)
+	c.ingest(s, wireBytes)
+	shipmentPool.Put(s)
 }
 
-// ingest is Ingest of a frame whose dictionary is d. Each dictionary name
-// is interned into the collector's name table once, and each record's name
-// is then read through its dictionary index. The records are encoded into
-// the reused scratch, one stream after another, and then copied into one
-// exact-size block for the frame, each stream's segment a capacity-capped
-// part of it.
-func (c *Collector) ingest(f *Frame, d *dict, wireBytes int) {
+// ingest merges one shipment into the collector. Each dictionary name is
+// interned into the collector's name table once, and each record is then
+// re-encoded with its name's table index into the reused scratch, one
+// stream after another, and copied into one exact-size block for the
+// frame, each stream's segment a capacity-capped part of it. The
+// shipment's records were written by an agent or checked by the sink's
+// decode, so they are read unchecked.
+func (c *Collector) ingest(s *shipment, wireBytes int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := c.node(f.NodeIdx)
-	if f.Node != "" {
-		n.name = f.Node
+	n := c.node(s.NodeIdx)
+	if s.Node != "" {
+		n.name = s.Node
 	}
 	n.frames++
 	n.wireBytes += uint64(wireBytes)
-	if f.Backlog > n.backlogPeak {
-		n.backlogPeak = f.Backlog
+	if s.Backlog > n.backlogPeak {
+		n.backlogPeak = s.Backlog
 	}
-	if f.Throttle > n.throttlePeak {
-		n.throttlePeak = f.Throttle
+	if s.Throttle > n.throttlePeak {
+		n.throttlePeak = s.Throttle
 	}
-	n.readErrs = maxU64(n.readErrs, f.ReadErrs)
-	n.agentDrops = maxU64(n.agentDrops, f.Dropped)
-	n.agentDropR = maxU64(n.agentDropR, f.DroppedRecs)
+	n.readErrs = maxU64(n.readErrs, s.ReadErrs)
+	n.agentDrops = maxU64(n.agentDrops, s.Dropped)
+	n.agentDropR = maxU64(n.agentDropR, s.DroppedRecs)
 	c.remap = c.remap[:0]
-	for _, name := range d.names {
+	for _, name := range s.dict.names {
 		i, ok := c.nameIdx[name]
 		if !ok {
 			i = uint32(len(c.names))
@@ -218,34 +220,36 @@ func (c *Collector) ingest(f *Frame, d *dict, wireBytes int) {
 		c.remap = append(c.remap, i)
 	}
 	c.enc, c.placed = c.enc[:0], c.placed[:0]
-	ids := d.ids
-	for _, s := range f.Streams {
-		key := streamKey{NodeIdx: f.NodeIdx, PID: s.PID, Kernel: s.Kernel}
+	from := 0
+	for _, h := range s.streams {
+		key := streamKey{NodeIdx: s.NodeIdx, PID: h.pid, Kernel: h.kernel}
 		st := c.streams[key]
 		if st == nil {
 			st = &streamState{}
 			c.streams[key] = st
 		}
-		if s.Task != "" {
-			st.task = s.Task
+		if h.task != "" {
+			st.task = h.task
 		}
-		st.lost = maxU64(st.lost, s.Lost)
-		st.sampled = maxU64(st.sampled, s.Sampled)
-		if nr := len(s.Recs); nr > 0 {
-			sg := seg{n: nr, lo: math.MaxInt64, hi: math.MinInt64}
-			prev := int64(0)
-			for i, r := range s.Recs {
-				c.enc = appendRec(c.enc, r.TSC-prev, c.remap[ids[i]], r.Kind, r.Val)
-				prev = r.TSC
-				sg.lo, sg.hi = min(sg.lo, r.TSC), max(sg.hi, r.TSC)
+		st.lost = maxU64(st.lost, h.lost)
+		st.sampled = maxU64(st.sampled, h.sampled)
+		if h.n > 0 {
+			sg := seg{n: h.n, lo: math.MaxInt64, hi: math.MinInt64}
+			r := segReader{b: s.recs[from:h.end]}
+			for range h.n {
+				prev := r.tsc
+				tsc := r.nextTSC()
+				name, kind, val := r.rest()
+				c.enc = appendRec(c.enc, tsc-prev, c.remap[name], kind, val)
+				sg.lo, sg.hi = min(sg.lo, tsc), max(sg.hi, tsc)
 			}
 			c.placed = append(c.placed, placedSeg{st: st, end: len(c.enc), seg: sg})
-			ids = ids[nr:]
 		}
-		if s.Kernel {
-			n.kernRecs += uint64(len(s.Recs))
+		from = h.end
+		if h.kernel {
+			n.kernRecs += uint64(h.n)
 		} else {
-			n.userRecs += uint64(len(s.Recs))
+			n.userRecs += uint64(h.n)
 		}
 	}
 	if len(c.placed) > 0 {
@@ -257,10 +261,10 @@ func (c *Collector) ingest(f *Frame, d *dict, wireBytes int) {
 			start = p.end
 		}
 	}
-	if len(f.Msgs) > 0 {
-		c.msgs = append(c.msgs, msgSeg{node: f.NodeIdx, msgs: append([]Msg(nil), f.Msgs...)})
+	if len(s.msgs) > 0 {
+		c.msgs = append(c.msgs, msgSeg{node: s.NodeIdx, msgs: append([]Msg(nil), s.msgs...)})
 	}
-	n.msgEvents += uint64(len(f.Msgs))
+	n.msgEvents += uint64(len(s.msgs))
 }
 
 // DropFrame counts one damaged or desynced frame from the node (sink side).

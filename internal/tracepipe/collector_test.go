@@ -58,8 +58,9 @@ func storeFrames() []Frame {
 // exactly the records of the frame stream it was ingested from, to be
 // exactly as long as their encoding, and to carry their exact count and
 // TSC range; streams that carried no records hold no segment. It runs
-// through both ingest paths: the exported Ingest, and the sink's decode of
-// the encoded frame into a reused frame and dictionary.
+// through both ways into the one ingest: the exported Ingest, which
+// converts the Frame, and the sink's decode of the encoded frame into a
+// reused shipment.
 func TestStoredSegmentsRoundTrip(t *testing.T) {
 	frames := storeFrames()
 	want := map[streamKey][][]Rec{}
@@ -77,13 +78,12 @@ func TestStoredSegmentsRoundTrip(t *testing.T) {
 		"Ingest": func(c *Collector, f Frame) { c.Ingest(f, 0) },
 		"sink": func() func(*Collector, Frame) {
 			var sink shipment
-			sink.dict = &dict{}
 			return func(c *Collector, f Frame) {
 				blob := EncodeFrame(f)
-				if err := decodeFrame(&sink.Frame, sink.dict, blob); err != nil {
+				if err := sink.decode(blob); err != nil {
 					t.Fatal(err)
 				}
-				c.ingest(&sink.Frame, sink.dict, len(blob))
+				c.ingest(&sink, len(blob))
 			}
 		}(),
 	}

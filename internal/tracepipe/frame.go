@@ -91,35 +91,62 @@ type Frame struct {
 	Msgs        []Msg
 }
 
-// records counts the trace records carried by the frame.
-func (f Frame) records() int {
-	n := 0
-	for _, s := range f.Streams {
-		n += len(s.Recs)
-	}
-	return n
+// shipment is a frame as the pipeline holds it from the agent's ring reads
+// to the collector's store. Its records stay in the wire's per-record
+// layout (appendRec), names indexed into the frame's dictionary, every
+// stream's records one after another in one buffer; nothing on the path
+// holds a decoded Rec. The agent builds one as it drains its rings, each
+// sink decodes every frame off the wire into one of its own, and the
+// collector ingests it. The exported Frame functions convert a Frame to
+// or from one.
+type shipment struct {
+	frameHead
+	dict    dict
+	streams []streamHead
+	recs    []byte
+	msgs    []Msg
+}
+
+// frameHead is a frame's header: every Frame field but its streams and
+// messages.
+type frameHead struct {
+	Node        string
+	NodeIdx     int
+	Round       int
+	Last        bool
+	Throttle    uint32
+	Backlog     uint64
+	ReadErrs    uint64
+	Dropped     uint64
+	DroppedRecs uint64
+}
+
+// streamHead is one stream of a shipment: a Stream's fields but its
+// records, which are n records ending at byte end of the shipment's recs
+// (and starting where the previous stream's end).
+type streamHead struct {
+	pid           int
+	task          string
+	kernel        bool
+	lost, sampled uint64
+	n, end        int
 }
 
 // dict is a frame's name dictionary: the names in first-appearance order
-// and each record's index into them, in stream order. The encoder builds it
-// from the records' names; the decoder reads it off the wire; the collector
-// interns each of its names once per frame and then reads every record's
-// name through ids. Hot instrumentation points produce the same handful of
-// names every round, so dictionaries are kept and reused: by each agent and
-// sink, and through dictPool by the stand-alone codec functions.
+// and, where the dictionary is built by interning, each name's index. Hot
+// instrumentation points produce the same handful of names every round, so
+// the dictionary is kept and reused with its shipment.
 type dict struct {
 	names []string
-	index map[string]uint32 // nil in a dictionary that only decodes
-	ids   []uint32
-}
-
-func newDict() *dict {
-	return &dict{names: make([]string, 0, 16), index: make(map[string]uint32)}
+	index map[string]uint32
 }
 
 func (d *dict) intern(s string) uint32 {
 	if i, ok := d.index[s]; ok {
 		return i
+	}
+	if d.index == nil {
+		d.index = make(map[string]uint32)
 	}
 	i := uint32(len(d.names))
 	d.names = append(d.names, s)
@@ -127,77 +154,112 @@ func (d *dict) intern(s string) uint32 {
 	return i
 }
 
-// build makes d the dictionary of f's records (deterministic: streams and
-// records are already deterministically ordered).
-func (d *dict) build(f *Frame) {
-	d.names, d.ids = d.names[:0], slices.Grow(d.ids[:0], f.records())
-	clear(d.index)
-	for _, s := range f.Streams {
-		for _, r := range s.Recs {
-			d.ids = append(d.ids, d.intern(r.Name))
-		}
+// reset empties s for a frame with header h, keeping its storage.
+func (s *shipment) reset(h frameHead) {
+	s.frameHead = h
+	s.dict.names = s.dict.names[:0]
+	clear(s.dict.index)
+	s.streams, s.recs, s.msgs = s.streams[:0], s.recs[:0], s.msgs[:0]
+}
+
+// records counts the trace records the shipment carries.
+func (s *shipment) records() int {
+	n := 0
+	for _, h := range s.streams {
+		n += h.n
 	}
+	return n
 }
 
-var dictPool = sync.Pool{New: func() any { return newDict() }}
-
-// EncodeFrame serialises a frame payload (the bytes following the on-wire
-// preamble). Event names are interned into a per-frame dictionary so hot
-// instrumentation points cost an index per record instead of a string.
-func EncodeFrame(f Frame) []byte { return AppendFrame(nil, f) }
-
-// AppendFrame serialises a frame payload, appending to dst and returning
-// the extended buffer. Record timestamps are zigzag-varint deltas against
-// the previous record of the same stream and message timestamps deltas
-// against the previous message's start, so the monotone virtual-TSC
-// sequences that dominate a frame cost one or two bytes each instead of
-// eight. Callers on a hot path reuse dst's capacity across rounds; the
-// result aliases dst, so retainers (queues, sinks) must copy it out.
-func AppendFrame(dst []byte, f Frame) []byte {
-	d := dictPool.Get().(*dict)
-	d.build(&f)
-	dst = appendFrame(dst, &f, d)
-	dictPool.Put(d)
-	return dst
+// addStream appends a stream with header h and records recs, each name
+// interned into the dictionary.
+func (s *shipment) addStream(h streamHead, recs []Rec) {
+	prev := int64(0)
+	for _, r := range recs {
+		s.recs = appendRec(s.recs, r.TSC-prev, s.dict.intern(r.Name), r.Kind, r.Val)
+		prev = r.TSC
+	}
+	h.n, h.end = len(recs), len(s.recs)
+	s.streams = append(s.streams, h)
 }
 
-// appendFrame is AppendFrame with f's dictionary already built into d.
-func appendFrame(dst []byte, f *Frame, d *dict) []byte {
+// fromFrame makes s the shipment of f.
+func (s *shipment) fromFrame(f *Frame) {
+	s.reset(frameHead{Node: f.Node, NodeIdx: f.NodeIdx, Round: f.Round, Last: f.Last,
+		Throttle: f.Throttle, Backlog: f.Backlog, ReadErrs: f.ReadErrs,
+		Dropped: f.Dropped, DroppedRecs: f.DroppedRecs})
+	for _, st := range f.Streams {
+		s.addStream(streamHead{pid: st.PID, task: st.Task, kernel: st.Kernel,
+			lost: st.Lost, sampled: st.Sampled}, st.Recs)
+	}
+	s.msgs = append(s.msgs, f.Msgs...)
+}
+
+// frame decodes s into *f, reusing the storage of f's Streams, of each
+// stream's Recs and of its Msgs. Every field is reset; a reused frame's
+// slices are emptied, not set to nil, where s has no elements.
+func (s *shipment) frame(f *Frame) {
+	streams, msgs := f.Streams, f.Msgs[:0]
+	*f = Frame{Node: s.Node, NodeIdx: s.NodeIdx, Round: s.Round, Last: s.Last,
+		Throttle: s.Throttle, Backlog: s.Backlog, ReadErrs: s.ReadErrs,
+		Dropped: s.Dropped, DroppedRecs: s.DroppedRecs}
+	f.Streams = slices.Grow(streams[:0], len(s.streams))[:len(s.streams)]
+	start := 0
+	for i, h := range s.streams {
+		st := &f.Streams[i]
+		st.PID, st.Task, st.Kernel, st.Lost, st.Sampled = h.pid, h.task, h.kernel, h.lost, h.sampled
+		st.Recs = slices.Grow(st.Recs[:0], h.n)[:h.n]
+		r := segReader{b: s.recs[start:h.end]}
+		for j := range st.Recs {
+			rec := &st.Recs[j]
+			rec.TSC = r.nextTSC()
+			var name uint32
+			name, rec.Kind, rec.Val = r.rest()
+			rec.Name = s.dict.names[name]
+		}
+		start = h.end
+	}
+	f.Msgs = append(msgs, s.msgs...)
+}
+
+// appendTo appends the shipment's frame payload (the bytes following the
+// on-wire preamble) to dst. Record timestamps are zigzag-varint deltas
+// against the previous record of the same stream, as the shipment already
+// holds them, and message timestamps deltas against the previous message's
+// start, so the monotone virtual-TSC sequences that dominate a frame cost
+// one or two bytes each instead of eight.
+func (s *shipment) appendTo(dst []byte) []byte {
 	w := ship.Writer{B: dst}
 	w.U32(TraceMagic)
 	w.U32(TraceVersion)
-	w.Str(f.Node)
-	w.UV(uint64(f.NodeIdx))
-	w.UV(uint64(f.Round))
-	w.Bit(f.Last)
-	w.UV(uint64(f.Throttle))
-	w.UV(f.Backlog)
-	w.UV(f.ReadErrs)
-	w.UV(f.Dropped)
-	w.UV(f.DroppedRecs)
-	w.UV(uint64(len(d.names)))
-	for _, n := range d.names {
+	w.Str(s.Node)
+	w.UV(uint64(s.NodeIdx))
+	w.UV(uint64(s.Round))
+	w.Bit(s.Last)
+	w.UV(uint64(s.Throttle))
+	w.UV(s.Backlog)
+	w.UV(s.ReadErrs)
+	w.UV(s.Dropped)
+	w.UV(s.DroppedRecs)
+	w.UV(uint64(len(s.dict.names)))
+	for _, n := range s.dict.names {
 		w.Str(n)
 	}
-	w.UV(uint64(len(f.Streams)))
-	ids := d.ids
-	for _, s := range f.Streams {
-		w.ZZ(int64(s.PID))
-		w.Str(s.Task)
-		w.Bit(s.Kernel)
-		w.UV(s.Lost)
-		w.UV(s.Sampled)
-		w.UV(uint64(len(s.Recs)))
-		prev := int64(0)
-		for i, r := range s.Recs {
-			w.B = appendRec(w.B, r.TSC-prev, ids[i], r.Kind, r.Val)
-			prev = r.TSC
-		}
-		ids = ids[len(s.Recs):]
+	w.UV(uint64(len(s.streams)))
+	start := 0
+	for _, h := range s.streams {
+		w.ZZ(int64(h.pid))
+		w.Str(h.task)
+		w.Bit(h.kernel)
+		w.UV(h.lost)
+		w.UV(h.sampled)
+		w.UV(uint64(h.n))
+		w.B = append(w.B, s.recs[start:h.end]...)
+		start = h.end
 	}
-	w.UV(uint64(len(f.Msgs)))
+	w.UV(uint64(len(s.msgs)))
 	prevStart := int64(0)
-	for _, m := range f.Msgs {
+	for _, m := range s.msgs {
 		w.UV(uint64(m.Src))
 		w.UV(uint64(m.Dst))
 		w.ZZ(int64(m.Tag))
@@ -212,44 +274,13 @@ func appendFrame(dst []byte, f *Frame, d *dict) []byte {
 	return w.B
 }
 
-// appendRec appends one record in the wire's per-record layout: the zigzag
-// varint of its TSC's delta from the previous record's (from 0 for a
-// stream's or a stored segment's first), the uvarint of its name index, its
-// kind byte and the zigzag varint of its value. Frames carry their records
-// this way, indexed into the frame's dictionary, and the collector stores
-// them this way, indexed into its name table.
-func appendRec(b []byte, delta int64, name uint32, kind ktau.RecordKind, val int64) []byte {
-	b = binary.AppendVarint(b, delta)
-	b = binary.AppendUvarint(b, uint64(name))
-	b = append(b, byte(kind))
-	return binary.AppendVarint(b, val)
-}
-
-// DecodeFrame parses a frame payload produced by AppendFrame. Damaged,
-// truncated or foreign-version input is an error, never a panic. The result
-// aliases nothing.
-func DecodeFrame(blob []byte) (Frame, error) {
-	var f Frame
-	err := DecodeFrameInto(&f, blob)
-	return f, err
-}
-
-// DecodeFrameInto is DecodeFrame decoding into *f, reusing the storage of
-// its Streams, of each stream's Recs and of its Msgs, and each node and task
-// name equal to the one already in its slot. Every field is reset. A
-// reused frame's slices are emptied, not set to nil, where the payload has
-// no elements.
-func DecodeFrameInto(f *Frame, blob []byte) error {
-	d := dictPool.Get().(*dict)
-	err := decodeFrame(f, d, blob)
-	dictPool.Put(d)
-	return err
-}
-
-// decodeFrame is DecodeFrameInto that also leaves the frame's dictionary in
-// d: its names, each kept when equal to the name in the same slot of d's
-// previous dictionary, and every record's index into them.
-func decodeFrame(f *Frame, d *dict, blob []byte) error {
+// decode parses a frame payload into s, reusing its storage, and keeping
+// each node, task and dictionary name equal to the one already in its
+// slot. Damaged, truncated or foreign-version input is an error, never a
+// panic: every element count is checked against the bytes left and every
+// record's name index against the dictionary. Each record is re-encoded
+// into s.recs as it is checked, so s aliases nothing of the payload.
+func (s *shipment) decode(blob []byte) error {
 	r := ship.NewReader(blob)
 	if r.U32() != TraceMagic {
 		return errors.New("tracepipe: bad frame magic")
@@ -260,53 +291,50 @@ func decodeFrame(f *Frame, d *dict, blob []byte) error {
 		}
 		return fmt.Errorf("tracepipe: unsupported frame version %d", v)
 	}
-	f.Node = r.StrReuse(f.Node)
-	f.NodeIdx = int(r.UV())
-	f.Round = int(r.UV())
-	f.Last = r.U8() == 1
-	f.Throttle = uint32(r.UV())
-	f.Backlog = r.UV()
-	f.ReadErrs = r.UV()
-	f.Dropped = r.UV()
-	f.DroppedRecs = r.UV()
+	s.Node = r.StrReuse(s.Node)
+	s.NodeIdx = int(r.UV())
+	s.Round = int(r.UV())
+	s.Last = r.U8() == 1
+	s.Throttle = uint32(r.UV())
+	s.Backlog = r.UV()
+	s.ReadErrs = r.UV()
+	s.Dropped = r.UV()
+	s.DroppedRecs = r.UV()
+	clear(s.dict.index)
 	nn := r.Count(r.UV())
-	d.names = slices.Grow(d.names[:0], nn)[:nn]
+	names := slices.Grow(s.dict.names[:0], nn)[:nn]
 	for i := 0; i < nn && r.Err() == nil; i++ {
-		d.names[i] = r.StrReuse(d.names[i])
+		names[i] = r.StrReuse(names[i])
 	}
-	d.ids = d.ids[:0]
+	s.dict.names = names
 	ns := r.Count(r.UV())
-	f.Streams = slices.Grow(f.Streams[:0], ns)[:ns]
+	s.streams = slices.Grow(s.streams[:0], ns)[:ns]
+	s.recs = s.recs[:0]
 	for i := 0; i < ns && r.Err() == nil; i++ {
-		s := &f.Streams[i]
-		s.PID = int(r.ZZ())
-		s.Task = r.StrReuse(s.Task)
-		s.Kernel = r.U8() == 1
-		s.Lost = r.UV()
-		s.Sampled = r.UV()
-		nr := r.Count(r.UV())
-		s.Recs = slices.Grow(s.Recs[:0], nr)[:nr]
-		prev := int64(0)
-		for j := 0; j < nr && r.Err() == nil; j++ {
-			rec := &s.Recs[j]
-			prev += r.ZZ()
-			rec.TSC = prev
+		h := &s.streams[i]
+		h.pid = int(r.ZZ())
+		h.task = r.StrReuse(h.task)
+		h.kernel = r.U8() == 1
+		h.lost = r.UV()
+		h.sampled = r.UV()
+		h.n = r.Count(r.UV())
+		for j := 0; j < h.n && r.Err() == nil; j++ {
+			delta := r.ZZ()
 			id := r.UV()
-			if id >= uint64(len(d.names)) {
+			if id >= uint64(nn) {
 				r.Fail(errNameIndex)
 				break
 			}
-			rec.Name = d.names[id]
-			rec.Kind = ktau.RecordKind(r.U8())
-			rec.Val = r.ZZ()
-			d.ids = append(d.ids, uint32(id))
+			kind := ktau.RecordKind(r.U8())
+			s.recs = appendRec(s.recs, delta, uint32(id), kind, r.ZZ())
 		}
+		h.end = len(s.recs)
 	}
 	nm := r.Count(r.UV())
-	f.Msgs = slices.Grow(f.Msgs[:0], nm)[:nm]
+	s.msgs = slices.Grow(s.msgs[:0], nm)[:nm]
 	prevStart := int64(0)
 	for i := 0; i < nm && r.Err() == nil; i++ {
-		m := &f.Msgs[i]
+		m := &s.msgs[i]
 		m.Src = int(r.UV())
 		m.Dst = int(r.UV())
 		m.Tag = int(r.ZZ())
@@ -325,3 +353,60 @@ func decodeFrame(f *Frame, d *dict, blob []byte) error {
 }
 
 var errNameIndex = errors.New("name index out of range")
+
+// appendRec appends one record in the wire's per-record layout: the zigzag
+// varint of its TSC's delta from the previous record's (from 0 for a
+// stream's or a stored segment's first), the uvarint of its name index, its
+// kind byte and the zigzag varint of its value. Shipments and frames carry
+// their records this way, indexed into the frame's dictionary, and the
+// collector stores them this way, indexed into its name table.
+func appendRec(b []byte, delta int64, name uint32, kind ktau.RecordKind, val int64) []byte {
+	b = binary.AppendVarint(b, delta)
+	b = binary.AppendUvarint(b, uint64(name))
+	b = append(b, byte(kind))
+	return binary.AppendVarint(b, val)
+}
+
+// shipmentPool holds the shipments the exported Frame functions convert
+// through, so a caller that reuses its buffers allocates nothing.
+var shipmentPool = sync.Pool{New: func() any { return new(shipment) }}
+
+// EncodeFrame serialises a frame payload (the bytes following the on-wire
+// preamble). Event names are interned into a per-frame dictionary so hot
+// instrumentation points cost an index per record instead of a string.
+func EncodeFrame(f Frame) []byte { return AppendFrame(nil, f) }
+
+// AppendFrame serialises a frame payload, appending to dst and returning
+// the extended buffer: the bytes an agent writes for the same frame.
+// Callers on a hot path reuse dst's capacity across rounds; the result
+// aliases dst, so retainers (queues, sinks) must copy it out.
+func AppendFrame(dst []byte, f Frame) []byte {
+	s := shipmentPool.Get().(*shipment)
+	s.fromFrame(&f)
+	dst = s.appendTo(dst)
+	shipmentPool.Put(s)
+	return dst
+}
+
+// DecodeFrame parses a frame payload produced by AppendFrame. Damaged,
+// truncated or foreign-version input is an error, never a panic. The result
+// aliases nothing.
+func DecodeFrame(blob []byte) (Frame, error) {
+	var f Frame
+	err := DecodeFrameInto(&f, blob)
+	return f, err
+}
+
+// DecodeFrameInto is DecodeFrame decoding into *f, reusing the storage of
+// its Streams, of each stream's Recs and of its Msgs. Every field is reset.
+// A reused frame's slices are emptied, not set to nil, where the payload
+// has no elements. On an error *f is left as it was.
+func DecodeFrameInto(f *Frame, blob []byte) error {
+	s := shipmentPool.Get().(*shipment)
+	err := s.decode(blob)
+	if err == nil {
+		s.frame(f)
+	}
+	shipmentPool.Put(s)
+	return err
+}

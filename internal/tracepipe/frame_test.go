@@ -125,28 +125,40 @@ func richFrame() []byte {
 	return EncodeFrame(f)
 }
 
-// normFrame makes fr's empty slices nil, so decodes into fresh and reused
-// storage compare equal under reflect.DeepEqual.
-func normFrame(fr Frame) Frame {
-	if len(fr.Streams) == 0 {
-		fr.Streams = nil
+// records counts the trace records carried by the frame.
+func (f Frame) records() int {
+	n := 0
+	for _, s := range f.Streams {
+		n += len(s.Recs)
 	}
-	for i := range fr.Streams {
-		if len(fr.Streams[i].Recs) == 0 {
-			fr.Streams[i].Recs = nil
-		}
+	return n
+}
+
+// normShipment is s with everything past its lengths cut off and its empty
+// slices nil, so decodes into fresh and reused shipments compare equal
+// under reflect.DeepEqual.
+func normShipment(s *shipment) shipment {
+	n := shipment{frameHead: s.frameHead, dict: dict{names: s.dict.names},
+		streams: s.streams, recs: s.recs, msgs: s.msgs}
+	if len(n.dict.names) == 0 {
+		n.dict.names = nil
 	}
-	if len(fr.Msgs) == 0 {
-		fr.Msgs = nil
+	if len(n.streams) == 0 {
+		n.streams = nil
 	}
-	return fr
+	if len(n.recs) == 0 {
+		n.recs = nil
+	}
+	if len(n.msgs) == 0 {
+		n.msgs = nil
+	}
+	return n
 }
 
 // FuzzDecodeFrame: decoding never panics, and any input that decodes
-// survives an encode/decode round trip unchanged. Decoding into a frame and
-// a sink dictionary dirtied by a richer decode gives the same result as
-// decoding into fresh ones, and the dictionary's record indices name each
-// record's name.
+// survives an encode/decode round trip unchanged. Decoding into a sink's
+// shipment dirtied by a richer decode gives the same shipment as decoding
+// into a fresh one, and every record it holds is the decoded frame's.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, fr := range []Frame{sampleFrame(), {Node: "n0"}} {
 		blob := EncodeFrame(fr)
@@ -158,32 +170,24 @@ func FuzzDecodeFrame(f *testing.F) {
 	rich := richFrame()
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fr, err := DecodeFrame(b)
-		var dirty Frame
-		d := &dict{}
-		if err := decodeFrame(&dirty, d, rich); err != nil {
+		var fresh, dirty shipment
+		if err := dirty.decode(rich); err != nil {
 			t.Fatalf("rich frame: %v", err)
 		}
-		errReused := decodeFrame(&dirty, d, b)
-		if (err == nil) != (errReused == nil) {
-			t.Fatalf("fresh decode: %v; decode into a reused frame: %v", err, errReused)
+		errFresh, errReused := fresh.decode(b), dirty.decode(b)
+		if (err == nil) != (errFresh == nil) || (err == nil) != (errReused == nil) {
+			t.Fatalf("DecodeFrame: %v; decode into a fresh shipment: %v; into a reused one: %v", err, errFresh, errReused)
 		}
 		if err != nil {
 			return
 		}
-		if !reflect.DeepEqual(normFrame(dirty), normFrame(fr)) {
-			t.Fatalf("decode into a reused frame differs:\n got %+v\nwant %+v", dirty, fr)
+		if !reflect.DeepEqual(normShipment(&dirty), normShipment(&fresh)) {
+			t.Fatalf("decode into a reused shipment differs:\n got %+v\nwant %+v", dirty, fresh)
 		}
-		if len(d.ids) != fr.records() {
-			t.Fatalf("dictionary holds %d record indices for %d records", len(d.ids), fr.records())
-		}
-		ids := d.ids
-		for _, s := range fr.Streams {
-			for i, r := range s.Recs {
-				if d.names[ids[i]] != r.Name {
-					t.Fatalf("dictionary names %q for a record named %q", d.names[ids[i]], r.Name)
-				}
-			}
-			ids = ids[len(s.Recs):]
+		var back Frame
+		dirty.frame(&back)
+		if !reflect.DeepEqual(back, fr) {
+			t.Fatalf("the shipment holds\n%+v\nwhere DecodeFrame gives\n%+v", back, fr)
 		}
 		again, err := DecodeFrame(EncodeFrame(fr))
 		if err != nil {

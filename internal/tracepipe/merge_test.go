@@ -423,7 +423,7 @@ func TestLoopbackIngestCopiesAgentBuffer(t *testing.T) {
 }
 
 // exportShapedCollector builds a collector shaped like a live-traced Chiba
-// LU run's, scaled down: a user and a kernel stream per task, each shipped
+// LU run's: a user and a kernel stream per task, each shipped
 // round by round in segments of 64 to 127 records, 25 record names, about
 // 40% of records sharing the TSC of their stream's previous record, and
 // about 13% of records late: stamped just before a record up to 200
@@ -492,9 +492,11 @@ func exportShapedCollector(nodes, tasks, recsPerStream int) *Collector {
 }
 
 // BenchmarkWriteChromeTrace prices the export layer alone: one Chrome
-// export of a 16-node collector holding 131 072 records.
+// export of a 32-node collector holding 1 024 000 records in 320 streams,
+// about as many as a seed-1 perfbench lu_traced run stores, so the stored
+// bytes and the merge buffers meet the cache as they do there.
 func BenchmarkWriteChromeTrace(b *testing.B) {
-	c := exportShapedCollector(16, 4, 1024)
+	c := exportShapedCollector(32, 5, 3200)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

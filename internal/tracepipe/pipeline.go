@@ -122,15 +122,6 @@ func Deploy(c *cluster.Cluster, cfg Config) (*Pipeline, error) {
 	return tp, nil
 }
 
-// shipment is a frame as the transport carries it: the frame and its name
-// dictionary, which holds each record's name as an index. The agent builds
-// the dictionary to encode the frame, the sink decodes it off the wire, and
-// the collector reads every record's name through it.
-type shipment struct {
-	Frame
-	dict *dict
-}
-
 // setup builds the collector store and the adaptive/focus state once the
 // transport has elected a collector, and returns the pipeline's hooks.
 func (tp *Pipeline) setup() (ship.Hooks[shipment], error) {
@@ -166,15 +157,10 @@ func (tp *Pipeline) setup() (ship.Hooks[shipment], error) {
 	return ship.Hooks[shipment]{
 		// Each sink decodes every frame into its own shipment; the collector
 		// copies out what it keeps.
-		Decode: func(dst *shipment, b []byte) error {
-			if dst.dict == nil {
-				dst.dict = &dict{}
-			}
-			return decodeFrame(&dst.Frame, dst.dict, b)
-		},
-		Last: func(s shipment) bool { return s.Last },
+		Decode: func(dst *shipment, b []byte) error { return dst.decode(b) },
+		Last:   func(s shipment) bool { return s.Last },
 		Ingest: func(s shipment, wireBytes int) {
-			tp.col.ingest(&s.Frame, s.dict, wireBytes)
+			tp.col.ingest(&s, wireBytes)
 		},
 		Drop:     tp.col.DropFrame,
 		MarkDown: tp.col.MarkDown,
@@ -234,21 +220,41 @@ type agent struct {
 	smp *sim.RNG
 	thr throttle
 	buf []byte // frame-encode scratch, reused every round
-	// f is the round's frame and d its dictionary. Both are reused every
-	// round, as are f's Streams and Msgs and recs, which backs every kernel
-	// stream's records: by the next round the frame has been encoded for
-	// the wire or ingested locally, and ingest copies what it keeps.
-	f     Frame
-	d     dict
-	recs  []Rec
-	tasks []*kernel.Task // the node's tasks, listed afresh every round
+	// s is the round's shipment, reused every round: by the next round it
+	// has been encoded for the wire or ingested locally, and ingest copies
+	// what it keeps.
+	s shipment
+	// evNames is indexed by kernel EventID: an entry stamped with the
+	// round's stamp holds the index of the event's name in the round's
+	// dictionary.
+	evNames []evName
+	stamp   uint32
+	tasks   []*kernel.Task // the node's tasks, listed afresh every round
 	// ring is the scratch each kernel ring is decoded into before its
-	// records are copied into recs.
+	// records are appended to the shipment.
 	ring []ktau.Record
 }
 
+// evName is one kernel event's entry in an agent's name table.
+type evName struct{ stamp, idx uint32 }
+
+// kernName returns the dictionary index of kernel event ev's name. An
+// event's first record in a round interns reg.Name(ev), as a record named
+// by string would, so the dictionary keeps first-appearance order and
+// names shared by several events, or by a user routine, get one index.
+func (a *agent) kernName(reg *ktau.Registry, ev ktau.EventID) uint32 {
+	if ev < 0 || int(ev) >= len(a.evNames) {
+		return a.s.dict.intern(reg.Name(ev))
+	}
+	e := &a.evNames[ev]
+	if e.stamp != a.stamp {
+		e.stamp, e.idx = a.stamp, a.s.dict.intern(reg.Name(ev))
+	}
+	return e.idx
+}
+
 func (tp *Pipeline) newAgent(idx int, n *cluster.Node) ship.Agent[shipment] {
-	a := &agent{tp: tp, h: libktau.Open(n.FS), n: n, idx: idx, d: dict{index: make(map[string]uint32)}}
+	a := &agent{tp: tp, h: libktau.Open(n.FS), n: n, idx: idx}
 	// The sampler draws from a stream derived at deployment time (never from
 	// live RNG state), so adding the trace pipeline to a run perturbs no
 	// other consumer's sequence and sampled runs stay byte-identical at any
@@ -271,12 +277,11 @@ func (a *agent) Round(u *kernel.UCtx, round int, last bool) (shipment, []byte) {
 		pol = ad.effective(base, a.thr.level)
 	}
 	a.drainRound(u, round, last, pol)
-	a.f.Throttle = uint32(a.thr.level)
-	a.d.build(&a.f)
-	a.buf = appendFrame(a.buf[:0], &a.f, &a.d)
+	a.s.Throttle = uint32(a.thr.level)
+	a.buf = a.s.appendTo(a.buf[:0])
 	// User-space processing: ring walks + dictionary encode.
 	ship.Charge(u, len(a.buf))
-	return shipment{Frame: a.f, dict: &a.d}, a.buf
+	return a.s, a.buf
 }
 
 // Shipped folds the round's shipping outcome into the self-reported loss
@@ -291,40 +296,30 @@ func (a *agent) Shipped(s shipment, ok bool) {
 	}
 }
 
-// drainRound drains every ring on the node into the round's frame a.f:
+// drainRound drains every ring on the node into the round's shipment a.s:
 // kernel trace rings via the instrumented /proc/ktau/trace two-call
 // protocol (task creation order, so the stream layout is deterministic),
-// then the configured user-level rings and MPI message logs. When pol
-// carries an adaptive policy (smp non-nil), each drained record is kept or
-// discarded by the node's seeded sampler; discards are counted per stream
-// so the loss accounting stays exact. MPI message events are never sampled
-// — flow correlation needs both endpoints.
+// then the configured user-level rings and MPI message logs. Each kept
+// record is appended in the wire's per-record layout as it is read. When
+// pol carries an adaptive policy (smp non-nil), each drained record is
+// kept or discarded by the node's seeded sampler; discards are counted per
+// stream so the loss accounting stays exact. MPI message events are never
+// sampled — flow correlation needs both endpoints.
 func (a *agent) drainRound(u *kernel.UCtx, round int, last bool, pol Policy) {
 	cfg, n, idx, st, smp := a.tp.cfg, a.n, a.idx, a.st, a.smp
-	f := &a.f
-	*f = Frame{Node: n.Name, NodeIdx: idx, Round: round, Last: last,
-		Streams: f.Streams[:0], Msgs: f.Msgs[:0]}
+	s := &a.s
+	s.reset(frameHead{Node: n.Name, NodeIdx: idx, Round: round, Last: last})
 	reg := n.K.Ktau().Reg
+	if a.stamp++; a.stamp == 0 { // wrapped: no entry may look current
+		clear(a.evNames)
+		a.stamp = 1
+	}
+	if grow := reg.Len() - len(a.evNames); grow > 0 {
+		a.evNames = append(a.evNames, make([]evName, grow)...)
+	}
 
-	// One backing array holds every kernel stream's records this round,
-	// sized up front instead of by per-record append growth and reused from
-	// round to round (see agent.recs). Streams are capacity-capped
-	// subslices, so a later append to recBuf can never alias an earlier
-	// stream.
 	a.tasks = n.K.AppendAllTasks(a.tasks[:0])
-	tasks := a.tasks
-	waitingRecs := 0
-	for _, t := range tasks {
-		if ring := t.KD().Trace(); ring != nil {
-			waitingRecs += ring.Len()
-		}
-	}
-	if cap(a.recs) < waitingRecs {
-		a.recs = make([]Rec, 0, waitingRecs)
-	}
-	recBuf := a.recs[:0]
-
-	for _, t := range tasks {
+	for _, t := range a.tasks {
 		ring := t.KD().Trace()
 		if ring == nil {
 			continue
@@ -351,7 +346,7 @@ func (a *agent) drainRound(u *kernel.UCtx, round int, last bool, pol Policy) {
 				continue
 			}
 		}
-		f.Backlog += waiting
+		s.Backlog += waiting
 
 		var dump libktau.TraceDump
 		readOK := ship.Read(u, cfg.Interval, func() error {
@@ -365,26 +360,22 @@ func (a *agent) drainRound(u *kernel.UCtx, round int, last bool, pol Policy) {
 			continue
 		}
 		m = st.stream(key)
-		s := Stream{PID: t.PID(), Task: t.Name(), Kernel: true, Lost: dump.Lost}
-		start := len(recBuf)
+		kept, prev := 0, int64(0)
 		for _, r := range dump.Records {
 			if smp != nil && !sample(smp, pol.rateFor(reg.GroupOf(r.Ev))) {
 				m.sampled++
 				continue
 			}
-			recBuf = append(recBuf, Rec{TSC: r.TSC, Name: reg.Name(r.Ev), Kind: r.Kind, Val: r.Val})
+			s.recs = appendRec(s.recs, r.TSC-prev, a.kernName(reg, r.Ev), r.Kind, r.Val)
+			prev = r.TSC
+			kept++
 		}
-		s.Recs = recBuf[start:len(recBuf):len(recBuf)]
-		s.Sampled = m.sampled
-		if len(s.Recs) > 0 || s.Lost != m.lastLost || m.sampled != m.shipped {
-			m.lastLost = s.Lost
+		if kept > 0 || dump.Lost != m.lastLost || m.sampled != m.shipped {
+			m.lastLost = dump.Lost
 			m.shipped = m.sampled
-			f.Streams = append(f.Streams, s)
+			s.streams = append(s.streams, streamHead{pid: t.PID(), task: t.Name(), kernel: true,
+				lost: dump.Lost, sampled: m.sampled, n: kept, end: len(s.recs)})
 		}
-	}
-
-	if cap(recBuf) > cap(a.recs) {
-		a.recs = recBuf[:0] // records outran the sizing while the agent read
 	}
 
 	if cfg.UserSources != nil {
@@ -398,7 +389,7 @@ func (a *agent) drainRound(u *kernel.UCtx, round int, last bool, pol Policy) {
 				}
 				m = st.stream(key)
 			}
-			f.Backlog += uint64(len(recs))
+			s.Backlog += uint64(len(recs))
 			if smp != nil {
 				rate := pol.rateFor(ktau.GroupUser)
 				kept := recs[:0]
@@ -416,17 +407,15 @@ func (a *agent) drainRound(u *kernel.UCtx, round int, last bool, pol Policy) {
 			}
 			m.lastLost = lost
 			m.shipped = m.sampled
-			f.Streams = append(f.Streams, Stream{
-				PID: src.PID, Task: src.Task, Lost: lost, Sampled: m.sampled, Recs: recs,
-			})
+			s.addStream(streamHead{pid: src.PID, task: src.Task, lost: lost, sampled: m.sampled}, recs)
 		}
 	}
 	if cfg.MsgSources != nil {
 		for _, src := range cfg.MsgSources(idx) {
-			f.Msgs = append(f.Msgs, src.Drain()...)
+			s.msgs = append(s.msgs, src.Drain()...)
 		}
 	}
-	f.ReadErrs = st.readErrs
-	f.Dropped = st.dropped
-	f.DroppedRecs = st.droppedRecs
+	s.ReadErrs = st.readErrs
+	s.Dropped = st.dropped
+	s.DroppedRecs = st.droppedRecs
 }

@@ -218,3 +218,87 @@ func TestPipelineStopsOnRequest(t *testing.T) {
 		}
 	}
 }
+
+// TestAgentPayloadMatchesAppendFrame requires every round's payload, which
+// the agent writes straight from the rings, to be the bytes AppendFrame
+// writes for the decoded frame: the agent's per-EventID name table must
+// intern exactly as interning by name does. The rounds sample adaptively,
+// a user routine shares kernel events' names, and one user stream only
+// reports a new lost count.
+func TestAgentPayloadMatchesAppendFrame(t *testing.T) {
+	c := cluster.New(cluster.Config{
+		Nodes: cluster.UniformNodes("node", 1),
+		Ktau:  ktau.Options{Compiled: ktau.GroupAll, Boot: ktau.GroupAll, TraceCapacity: 256},
+		Seed:  11,
+	})
+	t.Cleanup(c.Shutdown)
+	const interval = 10 * time.Millisecond
+	c.Node(0).K.Spawn("app", func(u *kernel.UCtx) {
+		for {
+			u.Compute(3 * time.Millisecond)
+			u.Sleep(time.Millisecond)
+		}
+	}, kernel.SpawnOpts{})
+
+	drains := 0
+	users := []UserSource{
+		{PID: 1000, Task: "user", Drain: func() ([]Rec, uint64) {
+			drains++
+			base := int64(drains) * 1000
+			return []Rec{
+				{TSC: base, Name: "schedule_vol", Kind: ktau.KindEntry},
+				{TSC: base + 100, Name: "MPI_Recv()", Kind: ktau.KindEntry},
+				{TSC: base + 200, Name: "MPI_Recv()", Kind: ktau.KindExit},
+				{TSC: base + 300, Name: "schedule", Kind: ktau.KindExit},
+			}, 0
+		}},
+		{PID: 1001, Task: "lossy", Drain: func() ([]Rec, uint64) {
+			return nil, uint64(drains / 2)
+		}},
+	}
+	tp := &Pipeline{c: c, cfg: Config{
+		Interval:    interval,
+		UserSources: func(int) []UserSource { return users },
+		Adaptive:    &Adaptive{Base: Policy{Groups: ktau.GroupAll, Rate: 0.5}},
+	}}
+	if _, err := tp.setup(); err != nil {
+		t.Fatal(err)
+	}
+	a := tp.newAgent(0, c.Node(0)).(*agent)
+
+	var shared, lostOnly, sampled bool
+	agentTask := c.Node(0).K.Spawn("ktraced", func(u *kernel.UCtx) {
+		for round := 0; round < 8; round++ {
+			u.Sleep(interval)
+			s, payload := a.Round(u, round, false)
+			a.Shipped(s, true)
+			f, err := DecodeFrame(payload)
+			if err != nil {
+				t.Errorf("round %d: %v", round, err)
+				return
+			}
+			if again := AppendFrame(nil, f); !bytes.Equal(again, payload) {
+				t.Errorf("round %d: the agent wrote\n%x\nwhere AppendFrame of its frame writes\n%x", round, payload, again)
+			}
+			kern := map[string]bool{}
+			for _, st := range f.Streams {
+				for _, r := range st.Recs {
+					if st.Kernel {
+						kern[r.Name] = true
+					} else if kern[r.Name] {
+						shared = true
+					}
+				}
+				lostOnly = lostOnly || (len(st.Recs) == 0 && st.Lost > 0)
+				sampled = sampled || st.Sampled > 0
+			}
+		}
+	}, kernel.SpawnOpts{Kind: kernel.KindDaemon})
+	if !c.RunUntilDone([]*kernel.Task{agentTask}, time.Minute) {
+		t.Fatal("agent task did not finish")
+	}
+	if !shared || !lostOnly || !sampled {
+		t.Fatalf("rounds missed a case: user record named like a kernel record %v, lost-only stream %v, sampled records %v",
+			shared, lostOnly, sampled)
+	}
+}

@@ -63,7 +63,7 @@ echo "== perfbench module (go vet + go test) =="
 (cd perfbench && export GOFLAGS= GOWORK=off GOPROXY=off && go vet ./... && go test ./...)
 
 echo "== go test -race (non-simulation packages) =="
-go test -race ./internal/analysis/ ./internal/ktau/ ./internal/ktrace/ ./internal/procfs/
+go test -race ./internal/analysis/ ./internal/ktau/ ./internal/ktrace/ ./internal/libktau/ ./internal/procfs/
 
 echo "== go test -race (fault injection + pipeline + shared transport) =="
 go test -race ./internal/faultsim/ ./internal/ship/ ./internal/perfmon/
@@ -264,7 +264,7 @@ echo "== bench gate (strict-parse + thresholds on all BENCH_*.json) =="
 # Replaces the old sed/awk scraping: every gated file must exist, parse with
 # no duplicate keys, and hold its thresholds (Chiba speedup >= 1.25x, at
 # most 50 000 allocations in the serial 32-node Chiba run, at most 34 MB
-# allocated by one serial 64-node serving run, and at most 95 MB allocated
+# allocated by one serial 64-node serving run, and at most 77 MB allocated
 # by one serial 32-node traced run and its Chrome trace export).
 # Missing or renamed keys fail loudly instead of producing an empty capture.
 #
