@@ -122,8 +122,8 @@ type frameHead struct {
 }
 
 // streamHead is one stream of a shipment: a Stream's fields but its
-// records, which are n records ending at byte end of the shipment's recs
-// (and starting where the previous stream's end).
+// records, which are the n records in the shipment's recs from where the
+// previous stream's records end up to byte end.
 type streamHead struct {
 	pid           int
 	task          string

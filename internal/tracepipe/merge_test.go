@@ -388,34 +388,38 @@ func TestWriteChromeTraceWhileIngesting(t *testing.T) {
 }
 
 // TestLoopbackIngestCopiesAgentBuffer: a loopback frame (wireBytes 0) is
-// built on the agent's round record buffer, which the agent overwrites the
-// next round. Ingest must copy those records out: overwriting the buffer
-// after the ingest leaves the Chrome export unchanged.
+// the agent's round shipment, whose record bytes and dictionary the agent
+// overwrites the next round. Ingest must copy those records out:
+// overwriting the shipment after the ingest leaves the Chrome export
+// unchanged.
 func TestLoopbackIngestCopiesAgentBuffer(t *testing.T) {
 	c := NewCollector(1, 1_000_000)
-	recBuf := make([]Rec, 0, 8) // the agent's round buffer
+	var recs []Rec
 	for i := 0; i < 6; i++ {
-		recBuf = append(recBuf, Rec{TSC: int64(100 + i), Name: fmt.Sprintf("ev%d", i), Kind: ktau.KindAtomic, Val: int64(i)})
+		recs = append(recs, Rec{TSC: int64(100 + i), Name: fmt.Sprintf("ev%d", i), Kind: ktau.KindAtomic, Val: int64(i)})
 	}
-	c.Ingest(Frame{NodeIdx: 0, Streams: []Stream{
-		{PID: 1, Task: "a", Kernel: true, Recs: recBuf[0:4:4]},
-		{PID: 2, Task: "b", Kernel: true, Recs: recBuf[4:6:6]},
-	}}, 0)
+	var s shipment // the agent's round shipment
+	s.fromFrame(&Frame{NodeIdx: 0, Streams: []Stream{
+		{PID: 1, Task: "a", Kernel: true, Recs: recs[0:4]},
+		{PID: 2, Task: "b", Kernel: true, Recs: recs[4:6]},
+	}})
+	c.ingest(&s, 0)
 	var before bytes.Buffer
 	if err := c.WriteChromeTrace(&before); err != nil {
 		t.Fatal(err)
 	}
 
-	recBuf = recBuf[:0] // the next round reuses the buffer
+	recs = recs[:0] // the next round reuses the shipment
 	for i := 0; i < 8; i++ {
-		recBuf = append(recBuf, Rec{TSC: int64(900 - i), Name: "overwritten", Kind: ktau.KindEntry})
+		recs = append(recs, Rec{TSC: int64(900 - i), Name: fmt.Sprintf("over%d", i), Kind: ktau.KindEntry})
 	}
+	s.fromFrame(&Frame{NodeIdx: 0, Streams: []Stream{{PID: 1, Task: "a", Kernel: true, Recs: recs}}})
 	var after bytes.Buffer
 	if err := c.WriteChromeTrace(&after); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(before.Bytes(), after.Bytes()) {
-		t.Fatalf("overwriting the agent's buffer changed the export:\nbefore %s\nafter  %s", before.Bytes(), after.Bytes())
+		t.Fatalf("overwriting the agent's shipment changed the export:\nbefore %s\nafter  %s", before.Bytes(), after.Bytes())
 	}
 	if n := len(exportedRecords(t, after.Bytes())); n != 6 {
 		t.Fatalf("export holds %d records, want 6", n)
