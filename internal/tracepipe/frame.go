@@ -142,11 +142,24 @@ type dict struct {
 }
 
 func (d *dict) intern(s string) uint32 {
+	if d.index == nil {
+		// A dictionary of a few names is searched, and gets its map only
+		// once it outgrows them, so a fresh one (a sync.Pool refill) costs
+		// a handful of allocations.
+		if i := slices.Index(d.names, s); i >= 0 {
+			return uint32(i)
+		}
+		if len(d.names) < 8 {
+			d.names = append(d.names, s)
+			return uint32(len(d.names) - 1)
+		}
+		d.index = make(map[string]uint32, 2*len(d.names))
+		for i, n := range d.names {
+			d.index[n] = uint32(i)
+		}
+	}
 	if i, ok := d.index[s]; ok {
 		return i
-	}
-	if d.index == nil {
-		d.index = make(map[string]uint32)
 	}
 	i := uint32(len(d.names))
 	d.names = append(d.names, s)
@@ -188,6 +201,13 @@ func (s *shipment) fromFrame(f *Frame) {
 	s.reset(frameHead{Node: f.Node, NodeIdx: f.NodeIdx, Round: f.Round, Last: f.Last,
 		Throttle: f.Throttle, Backlog: f.Backlog, ReadErrs: f.ReadErrs,
 		Dropped: f.Dropped, DroppedRecs: f.DroppedRecs})
+	// Size a fresh shipment in one step, as a sync.Pool refill has to: most
+	// records take about 5 bytes.
+	n := 0
+	for _, st := range f.Streams {
+		n += len(st.Recs)
+	}
+	s.streams, s.recs = slices.Grow(s.streams, len(f.Streams)), slices.Grow(s.recs, 8*n)
 	for _, st := range f.Streams {
 		s.addStream(streamHead{pid: st.PID, task: st.Task, kernel: st.Kernel,
 			lost: st.Lost, sampled: st.Sampled}, st.Recs)
