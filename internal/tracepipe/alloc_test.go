@@ -14,9 +14,10 @@ import (
 )
 
 // TestAppendFrameAllocsAmortized pins the per-round trace-frame encode at ≤1
-// allocation per frame amortized when the caller reuses its buffer: the name
-// dictionary is pooled and the output buffer is caller-owned, so the only
-// tolerated allocation is an occasional pool refill.
+// allocation per frame amortized when the caller reuses its buffer: the
+// shipment the frame is encoded through is pooled and the output buffer is
+// caller-owned, so the only tolerated allocation is an occasional pool
+// refill.
 func TestAppendFrameAllocsAmortized(t *testing.T) {
 	f := Frame{Node: "n3", NodeIdx: 3, Round: 17}
 	recs := make([]Rec, 0, 256)

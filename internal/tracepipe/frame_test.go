@@ -107,7 +107,8 @@ func hugeNameCount() []byte {
 
 // richFrame encodes a frame with more streams, records, names and messages
 // than the seeds, longer strings, and every flag and counter set: decoding
-// it first leaves a reused frame dirty in every field a smaller one skips.
+// it first leaves a reused frame or shipment dirty in every field a
+// smaller one skips.
 func richFrame() []byte {
 	long := strings.Repeat("stale_", 40)
 	f := Frame{Node: long, NodeIdx: 9, Round: 99, Last: true, Throttle: 3,
@@ -132,6 +133,23 @@ func (f Frame) records() int {
 		n += len(s.Recs)
 	}
 	return n
+}
+
+// normFrame makes fr's empty slices nil, so decodes into fresh and reused
+// storage compare equal under reflect.DeepEqual.
+func normFrame(fr Frame) Frame {
+	if len(fr.Streams) == 0 {
+		fr.Streams = nil
+	}
+	for i := range fr.Streams {
+		if len(fr.Streams[i].Recs) == 0 {
+			fr.Streams[i].Recs = nil
+		}
+	}
+	if len(fr.Msgs) == 0 {
+		fr.Msgs = nil
+	}
+	return fr
 }
 
 // normShipment is s with everything past its lengths cut off and its empty
@@ -159,6 +177,8 @@ func normShipment(s *shipment) shipment {
 // survives an encode/decode round trip unchanged. Decoding into a sink's
 // shipment dirtied by a richer decode gives the same shipment as decoding
 // into a fresh one, and every record it holds is the decoded frame's.
+// DecodeFrameInto a Frame dirtied by a richer decode gives DecodeFrame's
+// result, and on an error leaves the Frame as it was.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, fr := range []Frame{sampleFrame(), {Node: "n0"}} {
 		blob := EncodeFrame(fr)
@@ -168,6 +188,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add(hugeNameCount())
 	rich := richFrame()
+	richFr, err := DecodeFrame(rich)
+	if err != nil {
+		f.Fatalf("rich frame: %v", err)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fr, err := DecodeFrame(b)
 		var fresh, dirty shipment
@@ -178,8 +202,22 @@ func FuzzDecodeFrame(f *testing.F) {
 		if (err == nil) != (errFresh == nil) || (err == nil) != (errReused == nil) {
 			t.Fatalf("DecodeFrame: %v; decode into a fresh shipment: %v; into a reused one: %v", err, errFresh, errReused)
 		}
+		var reused Frame
+		if err := DecodeFrameInto(&reused, rich); err != nil {
+			t.Fatalf("rich frame: %v", err)
+		}
+		errInto := DecodeFrameInto(&reused, b)
+		if (err == nil) != (errInto == nil) {
+			t.Fatalf("DecodeFrame: %v; DecodeFrameInto a reused frame: %v", err, errInto)
+		}
 		if err != nil {
+			if !reflect.DeepEqual(reused, richFr) {
+				t.Fatalf("a failed DecodeFrameInto changed the frame:\n got %+v\nwant %+v", reused, richFr)
+			}
 			return
+		}
+		if !reflect.DeepEqual(normFrame(reused), normFrame(fr)) {
+			t.Fatalf("DecodeFrameInto a reused frame differs:\n got %+v\nwant %+v", reused, fr)
 		}
 		if !reflect.DeepEqual(normShipment(&dirty), normShipment(&fresh)) {
 			t.Fatalf("decode into a reused shipment differs:\n got %+v\nwant %+v", dirty, fresh)

@@ -389,9 +389,9 @@ func TestWriteChromeTraceWhileIngesting(t *testing.T) {
 
 // TestLoopbackIngestCopiesAgentBuffer: a loopback frame (wireBytes 0) is
 // the agent's round shipment, whose record bytes and dictionary the agent
-// overwrites the next round. Ingest must copy those records out:
-// overwriting the shipment after the ingest leaves the Chrome export
-// unchanged.
+// overwrites in place the next round. Ingest must copy those records out:
+// overwriting every byte of the shipment's record buffer and every
+// dictionary slot after the ingest leaves the Chrome export unchanged.
 func TestLoopbackIngestCopiesAgentBuffer(t *testing.T) {
 	c := NewCollector(1, 1_000_000)
 	var recs []Rec
@@ -409,11 +409,13 @@ func TestLoopbackIngestCopiesAgentBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs = recs[:0] // the next round reuses the shipment
-	for i := 0; i < 8; i++ {
-		recs = append(recs, Rec{TSC: int64(900 - i), Name: fmt.Sprintf("over%d", i), Kind: ktau.KindEntry})
+	buf := s.recs[:cap(s.recs)] // the next round reuses the shipment
+	for i := range buf {
+		buf[i] = 0xff
 	}
-	s.fromFrame(&Frame{NodeIdx: 0, Streams: []Stream{{PID: 1, Task: "a", Kernel: true, Recs: recs}}})
+	for i := range s.dict.names {
+		s.dict.names[i] = "over"
+	}
 	var after bytes.Buffer
 	if err := c.WriteChromeTrace(&after); err != nil {
 		t.Fatal(err)

@@ -224,33 +224,29 @@ type agent struct {
 	// has been encoded for the wire or ingested locally, and ingest copies
 	// what it keeps.
 	s shipment
-	// evNames is indexed by kernel EventID: an entry stamped with the
-	// round's stamp holds the index of the event's name in the round's
-	// dictionary.
-	evNames []evName
-	stamp   uint32
-	tasks   []*kernel.Task // the node's tasks, listed afresh every round
+	// evIdx is indexed by kernel EventID: a non-zero entry is one more
+	// than the index of the event's name in the round's dictionary.
+	evIdx []uint32
+	tasks []*kernel.Task // the node's tasks, listed afresh every round
 	// ring is the scratch each kernel ring is decoded into before its
 	// records are appended to the shipment.
 	ring []ktau.Record
 }
 
-// evName is one kernel event's entry in an agent's name table.
-type evName struct{ stamp, idx uint32 }
-
 // kernName returns the dictionary index of kernel event ev's name. An
 // event's first record in a round interns reg.Name(ev), as a record named
 // by string would, so the dictionary keeps first-appearance order and
 // names shared by several events, or by a user routine, get one index.
+// Later records of the event read the index from evIdx instead of hashing
+// the name again.
 func (a *agent) kernName(reg *ktau.Registry, ev ktau.EventID) uint32 {
-	if ev < 0 || int(ev) >= len(a.evNames) {
+	if ev < 0 || int(ev) >= len(a.evIdx) {
 		return a.s.dict.intern(reg.Name(ev))
 	}
-	e := &a.evNames[ev]
-	if e.stamp != a.stamp {
-		e.stamp, e.idx = a.stamp, a.s.dict.intern(reg.Name(ev))
+	if a.evIdx[ev] == 0 {
+		a.evIdx[ev] = a.s.dict.intern(reg.Name(ev)) + 1
 	}
-	return e.idx
+	return a.evIdx[ev] - 1
 }
 
 func (tp *Pipeline) newAgent(idx int, n *cluster.Node) ship.Agent[shipment] {
@@ -310,12 +306,9 @@ func (a *agent) drainRound(u *kernel.UCtx, round int, last bool, pol Policy) {
 	s := &a.s
 	s.reset(frameHead{Node: n.Name, NodeIdx: idx, Round: round, Last: last})
 	reg := n.K.Ktau().Reg
-	if a.stamp++; a.stamp == 0 { // wrapped: no entry may look current
-		clear(a.evNames)
-		a.stamp = 1
-	}
-	if grow := reg.Len() - len(a.evNames); grow > 0 {
-		a.evNames = append(a.evNames, make([]evName, grow)...)
+	clear(a.evIdx)
+	if grow := reg.Len() - len(a.evIdx); grow > 0 {
+		a.evIdx = append(a.evIdx, make([]uint32, grow)...)
 	}
 
 	a.tasks = n.K.AppendAllTasks(a.tasks[:0])
